@@ -1,0 +1,407 @@
+"""Batch command-line driver.
+
+Usage::
+
+    plurigeo <command> --config <path> [--out <dir>] [--seed <u64>]
+
+Commands: ``identities``, ``flow``, ``static``, ``hopf``.  Configuration
+is strict JSON: unknown keys are rejected, all outputs are written
+atomically, and identical configs with identical seeds produce
+byte-identical files regardless of PLURIGEO_THREADS.
+
+Exit codes: 0 success, 1 identity/tolerance failure, 2 usage or config
+error, 3 numerical failure (blowup or degenerate flow).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import flow as fl
+from . import hermitian as hm
+from . import statics as st
+from .families import MetricFamily, jet_at
+from .grid import MetricField, load_field, sample
+from .flow import _atomic_write_text
+
+EXIT_OK = 0
+EXIT_TOLERANCE = 1
+EXIT_CONFIG = 2
+EXIT_NUMERICAL = 3
+
+COMMANDS = ("identities", "flow", "static", "hopf")
+
+DEFAULT_TOLERANCES = {
+    "connection_torsion": 1e-10,
+    "codiff_torsion_trace": 1e-12,
+    "quad_proportionality": 1e-12,
+    "quad_cross_trace": 1e-12,
+    "quad_norm": 1e-12,
+    "bianchi_first": 1e-10,
+    "quad_gradient_trace": 1e-10,
+    "bianchi_torsion_curvature": 1e-10,
+    "bianchi_scalar_contraction": 1e-10,
+    "bianchi_divergence_pairing": 1e-10,
+    "torsion_trace_identity": 1e-10,
+    "ricci_trace_relation": 1e-10,
+    "flow_form_equivalence": 1e-10,
+}
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def _require(cfg: dict, key: str, typ, default=None, required=False):
+    if key not in cfg:
+        if required:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
+    val = cfg[key]
+    if typ is float and isinstance(val, int) and not isinstance(val, bool):
+        val = float(val)
+    if not isinstance(val, typ) or isinstance(val, bool) and typ is not bool:
+        raise ConfigError(f"key {key!r} must be {typ.__name__}")
+    return val
+
+
+def _reject_unknown(cfg: dict, allowed: set, where: str) -> None:
+    unknown = set(cfg) - allowed
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _parse_family(cfg) -> MetricFamily:
+    if not isinstance(cfg, dict):
+        raise ConfigError("family must be an object")
+    _reject_unknown(cfg, {"kind", "eps"}, "family")
+    kind = _require(cfg, "kind", str, required=True)
+    eps = _require(cfg, "eps", float, default=0.0)
+    try:
+        return MetricFamily(kind=kind, eps=eps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_dims(cfg, default=(4, 4, 16, 4)) -> tuple:
+    dims = cfg if cfg is not None else list(default)
+    if (
+        not isinstance(dims, list)
+        or len(dims) != 4
+        or not all(isinstance(n, int) and not isinstance(n, bool) for n in dims)
+    ):
+        raise ConfigError("dims must be a list of 4 integers")
+    return tuple(dims)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    command: str
+    seed: int
+    out_dir: str
+    options: dict
+
+
+def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    command = _require(cfg, "command", str, required=True)
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
+    seed = _require(cfg, "seed", int, default=0)
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    out_dir = _require(cfg, "out", str, default=".")
+
+    common = {"command", "seed", "out"}
+    if command == "identities":
+        _reject_unknown(cfg, common | {"count", "tolerances"}, "config")
+        count = _require(cfg, "count", int, required=True)
+        if count < 1:
+            raise ConfigError("count must be >= 1")
+        tolerances = dict(DEFAULT_TOLERANCES)
+        extra = _require(cfg, "tolerances", dict, default={})
+        for key, val in extra.items():
+            if key not in DEFAULT_TOLERANCES:
+                raise ConfigError(f"unknown identity name in tolerances: {key!r}")
+            if not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
+                raise ConfigError(f"tolerance for {key!r} must be a positive number")
+            tolerances[key] = float(val)
+        options = {"count": count, "tolerances": tolerances}
+    elif command == "flow":
+        allowed = common | {
+            "family", "dims", "variant", "t_end", "cadence", "safety", "dt",
+            "blowup_factor", "tnorm_check",
+        }
+        _reject_unknown(cfg, allowed, "config")
+        family = _parse_family(_require(cfg, "family", dict, required=True))
+        dims = _parse_dims(cfg.get("dims"))
+        variant = _require(cfg, "variant", str, default="gflow")
+        if variant not in fl.VARIANTS:
+            raise ConfigError(f"variant must be one of {fl.VARIANTS}")
+        t_end = _require(cfg, "t_end", float, default=0.5)
+        cadence = _require(cfg, "cadence", int, default=10)
+        safety = _require(cfg, "safety", float, default=0.05)
+        dt = _require(cfg, "dt", float, default=None)
+        blowup = _require(cfg, "blowup_factor", float, default=1e3)
+        tnorm = _require(cfg, "tnorm_check", bool, default=False)
+        if t_end <= 0 or cadence < 1 or safety <= 0 or blowup <= 0:
+            raise ConfigError("t_end, cadence, safety, blowup_factor must be positive")
+        if dt is not None and dt <= 0:
+            raise ConfigError("dt must be positive")
+        options = {
+            "family": family, "dims": dims, "variant": variant, "t_end": t_end,
+            "cadence": cadence, "safety": safety, "dt": dt,
+            "blowup_factor": blowup, "tnorm_check": tnorm,
+        }
+    elif command == "static":
+        allowed = common | {"family", "dims", "field_file", "c1_bundle"}
+        _reject_unknown(cfg, allowed, "config")
+        if ("family" in cfg) == ("field_file" in cfg):
+            raise ConfigError("static needs exactly one of 'family' or 'field_file'")
+        family = _parse_family(cfg["family"]) if "family" in cfg else None
+        field_file = _require(cfg, "field_file", str, default=None)
+        dims = _parse_dims(cfg.get("dims"))
+        bundle = cfg.get("c1_bundle", [[1.0, 0.0], [0.0, -1.0]])
+        try:
+            bundle = np.asarray(bundle, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("c1_bundle must be a real 2x2 matrix") from exc
+        if bundle.shape != (2, 2):
+            raise ConfigError("c1_bundle must be a real 2x2 matrix")
+        options = {
+            "family": family, "field_file": field_file, "dims": dims,
+            "c1_bundle": bundle,
+        }
+    else:  # hopf
+        _reject_unknown(cfg, common | {"samples", "tol"}, "config")
+        samples = _require(cfg, "samples", int, required=True)
+        if samples < 1:
+            raise ConfigError("samples must be >= 1")
+        tol = _require(cfg, "tol", float, default=1e-10)
+        if tol <= 0:
+            raise ConfigError("tol must be positive")
+        options = {"samples": samples, "tol": tol}
+
+    if out_override is not None:
+        out_dir = out_override
+    if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError("seed must be nonnegative")
+        seed = seed_override
+    return Scenario(command=command, seed=seed, out_dir=out_dir, options=options)
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+
+def _family_sample_jets() -> list[tuple[str, "hm.HermitianJet", bool]]:
+    """Analytic-family jets at fixed probe points (name, jet, pluriclosed)."""
+    grids = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
+    pts = (grids, grids * 0 + 0.3, grids[::-1], grids * 0 + 1.1)
+    out = []
+    out.append(("flat", jet_at(MetricFamily("flat"), pts), True))
+    out.append(
+        ("kahler_potential", jet_at(MetricFamily("kahler_potential", 0.4), pts), True)
+    )
+    out.append(
+        ("torus_pluriclosed", jet_at(MetricFamily("torus_pluriclosed", 0.5), pts), True)
+    )
+    zs = np.exp(1j * grids)
+    out.append(("hopf", jet_at(MetricFamily("hopf"), (0.9 * zs, 0.7 * np.conj(zs))), True))
+    return out
+
+
+def cmd_identities(scenario: Scenario) -> int:
+    count = scenario.options["count"]
+    tolerances = scenario.options["tolerances"]
+    seed = scenario.seed
+    worst: dict[str, float] = {name: 0.0 for name in DEFAULT_TOLERANCES}
+
+    def absorb(res: dict) -> None:
+        for name, vals in res.items():
+            worst[name] = max(worst[name], float(np.asarray(vals).max()))
+
+    free = hm.random_jet_batch(range(seed, seed + count), pluriclosed=False)
+    absorb(hm.identity_suite(free, pluriclosed=False))
+    constrained = hm.random_jet_batch(
+        range(seed + count, seed + 2 * count), pluriclosed=True
+    )
+    absorb(hm.identity_suite(constrained, pluriclosed=True))
+    for _, jet, pluriclosed in _family_sample_jets():
+        absorb(hm.identity_suite(jet, pluriclosed=pluriclosed))
+
+    failures = [name for name, val in sorted(worst.items()) if val > tolerances[name]]
+    report = {
+        "command": "identities",
+        "count": count,
+        "seed": seed,
+        "residuals": worst,
+        "tolerances": tolerances,
+        "failures": failures,
+        "pass": not failures,
+    }
+    path = os.path.join(scenario.out_dir, "identities_report.json")
+    _atomic_write_text(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if failures:
+        print(f"FAIL: identity {failures[0]} residual {worst[failures[0]]:.3e} "
+              f"exceeds {tolerances[failures[0]]:.1e}")
+        return EXIT_TOLERANCE
+    print(f"ok: {len(worst)} identities within tolerance over {count} jets")
+    return EXIT_OK
+
+
+def cmd_flow(scenario: Scenario) -> int:
+    opts = scenario.options
+    field = sample(opts["family"], opts["dims"])
+    result = fl.run(
+        field,
+        variant=opts["variant"],
+        t_end=opts["t_end"],
+        cadence=opts["cadence"],
+        safety=opts["safety"],
+        dt=opts["dt"],
+        blowup_factor=opts["blowup_factor"],
+    )
+    summary = dict(result.summary)
+    if opts["tnorm_check"] and opts["variant"] == "gflow":
+        audit = fl.tnorm_evolution_check(result.final_state)
+        summary["tnorm_residual_raw_max"] = audit.max_raw
+        summary["tnorm_residual_attributed_max"] = audit.max_attributed
+        summary["tnorm_convention_term_max"] = float(
+            np.abs(audit.convention_term).max()
+        )
+    fl.write_diagnostics_csv(
+        os.path.join(scenario.out_dir, "diagnostics.csv"), result.records
+    )
+    fl.write_summary_json(os.path.join(scenario.out_dir, "summary.json"), summary)
+    print(f"flow finished: status={result.status} steps={summary['steps']}")
+    return EXIT_OK if result.status == "completed" else EXIT_NUMERICAL
+
+
+def cmd_static(scenario: Scenario) -> int:
+    opts = scenario.options
+    if opts["family"] is not None:
+        field = sample(opts["family"], opts["dims"])
+    else:
+        try:
+            field = load_field(opts["field_file"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load field file: {exc}") from exc
+        field.check()
+    report = st.static_report(field, opts["c1_bundle"])
+    st.write_static_report(os.path.join(scenario.out_dir, "static_report.json"), report)
+    is_flat = opts["family"] is not None and opts["family"].kind == "flat"
+    if is_flat:
+        gaps = (
+            abs(report.gap_wedge_volume),
+            abs(report.gap_degree_pairing),
+            abs(report.lambda_star),
+            abs(report.degree),
+        )
+        if max(gaps) > 1e-10:
+            print(f"FAIL: flat-field sanity gap {max(gaps):.3e} exceeds 1e-10")
+            return EXIT_TOLERANCE
+    print(f"static report written: lambda*={report.lambda_star!r}")
+    return EXIT_OK
+
+
+def cmd_hopf(scenario: Scenario) -> int:
+    opts = scenario.options
+    rng = np.random.default_rng(scenario.seed)
+    n = opts["samples"]
+    raw = rng.normal(size=(n, 4))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    rho = rng.uniform(0.5, 2.0, size=n)
+    z1 = rho * (raw[:, 0] + 1j * raw[:, 1])
+    z2 = rho * (raw[:, 2] + 1j * raw[:, 3])
+    jet = jet_at(MetricFamily("hopf"), (z1, z2))
+    scale = np.abs(jet.g).max(axis=(-1, -2))
+    _, ric1, _, _ = hm.chern_curvature(jet)
+    quad1, _, _ = hm.torsion_quadratics(jet)
+    rhs = hm.gflow_rhs(jet)
+    errs = {
+        "curvature_trace_vs_metric": np.abs(ric1 - jet.g).max(axis=(-1, -2)) / scale,
+        "torsion_quad_vs_metric": np.abs(quad1 - jet.g).max(axis=(-1, -2)) / scale,
+        "flow_velocity": np.abs(rhs).max(axis=(-1, -2)) / scale,
+    }
+    worst = {k: float(v.max()) for k, v in errs.items()}
+    bad = [k for k, v in sorted(worst.items()) if v > opts["tol"]]
+    if bad:
+        print(f"FAIL: hopf check {bad[0]} error {worst[bad[0]]:.3e}")
+        return EXIT_TOLERANCE
+    print(f"ok: hopf static checks pass at {n} points (worst {max(worst.values()):.3e})")
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# entry point
+
+
+def _check_threads_env() -> None:
+    val = os.environ.get("PLURIGEO_THREADS")
+    if val is None:
+        return
+    try:
+        n = int(val)
+    except ValueError as exc:
+        raise ConfigError(f"PLURIGEO_THREADS must be an integer, got {val!r}") from exc
+    if n < 1:
+        raise ConfigError("PLURIGEO_THREADS must be >= 1")
+    # All kernels are vectorized single-process numpy; the cap is accepted
+    # for interface compatibility and has no numerical effect.
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="plurigeo",
+        description="Pluriclosed-flow numerics: identities, flow runs, "
+        "static diagnostics, and the Hopf example.",
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON scenario file")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_CONFIG if exc.code else EXIT_OK
+    try:
+        _check_threads_env()
+        scenario = load_scenario(args.config, out_override=args.out, seed_override=args.seed)
+        if scenario.command != args.command:
+            raise ConfigError(
+                f"config is for {scenario.command!r}, invoked as {args.command!r}"
+            )
+        os.makedirs(scenario.out_dir, exist_ok=True)
+        handler = {
+            "identities": cmd_identities,
+            "flow": cmd_flow,
+            "static": cmd_static,
+            "hopf": cmd_hopf,
+        }[scenario.command]
+        return handler(scenario)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (fl.FlowError,) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+
+
+if __name__ == "__main__":
+    sys.exit(main())

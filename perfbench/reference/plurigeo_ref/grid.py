@@ -1,0 +1,469 @@
+"""Discretization on the flat complex 2-torus.
+
+Periodic grids over [0, 2pi)^4 with real coordinates (x1, x2, x3, x4),
+z^1 = x1 + i x2, z^2 = x3 + i x4.  All derivatives are 4th-order central
+differences with periodic wraparound,
+
+    f'_i ~ (-f_{i+2} + 8 f_{i+1} - 8 f_{i-1} + f_{i-2}) / (12 h),
+
+second derivatives by composition.  Integrals are periodic Riemann sums
+times the cell volume, reduced with a fixed pairwise tree so results are
+bit-reproducible.
+
+Forms follow the (i/2)-coefficient convention of :mod:`plurigeo.hermitian`:
+a real (1,1)-form is a Hermitian coefficient matrix per node, the (2,0)
+and (0,2) parts are single complex components (coefficients of
+dz^1 ^ dz^2 and dzbar^1 ^ dzbar^2).
+"""
+
+from __future__ import annotations
+
+import struct
+from dataclasses import dataclass
+
+import numpy as np
+
+from .families import MetricFamily
+from .hermitian import HermitianJet
+
+__all__ = [
+    "TWO_PI",
+    "TorusGrid",
+    "MetricField",
+    "FormField",
+    "ThreeForm",
+    "pairwise_sum",
+    "sample",
+    "potential_field",
+    "perturb_with_potential",
+    "wedge_pair",
+    "form_wedge",
+    "degree",
+    "divisor_area",
+    "exterior_derivative",
+    "real_components",
+    "d_one_form",
+    "save_field",
+    "load_field",
+    "field_to_csv",
+]
+
+TWO_PI = 2.0 * np.pi
+
+FIELD_MAGIC = b"PGMF"
+FIELD_VERSION = 1
+
+# real-coordinate index pairs of the six 2-form components, lexicographic
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+
+# dz^1, dz^2, dzbar^1, dzbar^2 expanded over dx^1..dx^4
+_DZ = np.array(
+    [
+        [1, 1j, 0, 0],
+        [0, 0, 1, 1j],
+        [1, -1j, 0, 0],
+        [0, 0, 1, -1j],
+    ],
+    dtype=complex,
+)
+
+
+def pairwise_sum(values: np.ndarray):
+    """Deterministic pairwise reduction of all elements."""
+    a = np.asarray(values).reshape(-1)
+    if a.size == 0:
+        return a.dtype.type(0)
+    while a.size > 1:
+        n = a.size // 2
+        head = a[: 2 * n : 2] + a[1 : 2 * n : 2]
+        a = np.concatenate([head, a[2 * n :]]) if a.size % 2 else head
+    return a[0]
+
+
+@dataclass(frozen=True)
+class TorusGrid:
+    """Uniform periodic grid over [0, 2pi)^4."""
+
+    dims: tuple[int, int, int, int]
+
+    def __post_init__(self):
+        if len(self.dims) != 4:
+            raise ValueError("dims must have length 4")
+        if any(n < 4 or n % 2 for n in self.dims):
+            raise ValueError("grid sizes must be even and >= 4")
+
+    @property
+    def spacing(self) -> tuple[float, ...]:
+        return tuple(TWO_PI / n for n in self.dims)
+
+    @property
+    def cell(self) -> float:
+        h = self.spacing
+        return h[0] * h[1] * h[2] * h[3]
+
+    @property
+    def nodes(self) -> int:
+        n = self.dims
+        return n[0] * n[1] * n[2] * n[3]
+
+    def coords(self) -> list[np.ndarray]:
+        axes = [np.arange(n) * h for n, h in zip(self.dims, self.spacing)]
+        return np.meshgrid(*axes, indexing="ij")
+
+    def dx(self, u: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
+        """4th-order periodic derivative along a real axis; order 2 by composition."""
+        if axis not in (0, 1, 2, 3):
+            raise ValueError("axis must be 0..3")
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
+        h = self.spacing[axis]
+        # grouped as paired differences so constants differentiate to exact zero
+        d = (
+            8.0 * (np.roll(u, -1, axis) - np.roll(u, 1, axis))
+            - (np.roll(u, -2, axis) - np.roll(u, 2, axis))
+        ) / (12.0 * h)
+        return self.dx(d, axis, 1) if order == 2 else d
+
+    def dz(self, u: np.ndarray, k: int) -> np.ndarray:
+        """Holomorphic derivative del_{z^k} = (del_x - i del_y) / 2, k in {0, 1}."""
+        return 0.5 * (self.dx(u, 2 * k) - 1j * self.dx(u, 2 * k + 1))
+
+    def dzbar(self, u: np.ndarray, k: int) -> np.ndarray:
+        return 0.5 * (self.dx(u, 2 * k) + 1j * self.dx(u, 2 * k + 1))
+
+    def integrate(self, values: np.ndarray):
+        """Periodic Riemann sum times the cell volume (pairwise reduction)."""
+        return pairwise_sum(values) * self.cell
+
+    def complex_hessian(self, u: np.ndarray) -> np.ndarray:
+        """Matrix ``h[..., i, j] = del_{z^i} del_{zbar^j} u`` per node."""
+        out = np.zeros(np.shape(u) + (2, 2), dtype=complex)
+        for i in range(2):
+            du = self.dz(np.asarray(u, dtype=complex), i)
+            for j in range(2):
+                out[..., i, j] = self.dzbar(du, j)
+        return out
+
+
+# ---------------------------------------------------------------------------
+# metric fields
+
+
+@dataclass(frozen=True)
+class MetricField:
+    """Hermitian positive 2x2 matrix per node of a :class:`TorusGrid`."""
+
+    grid: TorusGrid
+    values: np.ndarray  # shape dims + (2, 2), complex
+
+    def __post_init__(self):
+        expect = self.grid.dims + (2, 2)
+        if self.values.shape != expect:
+            raise ValueError(f"values must have shape {expect}")
+
+    def check(self, herm_tol: float = 1e-12) -> None:
+        dev = np.abs(self.values - np.conj(self.values.swapaxes(-1, -2))).max()
+        if dev > herm_tol:
+            raise ValueError(f"metric field not Hermitian (deviation {dev:.3e})")
+        eig = np.linalg.eigvalsh(self.values)
+        if eig.min() <= 0:
+            raise ValueError("metric field not positive definite")
+
+    def det(self) -> np.ndarray:
+        v = self.values
+        return (v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]).real
+
+    def volume(self) -> float:
+        return float(self.grid.integrate(self.det()))
+
+    def jets(self) -> tuple[HermitianJet, dict[str, float]]:
+        """Finite-difference jets at every node plus symmetry deviations.
+
+        Symmetries are enforced by averaging; because the periodic stencils
+        commute exactly the reported deviations are at rounding level for
+        exact Hermitian input.
+        """
+        g = self.values
+        grid = self.grid
+        d1 = np.zeros(grid.dims + (2, 2, 2), dtype=complex)
+        for k in range(2):
+            d1[..., k, :, :] = grid.dz(g, k)
+        d2m = np.zeros(grid.dims + (2, 2, 2, 2), dtype=complex)
+        d2h = np.zeros(grid.dims + (2, 2, 2, 2), dtype=complex)
+        for k in range(2):
+            for l in range(2):
+                d2m[..., k, l, :, :] = grid.dzbar(d1[..., k, :, :], l)
+                d2h[..., k, l, :, :] = grid.dz(d1[..., k, :, :], l)
+        d2h_sym = 0.5 * (d2h + d2h.swapaxes(-4, -3))
+        d2m_real = 0.5 * (d2m + np.conj(d2m.swapaxes(-4, -3).swapaxes(-2, -1)))
+        deviations = {
+            "d2h_symmetry": float(np.abs(d2h - d2h_sym).max()),
+            "d2m_reality": float(np.abs(d2m - d2m_real).max()),
+        }
+        return HermitianJet(g=g, d1=d1, d2m=d2m_real, d2h=d2h_sym), deviations
+
+    def hermitized(self) -> "MetricField":
+        v = 0.5 * (self.values + np.conj(self.values.swapaxes(-1, -2)))
+        return MetricField(self.grid, v)
+
+
+def sample(family: MetricFamily, dims: tuple[int, int, int, int]) -> MetricField:
+    """Evaluate a torus family on the grid.
+
+    Axes the family varies along need at least 8 points; constant axes may
+    use 4.
+    """
+    if not family.on_torus:
+        raise ValueError("hopf is sampled pointwise, not on the torus grid")
+    grid = TorusGrid(tuple(int(n) for n in dims))
+    for ax in family.active_axes:
+        if grid.dims[ax] < 8:
+            raise ValueError(f"axis {ax} is active for {family.kind}; need >= 8 points")
+    from .families import jet_at
+
+    x = grid.coords()
+    jet = jet_at(family, tuple(x))
+    g = np.ascontiguousarray(np.broadcast_to(jet.g, grid.dims + (2, 2)))
+    field = MetricField(grid, g)
+    field.check()
+    return field
+
+
+def potential_field(grid: TorusGrid, u: np.ndarray) -> MetricField:
+    """Kaehler-type field ``omega_flat + i del dbar u``, i.e. ``g = I + 2 hess(u)``."""
+    h = grid.complex_hessian(u)
+    g = np.broadcast_to(np.eye(2, dtype=complex), grid.dims + (2, 2)).copy()
+    g += 2.0 * h
+    field = MetricField(grid, g).hermitized()
+    field.check()
+    return field
+
+
+def perturb_with_potential(field: MetricField, u: np.ndarray) -> MetricField:
+    """Add ``i del dbar u`` to the Kaehler form of a field (keeps it pluriclosed,
+    exactly so in the discrete calculus since the stencils commute)."""
+    h = field.grid.complex_hessian(u)
+    out = MetricField(field.grid, field.values + 2.0 * h).hermitized()
+    out.check()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# forms
+
+
+@dataclass(frozen=True)
+class FormField:
+    """A 2-form per node, split into (2,0)/(1,1)/(0,2) blocks.
+
+    ``p11[..., i, j]`` is the (i/2)-convention coefficient matrix; ``p20``
+    and ``p02`` are the coefficients of dz^1^dz^2 and dzbar^1^dzbar^2.
+    """
+
+    grid: TorusGrid
+    p11: np.ndarray
+    p20: np.ndarray | None = None
+    p02: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.p11.shape != self.grid.dims + (2, 2):
+            raise ValueError("p11 must have shape dims + (2, 2)")
+        for name in ("p20", "p02"):
+            v = getattr(self, name)
+            if v is not None and v.shape != self.grid.dims:
+                raise ValueError(f"{name} must have shape dims")
+
+    @classmethod
+    def from_metric(cls, field: MetricField) -> "FormField":
+        return cls(field.grid, field.values)
+
+    def block20(self) -> np.ndarray:
+        return self.p20 if self.p20 is not None else np.zeros(self.grid.dims, complex)
+
+    def block02(self) -> np.ndarray:
+        return self.p02 if self.p02 is not None else np.zeros(self.grid.dims, complex)
+
+    def reality_deviation(self) -> float:
+        herm = np.abs(self.p11 - np.conj(self.p11.swapaxes(-1, -2))).max()
+        conj = np.abs(self.block02() - np.conj(self.block20())).max()
+        return float(max(herm, conj))
+
+    def pluriclosed_defect(self) -> np.ndarray:
+        """|del dbar beta| per node; only the (1,1) block contributes on a surface."""
+        g = self.grid
+        b = self.p11
+        val = (
+            g.dzbar(g.dz(b[..., 0, 0], 1), 1)
+            + g.dzbar(g.dz(b[..., 1, 1], 0), 0)
+            - g.dzbar(g.dz(b[..., 0, 1], 1), 0)
+            - g.dzbar(g.dz(b[..., 1, 0], 0), 1)
+        )
+        return np.abs(val)
+
+
+def wedge_pair(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Wedge density of two (1,1) coefficient matrices:
+    ``beta ^ gamma = wedge_pair(b, c) dx^4``."""
+    return (
+        b[..., 0, 0] * c[..., 1, 1]
+        + b[..., 1, 1] * c[..., 0, 0]
+        - b[..., 0, 1] * c[..., 1, 0]
+        - b[..., 1, 0] * c[..., 0, 1]
+    )
+
+
+def form_wedge(f1: FormField, f2: FormField) -> np.ndarray:
+    """Full wedge density of two 2-forms, including (2,0)^(0,2) cross terms."""
+    val = wedge_pair(f1.p11, f2.p11)
+    val = val + 4.0 * (f1.block20() * f2.block02() + f1.block02() * f2.block20())
+    return val
+
+
+def chern_representative(field: MetricField) -> FormField:
+    """First-Chern form representative ``-(i/2) del dbar log det g``.
+
+    Rendered through the product-rule coordinate formula on the field's
+    jets (the same pipeline as every other curvature quantity), which keeps
+    the degree consistent with the discrete volume evolution.
+    """
+    from .hermitian import hodge_operators
+
+    jet, _ = field.jets()
+    return FormField(field.grid, -hodge_operators(jet).chern_ricci)
+
+
+def degree(field: MetricField) -> float:
+    """Gauduchon degree ``int (-(i/2) del dbar log det g) ^ omega``."""
+    rep = chern_representative(field)
+    return float(field.grid.integrate(wedge_pair(rep.p11, field.values).real))
+
+
+def divisor_area(field: MetricField) -> float:
+    """Area of the divisor slice {z^2 = const} (indices x3 = x4 = 0)."""
+    h = field.grid.spacing
+    slice_vals = field.values[:, :, 0, 0, 0, 0].real
+    return float(pairwise_sum(slice_vals) * h[0] * h[1])
+
+
+# ---------------------------------------------------------------------------
+# exterior derivative
+
+
+def real_components(form: FormField) -> np.ndarray:
+    """Real-coordinate components C_ab of the 2-form, packed along the last
+    axis in the order of :data:`PAIRS` (complex; imaginary parts vanish for
+    real forms up to the input's reality defect)."""
+    full = np.zeros(form.grid.dims + (4, 4), dtype=complex)
+    # (1,1) block: sum_{ij} (i/2) b_ij dz^i ^ dzbar^j
+    for i in range(2):
+        for j in range(2):
+            u = _DZ[i]
+            v = _DZ[2 + j]
+            coeff = 0.5j * form.p11[..., i, j]
+            full += coeff[..., None, None] * (
+                u[:, None] * v[None, :] - u[None, :] * v[:, None]
+            )
+    blocks = []
+    if form.p20 is not None:
+        blocks.append((form.p20, _DZ[0], _DZ[1]))
+    if form.p02 is not None:
+        blocks.append((form.p02, _DZ[2], _DZ[3]))
+    for coeff, u, v in blocks:
+        full += coeff[..., None, None] * (
+            u[:, None] * v[None, :] - u[None, :] * v[:, None]
+        )
+    return np.stack([full[..., a, b] for a, b in PAIRS], axis=-1)
+
+
+@dataclass(frozen=True)
+class ThreeForm:
+    """Components of a 3-form over the four triples of :data:`TRIPLES`."""
+
+    grid: TorusGrid
+    components: np.ndarray  # dims + (4,)
+
+    def max_norm(self) -> float:
+        return float(np.abs(self.components).max())
+
+    def l2_norm(self) -> float:
+        dens = (np.abs(self.components) ** 2).sum(axis=-1)
+        return float(np.sqrt(self.grid.integrate(dens).real))
+
+
+def d_one_form(grid: TorusGrid, comp: np.ndarray) -> np.ndarray:
+    """d of a 1-form given by 4 real-coordinate components (last axis)."""
+    out = np.zeros(grid.dims + (len(PAIRS),), dtype=complex)
+    for idx, (a, b) in enumerate(PAIRS):
+        out[..., idx] = grid.dx(comp[..., b], a) - grid.dx(comp[..., a], b)
+    return out
+
+
+def exterior_derivative(form: FormField) -> ThreeForm:
+    """Discrete exterior derivative of a 2-form; returns the 3-form components."""
+    comp = real_components(form)
+    grid = form.grid
+    index = {p: i for i, p in enumerate(PAIRS)}
+    out = np.zeros(grid.dims + (len(TRIPLES),), dtype=complex)
+    for t, (a, b, c) in enumerate(TRIPLES):
+        out[..., t] = (
+            grid.dx(comp[..., index[(b, c)]], a)
+            - grid.dx(comp[..., index[(a, c)]], b)
+            + grid.dx(comp[..., index[(a, b)]], c)
+        )
+    return ThreeForm(grid, out)
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+_HEADER = struct.Struct("<4sI4I")
+
+
+def save_field(path, field: MetricField) -> None:
+    """Flat binary layout: magic, version, dims (uint32 LE), then row-major
+    complex doubles of the (dims + (2, 2)) array."""
+    data = np.ascontiguousarray(field.values, dtype=np.complex128)
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(FIELD_MAGIC, FIELD_VERSION, *field.grid.dims))
+        fh.write(data.tobytes())
+
+
+def load_field(path) -> MetricField:
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) != _HEADER.size:
+            raise ValueError("truncated field file")
+        magic, version, *dims = _HEADER.unpack(head)
+        if magic != FIELD_MAGIC or version != FIELD_VERSION:
+            raise ValueError("not a metric field file")
+        grid = TorusGrid(tuple(dims))
+        raw = fh.read()
+    expect = grid.nodes * 4 * 16
+    if len(raw) != expect:
+        raise ValueError("field file has wrong payload size")
+    values = np.frombuffer(raw, dtype=np.complex128).reshape(grid.dims + (2, 2)).copy()
+    return MetricField(grid, values)
+
+
+def field_to_csv(path, field: MetricField, max_nodes: int = 65536) -> None:
+    """CSV dump for small grids: one row per node, re/im per matrix entry."""
+    if field.grid.nodes > max_nodes:
+        raise ValueError(f"grid too large for CSV ({field.grid.nodes} nodes)")
+    cols = ["i1", "i2", "i3", "i4"]
+    for i in range(2):
+        for j in range(2):
+            cols += [f"g{i+1}{j+1}_re", f"g{i+1}{j+1}_im"]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(cols) + "\n")
+        n1, n2, n3, n4 = field.grid.dims
+        for a in range(n1):
+            for b in range(n2):
+                for c in range(n3):
+                    for d in range(n4):
+                        row = [str(a), str(b), str(c), str(d)]
+                        for i in range(2):
+                            for j in range(2):
+                                v = field.values[a, b, c, d, i, j]
+                                row += [repr(float(v.real)), repr(float(v.imag))]
+                        fh.write(",".join(row) + "\n")

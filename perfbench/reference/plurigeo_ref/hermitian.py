@@ -1,0 +1,642 @@
+"""Pointwise Hermitian tensor calculus on a complex surface (n = 2).
+
+Everything operates on jets of a Hermitian metric: the 2x2 component
+matrix ``g[i, j] = g_{i jbar}`` together with its first and second
+coordinate derivatives in a fixed holomorphic chart.  All functions
+broadcast over leading batch axes, so a "jet" may be a single point or a
+whole grid of points at once.
+
+Index conventions (0-based, trailing axes):
+
+=================  ==================================================
+``g[..., i, j]``    ``g_{i jbar}``
+``d1[..., k, i, j]``   ``del_{z^k} g_{i jbar}``
+``d2m[..., k, l, i, j]``  ``del_{z^k} del_{zbar^l} g_{i jbar}``
+``d2h[..., k, l, i, j]``  ``del_{z^k} del_{z^l} g_{i jbar}``
+=================  ==================================================
+
+Antiholomorphic first derivatives are derived, never stored:
+``del_{zbar^k} g_{i jbar} = conj(d1[..., k, j, i])``.
+
+Real (1,1)-forms are stored as coefficient matrices ``b`` with
+``beta = (i/2) b_{i jbar} dz^i ^ dzbar^j``, so the Kaehler form of ``g``
+has coefficient matrix ``g`` itself and ``beta ^ gamma`` reduces to
+:func:`plurigeo.grid.wedge_pair`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+__all__ = [
+    "SingularMetricError",
+    "HermitianJet",
+    "TensorBlock",
+    "inverse_metric",
+    "chern_connection",
+    "torsion",
+    "chern_curvature",
+    "torsion_quadratics",
+    "hodge_operators",
+    "gflow_rhs",
+    "kahler_ricci",
+    "pluriclosed_residual",
+    "covariant_torsion_ops",
+    "metric_trace",
+    "metric_pairing",
+    "unitary_frame",
+    "grad_torsion_norms",
+    "curvature_norm",
+    "torsion_norm",
+    "identity_suite",
+    "random_jet",
+    "random_jet_batch",
+    "labeled_tensors",
+]
+
+
+class SingularMetricError(ValueError):
+    """Raised when a metric matrix is not invertible."""
+
+
+def _amax(x: np.ndarray, rank: int) -> np.ndarray:
+    """Max absolute value over the trailing `rank` tensor axes (batched)."""
+    a = np.abs(np.asarray(x))
+    if rank == 0:
+        return a
+    return a.reshape(a.shape[: a.ndim - rank] + (-1,)).max(axis=-1)
+
+
+@dataclass(frozen=True)
+class HermitianJet:
+    """Second-order jet of a Hermitian metric at one or many points."""
+
+    g: np.ndarray
+    d1: np.ndarray
+    d2m: np.ndarray
+    d2h: np.ndarray
+
+    def __post_init__(self):
+        g = np.asarray(self.g, dtype=complex)
+        if g.shape[-2:] != (2, 2):
+            raise ValueError("g must have trailing shape (2, 2)")
+        b = g.shape[:-2]
+        for name, arr, shape in (
+            ("d1", self.d1, b + (2, 2, 2)),
+            ("d2m", self.d2m, b + (2, 2, 2, 2)),
+            ("d2h", self.d2h, b + (2, 2, 2, 2)),
+        ):
+            if np.asarray(arr).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self.g.shape[:-2]
+
+    @classmethod
+    def flat(cls, batch_shape: tuple = ()) -> "HermitianJet":
+        """Jet of the identity metric (all derivatives zero)."""
+        g = np.broadcast_to(np.eye(2, dtype=complex), batch_shape + (2, 2)).copy()
+        return cls(
+            g=g,
+            d1=np.zeros(batch_shape + (2, 2, 2), dtype=complex),
+            d2m=np.zeros(batch_shape + (2, 2, 2, 2), dtype=complex),
+            d2h=np.zeros(batch_shape + (2, 2, 2, 2), dtype=complex),
+        )
+
+    def validate(self, tol: float = 1e-12) -> None:
+        """Check hermiticity, positivity and jet symmetry constraints."""
+        g = np.asarray(self.g)
+        herm = _amax(g - np.conj(g.swapaxes(-1, -2)), 2)
+        if herm.max() > tol:
+            raise ValueError(f"metric not Hermitian (deviation {herm.max():.3e})")
+        eig = np.linalg.eigvalsh(g)
+        if eig.min() <= 0:
+            raise ValueError("metric not positive definite")
+        sym = _amax(self.d2h - self.d2h.swapaxes(-4, -3), 4)
+        if sym.max() > tol:
+            raise ValueError(f"d2h not symmetric in (k, l) (deviation {sym.max():.3e})")
+        real = _amax(
+            np.conj(self.d2m) - self.d2m.swapaxes(-4, -3).swapaxes(-2, -1), 4
+        )
+        if real.max() > tol:
+            raise ValueError(f"d2m violates reality (deviation {real.max():.3e})")
+
+
+@dataclass(frozen=True)
+class TensorBlock:
+    """Dense complex component block with a declared index signature.
+
+    ``signature`` is a string over the alphabet {"h", "a"}, one letter per
+    trailing tensor axis: "h" marks a holomorphic (unbarred) lower index,
+    "a" an antiholomorphic (barred) one.  ``skew_pairs`` lists pairs of
+    trailing-axis positions in which the components must be antisymmetric.
+    """
+
+    components: np.ndarray
+    signature: str
+    skew_pairs: tuple = field(default=())
+
+    @property
+    def rank(self) -> int:
+        return len(self.signature)
+
+    def check(self, tol: float = 1e-12) -> None:
+        n = self.rank
+        for a, b in self.skew_pairs:
+            swapped = np.swapaxes(
+                self.components, self.components.ndim - n + a, self.components.ndim - n + b
+            )
+            dev = _amax(self.components + swapped, n).max()
+            if dev > tol:
+                raise ValueError(f"declared skew symmetry ({a},{b}) violated: {dev:.3e}")
+
+
+# ---------------------------------------------------------------------------
+# basic tensors
+
+
+def inverse_metric(g: np.ndarray) -> np.ndarray:
+    """Inverse metric ``gup[..., i, j] = g^{i jbar}`` with ``g^{i jbar} g_{k jbar} = delta_ik``."""
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    if not np.isfinite(det).all() or np.abs(det).min() < 1e-300:
+        raise SingularMetricError("metric not invertible")
+    gup = np.empty_like(g)
+    gup[..., 0, 0] = g[..., 1, 1] / det
+    gup[..., 1, 1] = g[..., 0, 0] / det
+    gup[..., 0, 1] = -g[..., 1, 0] / det
+    gup[..., 1, 0] = -g[..., 0, 1] / det
+    return gup
+
+
+def _d1bar(jet: HermitianJet) -> np.ndarray:
+    # d1b[..., k, i, j] = del_{zbar^k} g_{i jbar}
+    return np.conj(jet.d1.swapaxes(-1, -2))
+
+
+def chern_connection(jet: HermitianJet) -> np.ndarray:
+    """Connection coefficients ``gam[..., k, i, j] = Gamma^k_{ij} = g^{k lbar} del_i g_{j lbar}``."""
+    gup = inverse_metric(jet.g)
+    return np.einsum("...kl,...ijl->...kij", gup, jet.d1)
+
+
+def torsion(jet: HermitianJet) -> tuple[np.ndarray, np.ndarray]:
+    """Torsion ``T[..., i, j, k] = T_{i j kbar}`` and its trace ``w[..., i] = g^{j kbar} T_{i j kbar}``."""
+    t = jet.d1 - jet.d1.swapaxes(-3, -2)
+    gup = inverse_metric(jet.g)
+    w = np.einsum("...jk,...ijk->...i", gup, t)
+    return t, w
+
+
+def chern_curvature(jet: HermitianJet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Chern curvature and its Ricci-type traces.
+
+    Returns
+    -------
+    curv : ndarray
+        ``curv[..., i, j, k, l] = Omega_{i jbar k lbar}
+        = -g_{k lbar, i jbar} + g^{m nbar} g_{k nbar, i} g_{lbar m, jbar}``.
+    ric1 : ndarray
+        Trace over the form pair, ``g^{i jbar} Omega_{i jbar k lbar}``.
+    ric2 : ndarray
+        Trace over the endomorphism pair, ``g^{k lbar} Omega_{i jbar k lbar}``.
+    scal : ndarray
+        Scalar trace ``g^{k lbar} ric1_{k lbar}`` (real).
+    """
+    gup = inverse_metric(jet.g)
+    curv = -jet.d2m + np.einsum(
+        "...mn,...ikn,...jlm->...ijkl", gup, jet.d1, np.conj(jet.d1), optimize=True
+    )
+    ric1 = np.einsum("...ij,...ijkl->...kl", gup, curv)
+    ric2 = np.einsum("...kl,...ijkl->...ij", gup, curv)
+    scal = np.einsum("...kl,...kl->...", gup, ric1).real
+    return curv, ric1, ric2, scal
+
+
+def torsion_quadratics(jet: HermitianJet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadratic torsion contractions ``(quad1, quad2, tnorm_sq)``.
+
+    ``quad1_{i jbar} = g^{k lbar} g^{m nbar} T_{i k nbar} T_{jbar lbar m}`` and
+    ``quad2_{i jbar} = g^{k lbar} g^{m nbar} T_{lbar nbar i} T_{k m jbar}``,
+    with barred torsion components given by conjugation.  ``tnorm_sq`` is the
+    trace of quad1, equal to the squared torsion norm (real, >= 0).
+    """
+    gup = inverse_metric(jet.g)
+    t, _ = torsion(jet)
+    tb = np.conj(t)
+    quad1 = np.einsum("...kl,...mn,...ikn,...jlm->...ij", gup, gup, t, tb, optimize=True)
+    quad2 = np.einsum("...kl,...mn,...lni,...kmj->...ij", gup, gup, tb, t, optimize=True)
+    tnorm_sq = np.einsum("...ij,...ij->...", gup, quad1).real
+    return quad1, quad2, tnorm_sq
+
+
+# ---------------------------------------------------------------------------
+# Hodge-type operators
+
+
+@dataclass(frozen=True)
+class HodgeOperators:
+    """Coordinate expressions of the codifferential/Hodge blocks of a metric.
+
+    The 1-form components carry their full value; the (1,1)-blocks are the
+    coefficient matrices in the (i/2)-convention (displayed bracket without
+    the (i/2) prefactor).  ``static_op`` is the operator whose eigenvalue
+    equation characterises static metrics; minus it is the Kaehler-form flow
+    velocity.
+
+    The codifferential of the Kaehler form is tied to the torsion trace by
+    ``del_star = -(i/2) conj(w)``, so its pointwise coefficient norm is a
+    quarter of ``|w|^2``; all integral energies in this package are
+    standardised through ``|w|^2``.
+    """
+
+    del_star: np.ndarray        # (del* omega)_{kbar}
+    dbar_star: np.ndarray       # (dbar* omega)_j
+    del_del_star: np.ndarray    # (del del* omega) coefficient matrix
+    dbar_dbar_star: np.ndarray  # (dbar dbar* omega) coefficient matrix
+    chern_ricci: np.ndarray     # ((i/2) del dbar log det g) coefficient matrix
+    static_op: np.ndarray       # -(del del* + dbar dbar*) - chern_ricci
+
+
+def hodge_operators(jet: HermitianJet) -> HodgeOperators:
+    """All pointwise Hodge-type blocks of the metric jet."""
+    gup = inverse_metric(jet.g)
+    d1, d2m = jet.d1, jet.d2m
+    d1b = _d1bar(jet)
+    del_star = 0.5j * (
+        np.einsum("...pq,...qpk->...k", gup, d1b)
+        - np.einsum("...pq,...kpq->...k", gup, d1b)
+    )
+    dbar_star = 0.5j * (
+        np.einsum("...pq,...jpq->...j", gup, d1)
+        - np.einsum("...pq,...pjq->...j", gup, d1)
+    )
+    dds = (
+        np.einsum("...pq,...jqpk->...jk", gup, d2m)
+        - np.einsum("...pq,...jkpq->...jk", gup, d2m)
+        - np.einsum("...pm,...nq,...jnm,...qpk->...jk", gup, gup, d1, d1b, optimize=True)
+        + np.einsum("...pm,...nq,...jnm,...kpq->...jk", gup, gup, d1, d1b, optimize=True)
+    )
+    dbdbs = (
+        np.einsum("...pq,...pkjq->...jk", gup, d2m)
+        - np.einsum("...pq,...jkpq->...jk", gup, d2m)
+        - np.einsum("...pm,...nq,...knm,...pjq->...jk", gup, gup, d1b, d1, optimize=True)
+        + np.einsum("...pm,...nq,...knm,...jpq->...jk", gup, gup, d1b, d1, optimize=True)
+    )
+    ricci = (
+        np.einsum("...pq,...jkpq->...jk", gup, d2m)
+        - np.einsum("...pr,...sq,...jsr,...kpq->...jk", gup, gup, d1, d1b, optimize=True)
+    )
+    return HodgeOperators(
+        del_star=del_star,
+        dbar_star=dbar_star,
+        del_del_star=dds,
+        dbar_dbar_star=dbdbs,
+        chern_ricci=ricci,
+        static_op=-(dds + dbdbs + ricci),
+    )
+
+
+def gflow_rhs(jet: HermitianJet) -> np.ndarray:
+    """Metric flow velocity ``-ric1 + quad1`` (Hermitian)."""
+    _, ric1, _, _ = chern_curvature(jet)
+    quad1, _, _ = torsion_quadratics(jet)
+    return -ric1 + quad1
+
+
+def kahler_ricci(jet: HermitianJet) -> np.ndarray:
+    """Independent Ricci oracle ``-del_j del_kbar log det g`` (valid as Ricci on Kaehler jets)."""
+    return -hodge_operators(jet).chern_ricci
+
+
+def pluriclosed_residual(jet: HermitianJet) -> np.ndarray:
+    """Absolute value of the single independent component of ``del dbar omega`` (n = 2)."""
+    d2m = jet.d2m
+    b = (
+        d2m[..., 1, 1, 0, 0]
+        + d2m[..., 0, 0, 1, 1]
+        - d2m[..., 1, 0, 0, 1]
+        - d2m[..., 0, 1, 1, 0]
+    )
+    return np.abs(b)
+
+
+# ---------------------------------------------------------------------------
+# covariant torsion calculus
+
+
+@dataclass(frozen=True)
+class CovariantTorsion:
+    """Chern-covariant derivatives of the torsion and its trace.
+
+    ``grad_hol[..., a, i, j, k] = nabla_a T_{i j kbar}`` and
+    ``grad_antihol[..., a, i, j, k] = nabla_{abar} T_{i j kbar}``; mixed
+    Christoffel symbols vanish so only same-type slots are corrected.
+    ``divergence[..., i, j] = g^{p qbar} nabla_{qbar} T_{p i jbar}`` and
+    ``trace_grad[..., i, j] = del_{jbar} w_i``.
+    """
+
+    grad_hol: np.ndarray
+    grad_antihol: np.ndarray
+    divergence: np.ndarray
+    trace_grad: np.ndarray
+
+
+def covariant_torsion_ops(jet: HermitianJet) -> CovariantTorsion:
+    gup = inverse_metric(jet.g)
+    t, _ = torsion(jet)
+    gam = chern_connection(jet)
+    gamb = np.conj(gam)
+    d1b = _d1bar(jet)
+    d2m, d2h = jet.d2m, jet.d2h
+
+    dth = d2h - d2h.swapaxes(-3, -2)  # del_a T_{i j kbar}
+    grad_hol = (
+        dth
+        - np.einsum("...pai,...pjk->...aijk", gam, t)
+        - np.einsum("...paj,...ipk->...aijk", gam, t)
+    )
+    dtb = np.einsum("...iajk->...aijk", d2m) - np.einsum("...jaik->...aijk", d2m)
+    grad_antihol = dtb - np.einsum("...rak,...ijr->...aijk", gamb, t)
+
+    # div_{i jbar} = g^{p qbar} nabla_{qbar} T_{p i jbar}
+    div = np.einsum("...pq,...qpij->...ij", gup, grad_antihol)
+
+    dgup_b = -np.einsum("...pb,...aq,...jab->...jpq", gup, gup, d1b, optimize=True)
+    dtb_w = np.einsum("...ijpq->...ijpq", d2m) - np.einsum("...pjiq->...ijpq", d2m)
+    trace_grad = (
+        np.einsum("...jpq,...ipq->...ij", dgup_b, t)
+        + np.einsum("...pq,...ijpq->...ij", gup, dtb_w)
+    )
+    return CovariantTorsion(grad_hol, grad_antihol, div, trace_grad)
+
+
+# ---------------------------------------------------------------------------
+# norms and pairings
+
+
+def metric_trace(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Metric trace ``g^{i jbar} b_{i jbar}`` of a (1,1) coefficient matrix."""
+    return np.einsum("...ij,...ij->...", inverse_metric(g), b)
+
+
+def metric_pairing(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sesquilinear pairing of (1,1) coefficient matrices.
+
+    Equals ``tr(G^-1 A G^-1 B^H)``; for the metric itself the pairing is 2,
+    matching ``omega ^ omega = 2 det g dx^4``.
+    """
+    gup = inverse_metric(g)
+    return np.einsum(
+        "...ik,...lj,...ij,...kl->...", gup, gup, a, np.conj(b), optimize=True
+    )
+
+
+def unitary_frame(g: np.ndarray) -> np.ndarray:
+    """Frame matrix M with ``M^T g conj(M) = I``; lower holomorphic slots
+    transform by M, antiholomorphic by conj(M), after which norms are plain
+    component sums."""
+    chol = np.linalg.cholesky(g)
+    return np.linalg.inv(chol).swapaxes(-1, -2)
+
+
+def grad_torsion_norms(jet: HermitianJet) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norms of the (1,0)- and (0,1)-type covariant torsion derivatives."""
+    cov = covariant_torsion_ops(jet)
+    m = unitary_frame(jet.g)
+    mb = np.conj(m)
+    t10 = np.einsum(
+        "...aijk,...ax,...ib,...jc,...kd->...xbcd", cov.grad_hol, m, m, m, mb,
+        optimize=True,
+    )
+    t01 = np.einsum(
+        "...aijk,...ax,...ib,...jc,...kd->...xbcd", cov.grad_antihol, mb, m, m, mb,
+        optimize=True,
+    )
+    n10 = (np.abs(t10) ** 2).sum(axis=(-1, -2, -3, -4))
+    n01 = (np.abs(t01) ** 2).sum(axis=(-1, -2, -3, -4))
+    return n10, n01
+
+
+def curvature_norm(jet: HermitianJet) -> np.ndarray:
+    """Pointwise norm |Omega|_g of the full Chern curvature."""
+    curv, _, _, _ = chern_curvature(jet)
+    m = unitary_frame(jet.g)
+    mb = np.conj(m)
+    ct = np.einsum(
+        "...ijkl,...ia,...jb,...kc,...ld->...abcd", curv, m, mb, m, mb, optimize=True
+    )
+    return np.sqrt((np.abs(ct) ** 2).sum(axis=(-1, -2, -3, -4)))
+
+
+def torsion_norm(jet: HermitianJet) -> np.ndarray:
+    """Pointwise norm |T|_g."""
+    _, _, tnorm_sq = torsion_quadratics(jet)
+    return np.sqrt(np.maximum(tnorm_sq, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# identity suite
+
+
+def _rel(num: np.ndarray, *scales: np.ndarray) -> np.ndarray:
+    floor = np.asarray(1.0)
+    for s in scales:
+        floor = np.maximum(floor, np.asarray(s, dtype=float))
+    return np.asarray(num, dtype=float) / floor
+
+
+def identity_suite(
+    jet: HermitianJet, pluriclosed: bool = False, pluriclosed_tol: float = 1e-8
+) -> dict[str, np.ndarray]:
+    """Relative residuals of the pointwise tensor identities of the theory.
+
+    Each residual is normalised by the larger of 1 and the participating
+    term magnitudes.  When ``pluriclosed`` is set, the residuals that only
+    hold on pluriclosed jets are included; the flag is rejected if the
+    pluriclosed defect exceeds ``pluriclosed_tol``.
+
+    Returns a dict mapping identity names to batch-shaped arrays.
+    """
+    if pluriclosed:
+        bmax = pluriclosed_residual(jet)
+        if bmax.max() > pluriclosed_tol:
+            raise ValueError(
+                "pluriclosed flag set but residual "
+                f"{bmax.max():.3e} exceeds tolerance {pluriclosed_tol:.1e}"
+            )
+    g = jet.g
+    gup = inverse_metric(g)
+    t, w = torsion(jet)
+    tb = np.conj(t)
+    gam = chern_connection(jet)
+    curv, ric1, ric2, scal = chern_curvature(jet)
+    quad1, quad2, tnorm_sq = torsion_quadratics(jet)
+    hodge = hodge_operators(jet)
+    cov = covariant_torsion_ops(jet)
+
+    out: dict[str, np.ndarray] = {}
+
+    # connection antisymmetrisation reproduces the torsion
+    lhs = gam - gam.swapaxes(-2, -1) - np.einsum("...kl,...ijl->...kij", gup, t)
+    out["connection_torsion"] = _rel(_amax(lhs, 3), _amax(gam, 3))
+
+    # codifferential vs torsion trace
+    lhs = hodge.del_star + 0.5j * np.conj(w)
+    out["codiff_torsion_trace"] = _rel(_amax(lhs, 1), _amax(w, 1))
+
+    # surface torsion algebra
+    out["quad_proportionality"] = _rel(
+        _amax(quad1 - 0.5 * tnorm_sq[..., None, None] * g, 2), _amax(quad1, 2)
+    )
+    cross = metric_pairing(g, quad2, quad1) - 0.5 * tnorm_sq**2
+    out["quad_cross_trace"] = _rel(np.abs(cross), 0.5 * tnorm_sq**2)
+    norm = metric_pairing(g, quad1, quad1) - 0.5 * tnorm_sq**2
+    out["quad_norm"] = _rel(np.abs(norm), 0.5 * tnorm_sq**2)
+
+    # first Bianchi identity, all index combinations
+    rb = (
+        np.einsum("...srqk->...rqks", cov.grad_antihol)
+        - np.einsum("...qsrk->...rqks", curv)
+        + np.einsum("...rsqk->...rqks", curv)
+    )
+    out["bianchi_first"] = _rel(_amax(rb, 4), _amax(curv, 4), _amax(cov.grad_antihol, 4))
+
+    # gradient of the proportional quadratic vs <grad |T|^2, w>
+    dgup_h = -np.einsum("...pb,...cq,...acb->...apq", gup, gup, jet.d1, optimize=True)
+    dth = jet.d2h - jet.d2h.swapaxes(-3, -2)
+    dtb_h = np.conj(
+        np.einsum("...jalm->...ajlm", jet.d2m) - np.einsum("...lajm->...ajlm", jet.d2m)
+    )
+    dquad1 = (
+        np.einsum("...akl,...mn,...ikn,...jlm->...aij", dgup_h, gup, t, tb, optimize=True)
+        + np.einsum("...kl,...amn,...ikn,...jlm->...aij", gup, dgup_h, t, tb, optimize=True)
+        + np.einsum("...kl,...mn,...aikn,...jlm->...aij", gup, gup, dth, tb, optimize=True)
+        + np.einsum("...kl,...mn,...ikn,...ajlm->...aij", gup, gup, t, dtb_h, optimize=True)
+    )
+    nquad1 = dquad1 - np.einsum("...paj,...pk->...ajk", gam, quad1)
+    asym = nquad1 - np.einsum("...jak->...ajk", nquad1)
+    lhs46 = np.einsum(
+        "...im,...jn,...pk,...ijk,...mnp->...", gup, gup, gup, asym, tb, optimize=True
+    )
+    dt2 = np.einsum("...apq,...pq->...a", dgup_h, quad1) + np.einsum(
+        "...pq,...apq->...a", gup, dquad1
+    )
+    rhs46 = np.einsum("...ij,...i,...j->...", gup, dt2, np.conj(w), optimize=True)
+    out["quad_gradient_trace"] = _rel(np.abs(lhs46 - rhs46), np.abs(lhs46), np.abs(rhs46))
+
+    # contracted Bianchi forms
+    x47 = (
+        np.einsum("...srqk->...rqks", cov.grad_antihol)
+        - np.einsum("...qsrk->...rqks", curv)
+    )
+    lhs47 = np.einsum(
+        "...im,...jn,...pk,...rs,...qt,...jit,...rqks,...mnp->...",
+        gup, gup, gup, gup, gup, t, x47, tb, optimize=True,
+    )
+    rhs47 = metric_pairing(g, ric1, quad2)
+    out["bianchi_torsion_curvature"] = _rel(
+        np.abs(lhs47 - rhs47), np.abs(lhs47), np.abs(rhs47)
+    )
+
+    y48 = (
+        np.einsum("...srjt->...rjts", cov.grad_antihol)
+        - np.einsum("...jsrt->...rjts", curv)
+    )
+    t48a = np.einsum(
+        "...im,...jn,...pk,...rs,...qt,...rjts,...iqk,...mnp->...",
+        gup, gup, gup, gup, gup, y48, t, tb, optimize=True,
+    )
+    t48b = np.einsum(
+        "...im,...jn,...pk,...rs,...qt,...rits,...jqk,...mnp->...",
+        gup, gup, gup, gup, gup, y48, t, tb, optimize=True,
+    )
+    out["bianchi_scalar_contraction"] = _rel(
+        np.abs((t48a - t48b) + scal * tnorm_sq), np.abs(scal * tnorm_sq), np.abs(t48a - t48b)
+    )
+
+    z49 = (
+        np.einsum("...sjqk->...jqks", cov.grad_antihol)
+        + np.einsum("...jsqk->...jqks", curv)
+    )
+    u49a = np.einsum(
+        "...im,...jn,...pk,...rs,...qt,...irt,...jqks,...mnp->...",
+        gup, gup, gup, gup, gup, t, z49, tb, optimize=True,
+    )
+    u49b = np.einsum(
+        "...im,...jn,...pk,...rs,...qt,...jrt,...iqks,...mnp->...",
+        gup, gup, gup, gup, gup, t, z49, tb, optimize=True,
+    )
+    div_conj = np.conj(cov.divergence).swapaxes(-1, -2)
+    rhs49 = metric_pairing(g, quad2, ric1 + div_conj)
+    out["bianchi_divergence_pairing"] = _rel(
+        np.abs((u49a - u49b) - rhs49), np.abs(u49a - u49b), np.abs(rhs49)
+    )
+
+    if pluriclosed:
+        lhs = cov.trace_grad + cov.divergence + quad1
+        out["torsion_trace_identity"] = _rel(
+            _amax(lhs, 2), _amax(cov.trace_grad, 2), _amax(cov.divergence, 2), _amax(quad1, 2)
+        )
+        nwdag = np.conj(cov.trace_grad).swapaxes(-1, -2)
+        lhs = ric2 - ric1 + cov.trace_grad + nwdag + quad1
+        out["ricci_trace_relation"] = _rel(
+            _amax(lhs, 2), _amax(ric1, 2), _amax(ric2, 2), _amax(quad1, 2)
+        )
+        lhs = hodge.static_op - (ric1 - quad1)
+        out["flow_form_equivalence"] = _rel(
+            _amax(lhs, 2), _amax(hodge.static_op, 2), _amax(ric1 - quad1, 2)
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# random jets
+
+
+def random_jet(seed: int, pluriclosed: bool = False) -> HermitianJet:
+    """Deterministic random jet: ``g = A A^H + I`` with |A entries| <= 1,
+    derivative components uniform in [-1, 1] per real part, symmetry and
+    reality constraints enforced.  With ``pluriclosed`` the mixed second
+    derivative ``d2m[1, 1, 0, 0]`` is solved so the pluriclosed defect
+    vanishes."""
+    rng = np.random.default_rng(seed)
+    a = (rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))) / np.sqrt(2)
+    g = a @ a.conj().T + np.eye(2)
+    d1 = rng.uniform(-1, 1, (2, 2, 2)) + 1j * rng.uniform(-1, 1, (2, 2, 2))
+    d2h = rng.uniform(-1, 1, (2, 2, 2, 2)) + 1j * rng.uniform(-1, 1, (2, 2, 2, 2))
+    d2h = (d2h + d2h.transpose(1, 0, 2, 3)) / 2
+    d2m = rng.uniform(-1, 1, (2, 2, 2, 2)) + 1j * rng.uniform(-1, 1, (2, 2, 2, 2))
+    d2m = (d2m + d2m.transpose(1, 0, 3, 2).conj()) / 2
+    if pluriclosed:
+        d2m[1, 1, 0, 0] = (-d2m[0, 0, 1, 1] + d2m[1, 0, 0, 1] + d2m[0, 1, 1, 0]).real
+    return HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h)
+
+
+def random_jet_batch(seeds, pluriclosed: bool = False) -> HermitianJet:
+    """Stack :func:`random_jet` over a sequence of seeds (leading batch axis)."""
+    jets = [random_jet(int(s), pluriclosed) for s in seeds]
+    return HermitianJet(
+        g=np.stack([j.g for j in jets]),
+        d1=np.stack([j.d1 for j in jets]),
+        d2m=np.stack([j.d2m for j in jets]),
+        d2h=np.stack([j.d2h for j in jets]),
+    )
+
+
+def labeled_tensors(jet: HermitianJet) -> dict[str, TensorBlock]:
+    """Named tensors of the jet as :class:`TensorBlock` with signatures."""
+    t, w = torsion(jet)
+    curv, ric1, ric2, _ = chern_curvature(jet)
+    quad1, quad2, _ = torsion_quadratics(jet)
+    return {
+        "torsion": TensorBlock(t, "hha", skew_pairs=((0, 1),)),
+        "torsion_trace": TensorBlock(w, "h"),
+        "curvature": TensorBlock(curv, "haha"),
+        "ricci_first": TensorBlock(ric1, "ha"),
+        "ricci_second": TensorBlock(ric2, "ha"),
+        "quad1": TensorBlock(quad1, "ha"),
+        "quad2": TensorBlock(quad2, "ha"),
+    }
