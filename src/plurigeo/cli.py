@@ -10,13 +10,16 @@ atomically, and identical configs with identical seeds produce
 byte-identical files regardless of PLURIGEO_THREADS.
 
 Exit codes: 0 success, 1 identity/tolerance failure, 2 usage or config
-error, 3 numerical failure (blowup or degenerate flow).
+error (no output is written), 3 numerical failure (a flow that ended in
+any status but ``completed``: blowup, degenerate, or the step budget
+spent before ``t_end``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from . import flow as fl
 from . import hermitian as hm
 from . import statics as st
 from .families import MetricFamily, jet_at
-from .grid import MetricField, load_field, sample
+from .grid import MetricField, load_field, sample, sampling_grid
 from .flow import _atomic_write_text
 
 EXIT_OK = 0
@@ -68,6 +71,8 @@ def _require(cfg: dict, key: str, typ, default=None, required=False):
         val = float(val)
     if not isinstance(val, typ) or isinstance(val, bool) and typ is not bool:
         raise ConfigError(f"key {key!r} must be {typ.__name__}")
+    if typ is float and not math.isfinite(val):
+        raise ConfigError(f"key {key!r} must be a finite number")
     return val
 
 
@@ -98,6 +103,13 @@ def _parse_dims(cfg, default=(4, 4, 16, 4)) -> tuple:
     ):
         raise ConfigError("dims must be a list of 4 integers")
     return tuple(dims)
+
+
+def _check_sampling(family: MetricFamily, dims: tuple) -> None:
+    try:
+        sampling_grid(family, dims)
+    except ValueError as exc:
+        raise ConfigError(f"cannot sample {family.kind} on dims {list(dims)}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -137,8 +149,13 @@ def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
         for key, val in extra.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown identity name in tolerances: {key!r}")
-            if not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
-                raise ConfigError(f"tolerance for {key!r} must be a positive number")
+            if (
+                not isinstance(val, (int, float))
+                or isinstance(val, bool)
+                or not math.isfinite(val)
+                or val <= 0
+            ):
+                raise ConfigError(f"tolerance for {key!r} must be a positive finite number")
             tolerances[key] = float(val)
         options = {"count": count, "tolerances": tolerances}
     elif command == "flow":
@@ -149,6 +166,7 @@ def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
         _reject_unknown(cfg, allowed, "config")
         family = _parse_family(_require(cfg, "family", dict, required=True))
         dims = _parse_dims(cfg.get("dims"))
+        _check_sampling(family, dims)
         variant = _require(cfg, "variant", str, default="gflow")
         if variant not in fl.VARIANTS:
             raise ConfigError(f"variant must be one of {fl.VARIANTS}")
@@ -175,13 +193,15 @@ def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
         family = _parse_family(cfg["family"]) if "family" in cfg else None
         field_file = _require(cfg, "field_file", str, default=None)
         dims = _parse_dims(cfg.get("dims"))
+        if family is not None:
+            _check_sampling(family, dims)
         bundle = cfg.get("c1_bundle", [[1.0, 0.0], [0.0, -1.0]])
         try:
             bundle = np.asarray(bundle, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ConfigError("c1_bundle must be a real 2x2 matrix") from exc
-        if bundle.shape != (2, 2):
-            raise ConfigError("c1_bundle must be a real 2x2 matrix")
+        if bundle.shape != (2, 2) or not np.isfinite(bundle).all():
+            raise ConfigError("c1_bundle must be a real 2x2 matrix of finite numbers")
         options = {
             "family": family, "field_file": field_file, "dims": dims,
             "c1_bundle": bundle,
@@ -300,9 +320,9 @@ def cmd_static(scenario: Scenario) -> int:
     else:
         try:
             field = load_field(opts["field_file"])
+            field.check()
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load field file: {exc}") from exc
-        field.check()
+            raise ConfigError(f"cannot use field file: {exc}") from exc
     report = st.static_report(field, opts["c1_bundle"])
     st.write_static_report(os.path.join(scenario.out_dir, "static_report.json"), report)
     is_flat = opts["family"] is not None and opts["family"].kind == "flat"
@@ -387,7 +407,6 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config is for {scenario.command!r}, invoked as {args.command!r}"
             )
-        os.makedirs(scenario.out_dir, exist_ok=True)
         handler = {
             "identities": cmd_identities,
             "flow": cmd_flow,

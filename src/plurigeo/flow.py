@@ -11,10 +11,14 @@ Three right-hand sides are supported for the metric coefficient field:
     ``dg/dt`` = minus the static operator coefficients (the Kaehler-form
     flow); requires pluriclosed data and coincides with ``gflow`` on it.
 
-Stepping is classical RK4 with jets recomputed at every stage; the output
-is re-Hermitized (deviation recorded) and checked for positivity.  The
-run loop records integral diagnostics and applies the curvature blow-up
-stop rule.
+The ``gflow`` and ``normalized`` velocities come from one stencil pass
+(:meth:`MetricField.surface_jet`) and the fused surface kernel
+(:func:`plurigeo.hermitian.surface_flow`); ``omega_form`` evaluates the
+static operator on full jets.  Stepping is classical RK4 with the velocity
+recomputed at every stage; the output is re-Hermitized (deviation
+recorded) and checked for positivity.  The run loop records integral
+diagnostics, reuses the velocity the diagnostics evaluated as the first
+stage of the next step, and applies the curvature blow-up stop rule.
 
 The per-step volume-law prediction is ``2 E_w - d`` with
 ``E_w = int |w|^2 dV``; this is the unique torsion-trace scaling that
@@ -25,13 +29,14 @@ and is convention-free).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hermitian as hm
-from .grid import MetricField, divisor_area, degree, pairwise_sum
+from .grid import MetricField, divisor_area, degree, wedge_pair
 
 __all__ = [
     "FlowError",
@@ -42,6 +47,7 @@ __all__ = [
     "RunResult",
     "TnormAudit",
     "VARIANTS",
+    "STATUSES",
     "CSV_COLUMNS",
     "cfl_dt",
     "step",
@@ -53,6 +59,9 @@ __all__ = [
 ]
 
 VARIANTS = ("gflow", "normalized", "omega_form")
+
+# terminal statuses of a run; every status but the first exits 3 in the CLI
+STATUSES = ("completed", "max_steps_reached", "blowup_suspected", "degenerate")
 
 CSV_COLUMNS = [
     "step",
@@ -87,7 +96,9 @@ class FlowState:
     step: int
     field: MetricField
     hermitian_dev: float = 0.0
-    last_diag: "DiagnosticsRecord | None" = None
+    # (min, max) eigenvalue of the metric over the grid, when a step has
+    # already computed them for its positivity check
+    eig_range: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -104,6 +115,9 @@ class DiagnosticsRecord:
     dvol_dt_measured: float
     dvol_dt_predicted: float
     divisor_area: float
+    # the active velocity at this state, handed to the next step as its
+    # first stage; not part of the written diagnostics
+    velocity: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def csv_row(self) -> list:
         return [
@@ -123,45 +137,62 @@ class DiagnosticsRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    status: str  # completed | blowup_suspected | degenerate
+    status: str  # one of STATUSES
     records: list
     summary: dict
     final_state: FlowState
 
 
-def cfl_dt(field: MetricField, safety: float = 0.05) -> float:
-    """Parabolic step restriction ``safety * h_min^2 * eig_min / eig_max``."""
+def cfl_dt(
+    field: MetricField, safety: float = 0.05, eig_range: tuple[float, float] | None = None
+) -> float:
+    """Parabolic step restriction ``safety * h_min^2 * eig_min / eig_max``;
+    ``eig_range`` is the field's (min, max) eigenvalue if already known."""
     if safety <= 0:
         raise ValueError("safety factor must be positive")
-    eig = np.linalg.eigvalsh(field.values)
+    if eig_range is None:
+        eig = np.linalg.eigvalsh(field.values)
+        eig_range = (eig.min(), eig.max())
     h_min = min(field.grid.spacing)
-    return float(safety * h_min**2 * eig.min() / eig.max())
+    return float(safety * h_min**2 * eig_range[0] / eig_range[1])
 
 
-def _rhs(field: MetricField, variant: str, pluriclosed_tol: float = 1e-6) -> np.ndarray:
-    jet, _ = field.jets()
-    if variant == "gflow":
-        return hm.gflow_rhs(jet)
-    if variant == "normalized":
-        base = hm.gflow_rhs(jet)
-        _, _, _, scal = hm.chern_curvature(jet)
-        _, _, tnorm_sq = hm.torsion_quadratics(jet)
-        det = field.det()
-        vol = field.grid.integrate(det)
-        avg = field.grid.integrate((scal - tnorm_sq) * det) / vol
-        return base + 0.5 * avg * field.values
+def _rhs(
+    field: MetricField,
+    variant: str,
+    surf: hm.SurfaceFlow | None = None,
+    pluriclosed_tol: float = 1e-6,
+) -> np.ndarray:
+    """Velocity of ``variant`` at ``field``; ``surf`` is the surface kernel's
+    output at ``field`` when the caller already has it."""
     if variant == "omega_form":
+        jet, _ = field.jets()
         defect = hm.pluriclosed_residual(jet).max()
         if defect > pluriclosed_tol:
             raise ValueError(
                 f"omega_form requires pluriclosed data (defect {defect:.3e})"
             )
         return -hm.hodge_operators(jet).static_op
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if surf is None:
+        surf = hm.surface_flow(field.surface_jet())
+    if variant == "gflow":
+        return surf.rhs
+    det = field.det()
+    vol = field.grid.integrate(det)
+    avg = field.grid.integrate((surf.scal - surf.tnorm_sq) * det) / vol
+    return surf.rhs + 0.5 * avg * field.values
 
 
-def step(state: FlowState, dt: float, variant: str = "gflow") -> FlowState:
-    """One classical RK4 step; jets recomputed per stage, output re-Hermitized."""
+def step(
+    state: FlowState, dt: float, variant: str = "gflow", k1: np.ndarray | None = None
+) -> FlowState:
+    """One classical RK4 step; velocity recomputed per stage, output re-Hermitized.
+
+    ``k1`` is the velocity of ``variant`` at ``state`` when the caller has
+    already evaluated it (the run loop takes it from the diagnostics).
+    """
     if dt == 0:
         raise ValueError("dt must be nonzero")
     if variant not in VARIANTS:
@@ -171,15 +202,16 @@ def step(state: FlowState, dt: float, variant: str = "gflow") -> FlowState:
     grid = state.field.grid
     stage_dev = 0.0
 
-    def f(values: np.ndarray) -> np.ndarray:
+    def f(values: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
         nonlocal stage_dev
-        rhs = _rhs(MetricField(grid, values), variant)
+        if rhs is None:
+            rhs = _rhs(MetricField(grid, values), variant)
         herm = 0.5 * (rhs + np.conj(rhs.swapaxes(-1, -2)))
         stage_dev = max(stage_dev, float(np.abs(rhs - herm).max()))
         return herm
 
     g0 = state.field.values
-    k1 = f(g0)
+    k1 = f(g0, k1)
     k2 = f(g0 + 0.5 * dt * k1)
     k3 = f(g0 + 0.5 * dt * k2)
     k4 = f(g0 + dt * k3)
@@ -196,7 +228,7 @@ def step(state: FlowState, dt: float, variant: str = "gflow") -> FlowState:
         step=state.step + 1,
         field=MetricField(grid, herm),
         hermitian_dev=max(state.hermitian_dev, dev),
-        last_diag=state.last_diag,
+        eig_range=(float(eig.min()), float(eig.max())),
     )
 
 
@@ -205,34 +237,34 @@ def diagnostics(state: FlowState, variant: str = "gflow") -> DiagnosticsRecord:
 
     The measured volume rate is the exact chain-rule value
     ``int tr_g(dg/dt) det g dx`` with the active right-hand side; the
-    prediction is ``2 E_w - d`` (the unnormalized-flow law).
+    prediction is ``2 E_w - d`` (the unnormalized-flow law).  The record
+    carries that right-hand side as ``velocity``.
     """
     field = state.field
     grid = field.grid
-    jet, _ = field.jets()
+    surf = hm.surface_flow(field.surface_jet(), curvature=True)
+    rhs = _rhs(field, variant, surf)
     det = field.det()
     vol = float(grid.integrate(det))
-    d = degree(field)
-    gup = hm.inverse_metric(field.values)
-    _, w = hm.torsion(jet)
-    w_sq = np.einsum("...ij,...i,...j->...", gup, w, np.conj(w)).real
-    e_w = float(grid.integrate(w_sq * det))
-    _, _, tnorm_sq = hm.torsion_quadratics(jet)
-    rhs = _rhs(field, variant)
-    measured = float(grid.integrate(np.einsum("...ij,...ij->...", gup, rhs).real * det))
+    d = degree(field, surf.scal)
+    e_w = float(grid.integrate(surf.w_sq * det))
+    # tr_g(b) det g is the wedge density of b against the metric
+    measured = float(grid.integrate(wedge_pair(rhs, field.values).real))
+    max_t2 = float(surf.tnorm_sq.max())
     return DiagnosticsRecord(
         step=state.step,
         t=state.t,
         vol=vol,
         degree=d,
         e_w=e_w,
-        max_t2=float(tnorm_sq.max()),
-        max_omega=float(hm.curvature_norm(jet).max()),
-        pluriclosed_resid=float(hm.pluriclosed_residual(jet).max()),
-        kahler_resid=float(np.sqrt(max(tnorm_sq.max(), 0.0))),
+        max_t2=max_t2,
+        max_omega=float(np.sqrt(max(surf.curv_sq.max(), 0.0))),
+        pluriclosed_resid=float(surf.pluriclosed.max()),
+        kahler_resid=float(np.sqrt(max(max_t2, 0.0))),
         dvol_dt_measured=measured,
         dvol_dt_predicted=float(2.0 * e_w - d),
         divisor_area=divisor_area(field),
+        velocity=rhs,
     )
 
 
@@ -248,36 +280,56 @@ def run(
 ) -> RunResult:
     """Integrate to ``t_end`` with per-cadence diagnostics and the blow-up
     stop rule: terminate with status ``blowup_suspected`` when the maximal
-    curvature norm exceeds ``blowup_factor`` times its initial value."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    curvature norm exceeds ``blowup_factor`` times its initial value.  A
+    run that takes ``max_steps`` steps before ``t_end`` ends with status
+    ``max_steps_reached`` and a diagnostics record of its last state."""
+    for name, val in (("t_end", t_end), ("safety", safety), ("blowup_factor", blowup_factor)):
+        if not (np.isfinite(val) and val > 0):
+            raise ValueError(f"{name} must be a positive finite number")
+    if dt is not None and not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be a positive finite number")
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     field.check()
     state = FlowState(t=0.0, step=0, field=field)
-    records = [diagnostics(state, variant)]
+    records: list[DiagnosticsRecord] = []
+
+    def record(rec: DiagnosticsRecord) -> np.ndarray:
+        """Keep ``rec`` without its velocity; return the velocity (the next k1)."""
+        records.append(dataclasses.replace(rec, velocity=None))
+        return rec.velocity
+
+    k1 = record(diagnostics(state, variant))
     omega0 = records[0].max_omega
     status = "completed"
     reason = ""
     while state.t < t_end - 1e-14 and state.step < max_steps:
-        h = cfl_dt(state.field, safety) if dt is None else dt
+        h = cfl_dt(state.field, safety, state.eig_range) if dt is None else dt
         h = min(h, t_end - state.t)
         try:
-            state = step(state, h, variant)
+            state = step(state, h, variant, k1)
         except FlowDegenerateError as exc:
             status, reason = "degenerate", str(exc)
             break
         except FlowBlowupError as exc:
             status, reason = "blowup_suspected", str(exc)
             break
+        k1 = None
         at_cadence = state.step % cadence == 0
         finished = state.t >= t_end - 1e-14
         if at_cadence or finished:
-            rec = diagnostics(state, variant)
-            records.append(rec)
-            if omega0 > 0 and rec.max_omega > blowup_factor * omega0:
+            k1 = record(diagnostics(state, variant))
+            if omega0 > 0 and records[-1].max_omega > blowup_factor * omega0:
                 status, reason = "blowup_suspected", "curvature blow-up threshold"
                 break
+    else:
+        if state.t < t_end - 1e-14:
+            status = "max_steps_reached"
+            reason = f"stopped after {state.step} steps at t={state.t!r} < t_end={t_end!r}"
+            if records[-1].step != state.step:
+                record(diagnostics(state, variant))
     first, last = records[0], records[-1]
     summary = {
         "status": status,
@@ -430,7 +482,7 @@ def write_summary_json(path, summary: dict) -> None:
             raise ValueError(f"summary missing required key {key!r}")
         if not isinstance(summary[key], typ):
             raise ValueError(f"summary key {key!r} must be {typ.__name__}")
-    if summary["status"] not in ("completed", "blowup_suspected", "degenerate"):
+    if summary["status"] not in STATUSES:
         raise ValueError("invalid terminal status")
     _atomic_write_text(path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
@@ -441,6 +493,7 @@ def _atomic_write_text(path, text: str) -> None:
 
     path = str(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:

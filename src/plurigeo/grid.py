@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import MetricFamily
-from .hermitian import HermitianJet
+from .hermitian import HermitianJet, SurfaceJet, surface_flow
 
 __all__ = [
     "TWO_PI",
@@ -34,6 +34,7 @@ __all__ = [
     "ThreeForm",
     "pairwise_sum",
     "sample",
+    "sampling_grid",
     "potential_field",
     "perturb_with_potential",
     "wedge_pair",
@@ -81,6 +82,40 @@ def pairwise_sum(values: np.ndarray):
     return a[0]
 
 
+def _periodic_diff(u: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """4th-order periodic first derivative along ``axis`` (into ``out`` if given).
+
+    Every shifted operand is a slice of one copy of ``u`` padded by two
+    wrapped cells at each end of the axis; the differences are grouped in
+    pairs so constants differentiate to exact zero.
+    """
+    n = u.shape[axis]
+    lead = (slice(None),) * axis
+    pad = np.concatenate((u[lead + (slice(n - 2, n),)], u, u[lead + (slice(0, 2),)]), axis=axis)
+
+    def shifted(k: int) -> np.ndarray:  # u[i + k] for every i
+        return pad[lead + (slice(2 + k, n + 2 + k),)]
+
+    out = np.subtract(shifted(1), shifted(-1), out=out)
+    out *= 8.0
+    out -= shifted(2) - shifted(-2)
+    out /= 12.0 * h
+    return out
+
+
+def _metric_entries(z: np.ndarray) -> np.ndarray:
+    """Component-leading ``D g_{i jbar}`` from ``D`` of the four real fields
+    ``g11, g22, Re g12, Im g12`` (the last axis of ``z``), for a derivative
+    ``D`` that is linear over the reals: shape ``(L, 2, 2) + grid dims``."""
+    out = np.empty(z.shape[:1] + (2, 2) + z.shape[1:-1], dtype=complex)
+    out[:, 0, 0] = z[..., 0]
+    out[:, 1, 1] = z[..., 1]
+    iq = 1j * z[..., 3]
+    np.add(z[..., 2], iq, out=out[:, 0, 1])  # D g12
+    np.subtract(z[..., 2], iq, out=out[:, 1, 0])  # D g21 = D conj(g12)
+    return out
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform periodic grid over [0, 2pi)^4."""
@@ -117,12 +152,10 @@ class TorusGrid:
             raise ValueError("axis must be 0..3")
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        h = self.spacing[axis]
-        # grouped as paired differences so constants differentiate to exact zero
-        d = (
-            8.0 * (np.roll(u, -1, axis) - np.roll(u, 1, axis))
-            - (np.roll(u, -2, axis) - np.roll(u, 2, axis))
-        ) / (12.0 * h)
+        u = np.asarray(u)
+        if u.dtype.kind in "biu":
+            u = u.astype(float)
+        d = _periodic_diff(u, axis, self.spacing[axis])
         return self.dx(d, axis, 1) if order == 2 else d
 
     def dz(self, u: np.ndarray, k: int) -> np.ndarray:
@@ -163,6 +196,8 @@ class MetricField:
             raise ValueError(f"values must have shape {expect}")
 
     def check(self, herm_tol: float = 1e-12) -> None:
+        if not np.isfinite(self.values).all():
+            raise ValueError("metric field has non-finite values")
         dev = np.abs(self.values - np.conj(self.values.swapaxes(-1, -2))).max()
         if dev > herm_tol:
             raise ValueError(f"metric field not Hermitian (deviation {dev:.3e})")
@@ -203,16 +238,56 @@ class MetricField:
         }
         return HermitianJet(g=g, d1=d1, d2m=d2m_real, d2h=d2h_sym), deviations
 
+    def surface_jet(self) -> SurfaceJet:
+        """First and mixed second derivatives at every node, in one stencil
+        pass over the four real fields ``g11, g22, Re g12, Im g12``.
+
+        Each field gets its 4 real first derivatives and the 8 real second
+        derivatives the mixed jet needs (``f_aa`` and ``f_ab`` across the two
+        complex coordinates), so ``d2m`` is real by construction.  The
+        ``g21`` entry is read as the conjugate of ``g12``.  The fields sit
+        on a trailing axis while they are differentiated, so every stencil
+        slice is a run of at least four contiguous values.
+        """
+        v = self.values
+        h = self.grid.spacing
+
+        def diff(u, a, out=None):  # del_{x_a}; grid axes just before the field axis
+            return _periodic_diff(u, u.ndim - 5 + a, h[a], out)
+
+        f = np.stack([v[..., 0, 0].real, v[..., 1, 1].real, v[..., 0, 1].real, v[..., 0, 1].imag], axis=-1)
+        # first derivatives in axis order 0, 2, 3, 1, so that each group of
+        # second derivatives below differentiates a slice, not a copy
+        d = np.empty((4,) + f.shape)
+        for slot, a in enumerate((0, 2, 3, 1)):
+            diff(f, a, out=d[slot])
+        d0 = diff(d[0:3], 0)  # f_00, f_02, f_03
+        d1 = diff(d[1:4], 1)  # f_12, f_13, f_11
+
+        # z1[k] = del_{z^k} f = (f_x - i f_y) / 2 with (x, y) = axes (2k, 2k + 1)
+        z1 = np.empty((2,) + f.shape, dtype=complex)
+        np.multiply(d[0:2], 0.5, out=z1.real)
+        np.multiply(d[3:1:-1], -0.5, out=z1.imag)
+        # z2[r] = del_{z^k} del_{zbar^l} f, (k, l) = (0, 0), (1, 1), (0, 1)
+        z2 = np.zeros((3,) + f.shape, dtype=complex)
+        re, im = z2.real, z2.imag
+        np.add(d0[0], d1[2], out=re[0])  # f_00 + f_11
+        np.add(diff(d[1], 2), diff(d[2], 3), out=re[1])  # f_22 + f_33
+        np.add(d0[1], d1[1], out=re[2])  # f_02 + f_13
+        np.subtract(d0[2], d1[0], out=im[2])  # f_03 - f_12
+        z2 *= 0.25
+        return SurfaceJet(g=v, d1=_metric_entries(z1), d2m=_metric_entries(z2))
+
     def hermitized(self) -> "MetricField":
         v = 0.5 * (self.values + np.conj(self.values.swapaxes(-1, -2)))
         return MetricField(self.grid, v)
 
 
-def sample(family: MetricFamily, dims: tuple[int, int, int, int]) -> MetricField:
-    """Evaluate a torus family on the grid.
+def sampling_grid(family: MetricFamily, dims: tuple[int, int, int, int]) -> TorusGrid:
+    """The grid :func:`sample` evaluates ``family`` on.
 
     Axes the family varies along need at least 8 points; constant axes may
-    use 4.
+    use 4.  Raises ValueError when the family cannot be sampled on ``dims``.
     """
     if not family.on_torus:
         raise ValueError("hopf is sampled pointwise, not on the torus grid")
@@ -220,6 +295,12 @@ def sample(family: MetricFamily, dims: tuple[int, int, int, int]) -> MetricField
     for ax in family.active_axes:
         if grid.dims[ax] < 8:
             raise ValueError(f"axis {ax} is active for {family.kind}; need >= 8 points")
+    return grid
+
+
+def sample(family: MetricFamily, dims: tuple[int, int, int, int]) -> MetricField:
+    """Evaluate a torus family on its :func:`sampling_grid`."""
+    grid = sampling_grid(family, dims)
     from .families import jet_at
 
     x = grid.coords()
@@ -320,23 +401,18 @@ def form_wedge(f1: FormField, f2: FormField) -> np.ndarray:
     return val
 
 
-def chern_representative(field: MetricField) -> FormField:
-    """First-Chern form representative ``-(i/2) del dbar log det g``.
+def degree(field: MetricField, scal: np.ndarray | None = None) -> float:
+    """Gauduchon degree ``int (-(i/2) del dbar log det g) ^ omega``.
 
-    Rendered through the product-rule coordinate formula on the field's
-    jets (the same pipeline as every other curvature quantity), which keeps
-    the degree consistent with the discrete volume evolution.
+    The first-Chern form traced against the metric is the Chern scalar
+    curvature, so the degree is ``int s_Chern det g dx``.  ``scal`` may be
+    passed when the caller has it; otherwise it comes from the surface
+    kernel, which keeps the degree consistent with the discrete volume
+    evolution of the flow.
     """
-    from .hermitian import hodge_operators
-
-    jet, _ = field.jets()
-    return FormField(field.grid, -hodge_operators(jet).chern_ricci)
-
-
-def degree(field: MetricField) -> float:
-    """Gauduchon degree ``int (-(i/2) del dbar log det g) ^ omega``."""
-    rep = chern_representative(field)
-    return float(field.grid.integrate(wedge_pair(rep.p11, field.values).real))
+    if scal is None:
+        scal = surface_flow(field.surface_jet()).scal
+    return float(field.grid.integrate(scal * field.det()))
 
 
 def divisor_area(field: MetricField) -> float:

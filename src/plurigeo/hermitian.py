@@ -43,6 +43,9 @@ __all__ = [
     "gflow_rhs",
     "kahler_ricci",
     "pluriclosed_residual",
+    "SurfaceJet",
+    "SurfaceFlow",
+    "surface_flow",
     "covariant_torsion_ops",
     "metric_trace",
     "metric_pairing",
@@ -321,6 +324,164 @@ def pluriclosed_residual(jet: HermitianJet) -> np.ndarray:
         - d2m[..., 0, 1, 1, 0]
     )
     return np.abs(b)
+
+
+# ---------------------------------------------------------------------------
+# fused surface kernel
+
+
+@dataclass(frozen=True)
+class SurfaceJet:
+    """First and mixed second jet of a surface metric, component-leading.
+
+    ``g`` is batch-trailing as in :class:`HermitianJet`; the derivative
+    arrays lead with their component axes, so each component is one
+    batch-shaped block:
+
+    ==================  ==============================================
+    ``d1[k, i, j]``     ``del_{z^k} g_{i jbar}``
+    ``d2m[r, i, j]``    ``del_{z^k} del_{zbar^l} g_{i jbar}`` with
+                        ``(k, l) = (0, 0), (1, 1), (0, 1)`` for r = 0, 1, 2
+    ==================  ==============================================
+
+    The ``(k, l) = (1, 0)`` row follows from reality,
+    ``del_{z^2} del_{zbar^1} g_{i jbar} = conj(d2m[2, j, i])``.
+    """
+
+    g: np.ndarray
+    d1: np.ndarray
+    d2m: np.ndarray
+
+    @classmethod
+    def from_jet(cls, jet: HermitianJet) -> "SurfaceJet":
+        """Views of a full jet's components (``d2h`` is not needed)."""
+        rows = np.stack([jet.d2m[..., 0, 0, :, :], jet.d2m[..., 1, 1, :, :], jet.d2m[..., 0, 1, :, :]])
+        return cls(
+            g=jet.g,
+            d1=np.moveaxis(jet.d1, (-3, -2, -1), (0, 1, 2)),
+            d2m=np.moveaxis(rows, (-2, -1), (1, 2)),
+        )
+
+
+@dataclass(frozen=True)
+class SurfaceFlow:
+    """Flow velocity and the pointwise scalars of the diagnostics."""
+
+    rhs: np.ndarray           # -ric1 + quad1, (..., 2, 2), Hermitian by construction
+    scal: np.ndarray          # Chern scalar curvature g^{k lbar} ric1_{k lbar}
+    tnorm_sq: np.ndarray      # |T|^2
+    w_sq: np.ndarray          # |w|^2 = g^{i jbar} w_i conj(w_j) = |T|^2 / 2
+    pluriclosed: np.ndarray   # as pluriclosed_residual
+    curv_sq: np.ndarray | None = None  # |Omega|^2, when requested
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
+    """Closed-form ``gflow`` velocity and diagnostics scalars on a surface.
+
+    Component by component, with the torsion reduced to its two
+    components ``tau_k = T_{1 2 kbar}``:
+
+    - ``|T|^2 = (2 / det g) g^{m nbar} tau_n conj(tau_m)``, ``|w|^2 = |T|^2 / 2``
+      and ``quad1 = (1/2) |T|^2 g`` (the surface torsion algebra);
+    - ``-ric1_{k lbar} = g^{i jbar} del_i del_jbar g_{k lbar}
+      - g^{i jbar} g^{m nbar} del_i g_{k nbar} conj(del_j g_{l mbar})``.
+
+    Agrees with :func:`gflow_rhs`, :func:`chern_curvature`,
+    :func:`torsion_quadratics`, :func:`torsion` and, with ``curvature``,
+    :func:`curvature_norm` (squared) to rounding on jets that satisfy the
+    reality of ``d2m``.
+    """
+    g = jet.g
+    gup = inverse_metric(g)
+    G = ((gup[..., 0, 0], gup[..., 0, 1]), (gup[..., 1, 0], gup[..., 1, 1]))
+    det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
+    d1, r = jet.d1, jet.d2m
+    d1c = np.conj(d1)
+
+    tau0 = d1[0, 1, 0] - d1[1, 0, 0]
+    tau1 = d1[0, 1, 1] - d1[1, 0, 1]
+    w_sq = (
+        G[0][0].real * _abs2(tau0)
+        + G[1][1].real * _abs2(tau1)
+        + 2.0 * (G[0][1] * tau1 * np.conj(tau0)).real
+    ) / det
+
+    # u[i][k][m] = g^{m nbar} del_i g_{k nbar}; s[j][k][m] = g^{i jbar} u[i][k][m]
+    u = [[[G[m][0] * d1[i, k, 0] + G[m][1] * d1[i, k, 1] for m in (0, 1)]
+          for k in (0, 1)] for i in (0, 1)]
+    s = [[[G[0][j] * u[0][k][m] + G[1][j] * u[1][k][m] for m in (0, 1)]
+          for k in (0, 1)] for j in (0, 1)]
+
+    def neg_ric1(k: int, l: int) -> np.ndarray:
+        trace = (
+            G[0][0] * r[0, k, l]
+            + G[1][1] * r[1, k, l]
+            + G[0][1] * r[2, k, l]
+            + G[1][0] * np.conj(r[2, l, k])
+        )
+        quad = (
+            s[0][k][0] * d1c[0, l, 0]
+            + s[0][k][1] * d1c[0, l, 1]
+            + s[1][k][0] * d1c[1, l, 0]
+            + s[1][k][1] * d1c[1, l, 1]
+        )
+        return trace - quad
+
+    n00 = neg_ric1(0, 0).real
+    n11 = neg_ric1(1, 1).real
+    n01 = neg_ric1(0, 1)
+    rhs = np.empty(np.shape(g), dtype=complex)
+    rhs[..., 0, 0] = n00 + w_sq * g[..., 0, 0].real
+    rhs[..., 1, 1] = n11 + w_sq * g[..., 1, 1].real
+    rhs[..., 0, 1] = n01 + w_sq * g[..., 0, 1]
+    rhs[..., 1, 0] = np.conj(rhs[..., 0, 1])
+    scal = -(G[0][0].real * n00 + G[1][1].real * n11 + 2.0 * (G[0][1] * n01).real)
+    pluriclosed = np.abs(r[1, 0, 0] + r[0, 1, 1] - 2.0 * r[2, 1, 0].real)
+
+    curv_sq = None
+    if curvature:
+        curv_sq = _curvature_norm_sq(G, r, d1c, u)
+    return SurfaceFlow(
+        rhs=rhs,
+        scal=scal,
+        tnorm_sq=2.0 * w_sq,
+        w_sq=w_sq,
+        pluriclosed=pluriclosed,
+        curv_sq=curv_sq,
+    )
+
+
+def _curvature_norm_sq(G, r, d1c, u) -> np.ndarray:
+    """``|Omega|^2 = tr(W^2)`` with ``W = (gup (x) gup) X^T`` and ``X`` the
+    curvature as a Hermitian 4x4 matrix over the index pairs ``(i k), (j l)``."""
+
+    def d2m(i, j, k, l):
+        if i == j:
+            return r[i, k, l]
+        return r[2, k, l] if i == 0 else np.conj(r[2, l, k])
+
+    idx = (0, 1)
+    curv = {
+        (i, j, k, l): u[i][k][0] * d1c[j, l, 0] + u[i][k][1] * d1c[j, l, 1] - d2m(i, j, k, l)
+        for i in idx for j in idx for k in idx for l in idx
+    }
+    # raise the second and fourth slots: w[a, b, c, d] = g^{b b'} g^{d d'} curv[a, b', c, d']
+    half = {
+        (a, b, c, d): G[d][0] * curv[a, b, c, 0] + G[d][1] * curv[a, b, c, 1]
+        for a in idx for b in idx for c in idx for d in idx
+    }
+    w = {
+        (a, b, c, d): G[b][0] * half[a, 0, c, d] + G[b][1] * half[a, 1, c, d]
+        for a in idx for b in idx for c in idx for d in idx
+    }
+    total = np.zeros(np.shape(G[0][0]))
+    for (a, b, c, d), val in w.items():
+        total += (val * w[b, a, d, c]).real
+    return total
 
 
 # ---------------------------------------------------------------------------

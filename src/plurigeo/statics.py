@@ -22,7 +22,6 @@ from .grid import (
     FormField,
     MetricField,
     ThreeForm,
-    chern_representative,
     degree,
     exterior_derivative,
     form_wedge,
@@ -41,14 +40,20 @@ __all__ = [
 ]
 
 
-def lambda_estimate(field: MetricField) -> tuple[float, float]:
+def lambda_estimate(
+    field: MetricField, hodge: hm.HodgeOperators | None = None
+) -> tuple[float, float]:
     """L2-projected static constant and the discarded imaginary residue.
 
     ``lambda* = int <Phi, omega> dV / int <omega, omega> dV`` in the
-    (i/2)-coefficient pairing; the denominator is 2 Vol.
+    (i/2)-coefficient pairing; the denominator is 2 Vol.  ``hodge`` is the
+    field's :func:`~plurigeo.hermitian.hodge_operators` when the caller has
+    them.
     """
-    jet, _ = field.jets()
-    phi = hm.hodge_operators(jet).static_op
+    if hodge is None:
+        jet, _ = field.jets()
+        hodge = hm.hodge_operators(jet)
+    phi = hodge.static_op
     det = field.det()
     num = field.grid.integrate(hm.metric_pairing(field.values, phi, field.values) * det)
     den = 2.0 * field.grid.integrate(det)
@@ -87,28 +92,28 @@ def static_report(field: MetricField, c1_bundle: np.ndarray) -> StaticReport:
         raise ValueError("bundle class must be Hermitian (real form)")
 
     grid = field.grid
+    # one jet pass and one evaluation of each kernel per report
     jet, _ = field.jets()
+    hodge = hm.hodge_operators(jet)
+    surf = hm.surface_flow(hm.SurfaceJet.from_jet(jet))
     g = field.values
     det = field.det()
     vol = float(grid.integrate(det))
-    lam, lam_imag = lambda_estimate(field)
+    lam, lam_imag = lambda_estimate(field, hodge)
 
-    phi = hm.hodge_operators(jet).static_op
-    resid = phi - lam * g
+    resid = hodge.static_op - lam * g
     sq = hm.metric_pairing(g, resid, resid).real
     residual_l2 = float(np.sqrt(max(grid.integrate(sq * det), 0.0)))
     residual_max = float(np.sqrt(max(sq.max(), 0.0)))
 
-    d = degree(field)
-    gup = hm.inverse_metric(g)
-    _, w = hm.torsion(jet)
-    e_w = float(grid.integrate(np.einsum("...ij,...i,...j->...", gup, w, np.conj(w)).real * det))
+    d = degree(field, surf.scal)
+    e_w = float(grid.integrate(surf.w_sq * det))
 
     bundle_field = np.broadcast_to(c1_bundle, grid.dims + (2, 2))
     deg_bundle = float(grid.integrate(wedge_pair(bundle_field, g).real))
-    c1_rep = chern_representative(field)
-    c1_pair = float(grid.integrate(wedge_pair(c1_rep.p11, bundle_field).real))
-    c1_sq = float(grid.integrate(wedge_pair(c1_rep.p11, c1_rep.p11).real))
+    c1_rep = -hodge.chern_ricci  # first-Chern form -(i/2) del dbar log det g
+    c1_pair = float(grid.integrate(wedge_pair(c1_rep, bundle_field).real))
+    c1_sq = float(grid.integrate(wedge_pair(c1_rep, c1_rep).real))
 
     return StaticReport(
         lambda_star=lam,

@@ -1,14 +1,18 @@
 """CLI tests: config validation, exit codes, outputs, determinism."""
 
+import functools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import plurigeo
 from plurigeo import cli
 from plurigeo.families import MetricFamily
-from plurigeo.grid import sample, save_field
+from plurigeo.grid import MetricField, TorusGrid, sample, save_field
 
 
 def write_config(path, payload):
@@ -196,3 +200,74 @@ class TestDeterminism:
         run_cli(tmp_path, "identities", payload, out="a", seed=99)
         report = json.loads((tmp_path / "a/identities_report.json").read_text())
         assert report["seed"] == 99
+
+
+def run_process(tmp_path, command, payload):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr, out dir)."""
+    cfg = write_config(tmp_path / f"{command}.json", payload)
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(plurigeo.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "plurigeo", command, "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stderr, out
+
+
+def _constant_field_file(tmp_path, fill=-1.0):
+    grid = TorusGrid((8, 4, 8, 4))
+    values = np.broadcast_to(fill * np.eye(2, dtype=complex), grid.dims + (2, 2)).copy()
+    path = tmp_path / "field.pgmf"
+    save_field(path, MetricField(grid, values))
+    return str(path)
+
+
+TORUS = {"kind": "torus_pluriclosed", "eps": 0.5}
+
+
+class TestInvalidInputsExitTwo:
+    """Invalid inputs exit 2 with a one-line message and write nothing."""
+
+    @pytest.mark.parametrize("payload", [
+        {"command": "flow", "family": TORUS, "t_end": float("nan")},
+        {"command": "flow", "family": TORUS, "t_end": float("inf")},
+        {"command": "flow", "family": TORUS, "dt": float("nan")},
+        {"command": "flow", "family": TORUS, "safety": float("inf")},
+        {"command": "flow", "family": {"kind": "kahler_potential", "eps": float("nan")}},
+        {"command": "flow", "family": TORUS, "dims": [4, 4, 4, 4]},
+        {"command": "flow", "family": {"kind": "kahler_potential", "eps": 0.4},
+         "dims": [16, 4, 6, 4]},
+        {"command": "flow", "family": TORUS, "dims": [4, 4, 15, 4]},
+        {"command": "flow", "family": {"kind": "hopf"}},
+        {"command": "static", "family": TORUS, "dims": [4, 4, 4, 4]},
+        {"command": "static", "family": {"kind": "flat"}, "c1_bundle": [[1, 0], [0, float("nan")]]},
+        {"command": "identities", "count": 3, "tolerances": {"bianchi_first": float("inf")}},
+        {"command": "hopf", "samples": 3, "tol": float("nan")},
+    ], ids=lambda p: json.dumps(p, sort_keys=True))
+    def test_config(self, tmp_path, payload):
+        code, err, out = run_process(tmp_path, payload["command"], payload)
+        assert code == cli.EXIT_CONFIG
+        assert "Traceback" not in err and "config error" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fill", [-1.0, 0.0, float("nan")])
+    def test_unusable_field_file(self, tmp_path, fill):
+        path = _constant_field_file(tmp_path, fill)
+        code, err, out = run_process(tmp_path, "static", {"command": "static", "field_file": path})
+        assert code == cli.EXIT_CONFIG
+        assert "Traceback" not in err and "field file" in err
+        assert not out.exists()
+
+
+class TestStepBudget:
+    def test_max_steps_reached_exits_three(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.fl, "run", functools.partial(cli.fl.run, max_steps=3))
+        code = run_cli(tmp_path, "flow", {
+            "command": "flow", "family": TORUS, "dims": [4, 4, 16, 4], "t_end": 0.5,
+        })
+        assert code == cli.EXIT_NUMERICAL
+        summary = json.loads((tmp_path / "out/summary.json").read_text())
+        assert summary["status"] == "max_steps_reached"
+        assert summary["steps"] == 3 and summary["t_final"] < 0.5

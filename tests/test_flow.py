@@ -6,7 +6,9 @@ import pytest
 from plurigeo import flow as fl
 from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily
-from plurigeo.grid import MetricField, sample
+from plurigeo.grid import MetricField, perturb_with_potential, sample
+
+from conftest import random_trig
 
 
 class TestCfl:
@@ -132,6 +134,59 @@ class TestRun:
             fl.run(torus_field, t_end=-1.0)
         with pytest.raises(ValueError):
             fl.run(torus_field, cadence=0)
+        with pytest.raises(ValueError):
+            fl.run(torus_field, max_steps=0)
+
+    @pytest.mark.parametrize("key", ["t_end", "dt", "safety", "blowup_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, torus_field, key, value):
+        with pytest.raises(ValueError, match="finite"):
+            fl.run(torus_field, **{key: value})
+
+    def test_max_steps_reached_is_not_completed(self, torus_field):
+        res = fl.run(torus_field, t_end=0.5, max_steps=3)
+        assert res.status == "max_steps_reached"
+        assert res.summary["steps"] == 3
+        assert res.summary["t_final"] < 0.5
+        assert "3 steps" in res.summary["reason"]
+        # the last record describes the state the run stopped at
+        assert res.records[-1].step == 3
+        assert res.records[-1].t == res.summary["t_final"]
+
+    def test_budget_that_reaches_t_end_completes(self, torus_field):
+        res = fl.run(torus_field, t_end=0.02, dt=0.01, max_steps=2)
+        assert res.status == "completed"
+        assert res.summary["steps"] == 2
+
+    @pytest.mark.parametrize("variant", ["gflow", "normalized"])
+    def test_reused_first_stage_matches_plain_steps(self, torus_field, variant):
+        dt = 2.0**-7  # exact in binary, so the run takes three steps of exactly dt
+        res = fl.run(torus_field, variant=variant, t_end=3 * dt, cadence=2, dt=dt)
+        state = fl.FlowState(0.0, 0, torus_field)
+        for _ in range(3):
+            state = fl.step(state, dt, variant)
+        assert np.array_equal(res.final_state.field.values, state.field.values)
+        assert all(rec.velocity is None for rec in res.records)
+
+    def test_diagnostics_velocity_is_the_flow_rhs(self, torus_field):
+        rec = fl.diagnostics(fl.FlowState(0.0, 0, torus_field))
+        jet, _ = torus_field.jets()
+        assert np.abs(rec.velocity - hm.gflow_rhs(jet)).max() <= 1e-13
+
+    def test_rk4_temporal_order_on_all_axis_data(self):
+        # self-convergence in dt on data that varies along all four axes
+        base = sample(MetricFamily("torus_pluriclosed", 0.5), (8, 8, 8, 8))
+        field = perturb_with_potential(base, 0.05 * random_trig(base.grid, seed=7))
+        t_end = 0.04
+        finals = {}
+        for n in (2, 4, 8):
+            res = fl.run(field, t_end=t_end, dt=t_end / n, cadence=1)
+            assert res.status == "completed" and res.summary["steps"] == n
+            finals[n] = res.final_state.field.values
+        coarse = np.abs(finals[2] - finals[4]).max()
+        fine = np.abs(finals[4] - finals[8]).max()
+        order = np.log2(coarse / fine)
+        assert order >= 3.5, (coarse, fine, order)
 
 
 class TestTnormAudit:
@@ -161,6 +216,13 @@ class TestWriters:
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == ",".join(fl.CSV_COLUMNS)
+
+    def test_summary_accepts_every_status(self, tmp_path):
+        for status in fl.STATUSES:
+            fl.write_summary_json(tmp_path / "s.json", {
+                "status": status, "variant": "gflow", "steps": 1,
+                "t_final": 0.1, "vol_initial": 1.0, "vol_final": 1.0,
+            })
 
     def test_summary_schema_validated(self, tmp_path):
         with pytest.raises(ValueError, match="missing"):
