@@ -180,6 +180,8 @@ def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
             raise ConfigError("t_end, cadence, safety, blowup_factor must be positive")
         if dt is not None and dt <= 0:
             raise ConfigError("dt must be positive")
+        if tnorm and variant != "gflow":
+            raise ConfigError("tnorm_check audits the gflow variant only")
         options = {
             "family": family, "dims": dims, "variant": variant, "t_end": t_end,
             "cadence": cadence, "safety": safety, "dt": dt,
@@ -190,6 +192,8 @@ def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
         _reject_unknown(cfg, allowed, "config")
         if ("family" in cfg) == ("field_file" in cfg):
             raise ConfigError("static needs exactly one of 'family' or 'field_file'")
+        if "field_file" in cfg and "dims" in cfg:
+            raise ConfigError("dims applies to a family; a field file carries its own")
         family = _parse_family(cfg["family"]) if "family" in cfg else None
         field_file = _require(cfg, "field_file", str, default=None)
         dims = _parse_dims(cfg.get("dims"))
@@ -298,7 +302,7 @@ def cmd_flow(scenario: Scenario) -> int:
         blowup_factor=opts["blowup_factor"],
     )
     summary = dict(result.summary)
-    if opts["tnorm_check"] and opts["variant"] == "gflow":
+    if opts["tnorm_check"]:
         audit = fl.tnorm_evolution_check(result.final_state)
         summary["tnorm_residual_raw_max"] = audit.max_raw
         summary["tnorm_residual_attributed_max"] = audit.max_attributed
@@ -323,7 +327,10 @@ def cmd_static(scenario: Scenario) -> int:
             field.check()
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot use field file: {exc}") from exc
-    report = st.static_report(field, opts["c1_bundle"])
+    try:
+        report = st.static_report(field, opts["c1_bundle"])
+    except hm.SingularMetricError as exc:  # positive definite, but det g over- or underflows
+        raise ConfigError(f"cannot use field: {exc}") from exc
     st.write_static_report(os.path.join(scenario.out_dir, "static_report.json"), report)
     is_flat = opts["family"] is not None and opts["family"].kind == "flat"
     if is_flat:
@@ -353,7 +360,7 @@ def cmd_hopf(scenario: Scenario) -> int:
     scale = np.abs(jet.g).max(axis=(-1, -2))
     _, ric1, _, _ = hm.chern_curvature(jet)
     quad1, _, _ = hm.torsion_quadratics(jet)
-    rhs = hm.gflow_rhs(jet)
+    rhs = -ric1 + quad1
     errs = {
         "curvature_trace_vs_metric": np.abs(ric1 - jet.g).max(axis=(-1, -2)) / scale,
         "torsion_quad_vs_metric": np.abs(quad1 - jet.g).max(axis=(-1, -2)) / scale,

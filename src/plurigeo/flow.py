@@ -205,7 +205,14 @@ def step(
     def f(values: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
         nonlocal stage_dev
         if rhs is None:
-            rhs = _rhs(MetricField(grid, values), variant)
+            try:
+                rhs = _rhs(MetricField(grid, values), variant)
+            except hm.SingularMetricError as exc:
+                # the inverse rejects a non-finite determinant (the stage
+                # overflowed) and a vanishing one (the stage lost positivity)
+                if not np.isfinite(MetricField(grid, values).det()).all():
+                    raise FlowBlowupError("numerical blowup") from exc
+                raise FlowDegenerateError("flow degenerate") from exc
         herm = 0.5 * (rhs + np.conj(rhs.swapaxes(-1, -2)))
         stage_dev = max(stage_dev, float(np.abs(rhs - herm).max()))
         return herm
@@ -303,9 +310,12 @@ def run(
 
     k1 = record(diagnostics(state, variant))
     omega0 = records[0].max_omega
+    # slack for rounding in the accumulated time; relative below t_end = 1,
+    # so a run to a tiny t_end takes its steps
+    t_stop = t_end - 1e-14 * min(t_end, 1.0)
     status = "completed"
     reason = ""
-    while state.t < t_end - 1e-14 and state.step < max_steps:
+    while state.t < t_stop and state.step < max_steps:
         h = cfl_dt(state.field, safety, state.eig_range) if dt is None else dt
         h = min(h, t_end - state.t)
         try:
@@ -318,14 +328,14 @@ def run(
             break
         k1 = None
         at_cadence = state.step % cadence == 0
-        finished = state.t >= t_end - 1e-14
+        finished = state.t >= t_stop
         if at_cadence or finished:
             k1 = record(diagnostics(state, variant))
             if omega0 > 0 and records[-1].max_omega > blowup_factor * omega0:
                 status, reason = "blowup_suspected", "curvature blow-up threshold"
                 break
     else:
-        if state.t < t_end - 1e-14:
+        if state.t < t_stop:
             status = "max_steps_reached"
             reason = f"stopped after {state.step} steps at t={state.t!r} < t_end={t_end!r}"
             if records[-1].step != state.step:

@@ -35,7 +35,6 @@ __all__ = [
     "pairwise_sum",
     "sample",
     "sampling_grid",
-    "potential_field",
     "perturb_with_potential",
     "wedge_pair",
     "form_wedge",
@@ -46,7 +45,6 @@ __all__ = [
     "d_one_form",
     "save_field",
     "load_field",
-    "field_to_csv",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -146,17 +144,14 @@ class TorusGrid:
         axes = [np.arange(n) * h for n, h in zip(self.dims, self.spacing)]
         return np.meshgrid(*axes, indexing="ij")
 
-    def dx(self, u: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        """4th-order periodic derivative along a real axis; order 2 by composition."""
+    def dx(self, u: np.ndarray, axis: int) -> np.ndarray:
+        """4th-order periodic derivative along a real axis."""
         if axis not in (0, 1, 2, 3):
             raise ValueError("axis must be 0..3")
-        if order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
         u = np.asarray(u)
         if u.dtype.kind in "biu":
             u = u.astype(float)
-        d = _periodic_diff(u, axis, self.spacing[axis])
-        return self.dx(d, axis, 1) if order == 2 else d
+        return _periodic_diff(u, axis, self.spacing[axis])
 
     def dz(self, u: np.ndarray, k: int) -> np.ndarray:
         """Holomorphic derivative del_{z^k} = (del_x - i del_y) / 2, k in {0, 1}."""
@@ -307,16 +302,6 @@ def sample(family: MetricFamily, dims: tuple[int, int, int, int]) -> MetricField
     jet = jet_at(family, tuple(x))
     g = np.ascontiguousarray(np.broadcast_to(jet.g, grid.dims + (2, 2)))
     field = MetricField(grid, g)
-    field.check()
-    return field
-
-
-def potential_field(grid: TorusGrid, u: np.ndarray) -> MetricField:
-    """Kaehler-type field ``omega_flat + i del dbar u``, i.e. ``g = I + 2 hess(u)``."""
-    h = grid.complex_hessian(u)
-    g = np.broadcast_to(np.eye(2, dtype=complex), grid.dims + (2, 2)).copy()
-    g += 2.0 * h
-    field = MetricField(grid, g).hermitized()
     field.check()
     return field
 
@@ -520,26 +505,3 @@ def load_field(path) -> MetricField:
         raise ValueError("field file has wrong payload size")
     values = np.frombuffer(raw, dtype=np.complex128).reshape(grid.dims + (2, 2)).copy()
     return MetricField(grid, values)
-
-
-def field_to_csv(path, field: MetricField, max_nodes: int = 65536) -> None:
-    """CSV dump for small grids: one row per node, re/im per matrix entry."""
-    if field.grid.nodes > max_nodes:
-        raise ValueError(f"grid too large for CSV ({field.grid.nodes} nodes)")
-    cols = ["i1", "i2", "i3", "i4"]
-    for i in range(2):
-        for j in range(2):
-            cols += [f"g{i+1}{j+1}_re", f"g{i+1}{j+1}_im"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        n1, n2, n3, n4 = field.grid.dims
-        for a in range(n1):
-            for b in range(n2):
-                for c in range(n3):
-                    for d in range(n4):
-                        row = [str(a), str(b), str(c), str(d)]
-                        for i in range(2):
-                            for j in range(2):
-                                v = field.values[a, b, c, d, i, j]
-                                row += [repr(float(v.real)), repr(float(v.imag))]
-                        fh.write(",".join(row) + "\n")

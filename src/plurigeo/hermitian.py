@@ -26,14 +26,13 @@ has coefficient matrix ``g`` itself and ``beta ^ gamma`` reduces to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SingularMetricError",
     "HermitianJet",
-    "TensorBlock",
     "inverse_metric",
     "chern_connection",
     "torsion",
@@ -47,16 +46,13 @@ __all__ = [
     "SurfaceFlow",
     "surface_flow",
     "covariant_torsion_ops",
-    "metric_trace",
     "metric_pairing",
-    "unitary_frame",
     "grad_torsion_norms",
     "curvature_norm",
     "torsion_norm",
     "identity_suite",
     "random_jet",
     "random_jet_batch",
-    "labeled_tensors",
 ]
 
 
@@ -94,10 +90,6 @@ class HermitianJet:
             if np.asarray(arr).shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
 
-    @property
-    def batch_shape(self) -> tuple:
-        return self.g.shape[:-2]
-
     @classmethod
     def flat(cls, batch_shape: tuple = ()) -> "HermitianJet":
         """Jet of the identity metric (all derivatives zero)."""
@@ -108,53 +100,6 @@ class HermitianJet:
             d2m=np.zeros(batch_shape + (2, 2, 2, 2), dtype=complex),
             d2h=np.zeros(batch_shape + (2, 2, 2, 2), dtype=complex),
         )
-
-    def validate(self, tol: float = 1e-12) -> None:
-        """Check hermiticity, positivity and jet symmetry constraints."""
-        g = np.asarray(self.g)
-        herm = _amax(g - np.conj(g.swapaxes(-1, -2)), 2)
-        if herm.max() > tol:
-            raise ValueError(f"metric not Hermitian (deviation {herm.max():.3e})")
-        eig = np.linalg.eigvalsh(g)
-        if eig.min() <= 0:
-            raise ValueError("metric not positive definite")
-        sym = _amax(self.d2h - self.d2h.swapaxes(-4, -3), 4)
-        if sym.max() > tol:
-            raise ValueError(f"d2h not symmetric in (k, l) (deviation {sym.max():.3e})")
-        real = _amax(
-            np.conj(self.d2m) - self.d2m.swapaxes(-4, -3).swapaxes(-2, -1), 4
-        )
-        if real.max() > tol:
-            raise ValueError(f"d2m violates reality (deviation {real.max():.3e})")
-
-
-@dataclass(frozen=True)
-class TensorBlock:
-    """Dense complex component block with a declared index signature.
-
-    ``signature`` is a string over the alphabet {"h", "a"}, one letter per
-    trailing tensor axis: "h" marks a holomorphic (unbarred) lower index,
-    "a" an antiholomorphic (barred) one.  ``skew_pairs`` lists pairs of
-    trailing-axis positions in which the components must be antisymmetric.
-    """
-
-    components: np.ndarray
-    signature: str
-    skew_pairs: tuple = field(default=())
-
-    @property
-    def rank(self) -> int:
-        return len(self.signature)
-
-    def check(self, tol: float = 1e-12) -> None:
-        n = self.rank
-        for a, b in self.skew_pairs:
-            swapped = np.swapaxes(
-                self.components, self.components.ndim - n + a, self.components.ndim - n + b
-            )
-            dev = _amax(self.components + swapped, n).max()
-            if dev > tol:
-                raise ValueError(f"declared skew symmetry ({a},{b}) violated: {dev:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +483,6 @@ def covariant_torsion_ops(jet: HermitianJet) -> CovariantTorsion:
 # norms and pairings
 
 
-def metric_trace(g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Metric trace ``g^{i jbar} b_{i jbar}`` of a (1,1) coefficient matrix."""
-    return np.einsum("...ij,...ij->...", inverse_metric(g), b)
-
-
 def metric_pairing(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sesquilinear pairing of (1,1) coefficient matrices.
 
@@ -555,41 +495,35 @@ def metric_pairing(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def unitary_frame(g: np.ndarray) -> np.ndarray:
-    """Frame matrix M with ``M^T g conj(M) = I``; lower holomorphic slots
-    transform by M, antiholomorphic by conj(M), after which norms are plain
-    component sums."""
-    chol = np.linalg.cholesky(g)
-    return np.linalg.inv(chol).swapaxes(-1, -2)
-
-
 def grad_torsion_norms(jet: HermitianJet) -> tuple[np.ndarray, np.ndarray]:
-    """Squared norms of the (1,0)- and (0,1)-type covariant torsion derivatives."""
+    """Squared norms of the (1,0)- and (0,1)-type covariant torsion derivatives.
+
+    Each slot of ``T`` and its conjugate is contracted with ``gup``: a
+    holomorphic slot pairs as ``g^{a a'}``, an antiholomorphic one as
+    ``g^{a' a}``.
+    """
     cov = covariant_torsion_ops(jet)
-    m = unitary_frame(jet.g)
-    mb = np.conj(m)
-    t10 = np.einsum(
-        "...aijk,...ax,...ib,...jc,...kd->...xbcd", cov.grad_hol, m, m, m, mb,
-        optimize=True,
-    )
-    t01 = np.einsum(
-        "...aijk,...ax,...ib,...jc,...kd->...xbcd", cov.grad_antihol, mb, m, m, mb,
-        optimize=True,
-    )
-    n10 = (np.abs(t10) ** 2).sum(axis=(-1, -2, -3, -4))
-    n01 = (np.abs(t01) ** 2).sum(axis=(-1, -2, -3, -4))
+    gup = inverse_metric(jet.g)
+    n10 = np.einsum(
+        "...ax,...ib,...jc,...dk,...aijk,...xbcd->...",
+        gup, gup, gup, gup, cov.grad_hol, np.conj(cov.grad_hol), optimize=True,
+    ).real
+    n01 = np.einsum(
+        "...xa,...ib,...jc,...dk,...aijk,...xbcd->...",
+        gup, gup, gup, gup, cov.grad_antihol, np.conj(cov.grad_antihol), optimize=True,
+    ).real
     return n10, n01
 
 
 def curvature_norm(jet: HermitianJet) -> np.ndarray:
     """Pointwise norm |Omega|_g of the full Chern curvature."""
     curv, _, _, _ = chern_curvature(jet)
-    m = unitary_frame(jet.g)
-    mb = np.conj(m)
-    ct = np.einsum(
-        "...ijkl,...ia,...jb,...kc,...ld->...abcd", curv, m, mb, m, mb, optimize=True
+    gup = inverse_metric(jet.g)
+    sq = np.einsum(
+        "...ia,...bj,...kc,...dl,...ijkl,...abcd->...",
+        gup, gup, gup, gup, curv, np.conj(curv), optimize=True,
     )
-    return np.sqrt((np.abs(ct) ** 2).sum(axis=(-1, -2, -3, -4)))
+    return np.sqrt(np.maximum(sq.real, 0.0))
 
 
 def torsion_norm(jet: HermitianJet) -> np.ndarray:
@@ -785,19 +719,3 @@ def random_jet_batch(seeds, pluriclosed: bool = False) -> HermitianJet:
         d2m=np.stack([j.d2m for j in jets]),
         d2h=np.stack([j.d2h for j in jets]),
     )
-
-
-def labeled_tensors(jet: HermitianJet) -> dict[str, TensorBlock]:
-    """Named tensors of the jet as :class:`TensorBlock` with signatures."""
-    t, w = torsion(jet)
-    curv, ric1, ric2, _ = chern_curvature(jet)
-    quad1, quad2, _ = torsion_quadratics(jet)
-    return {
-        "torsion": TensorBlock(t, "hha", skew_pairs=((0, 1),)),
-        "torsion_trace": TensorBlock(w, "h"),
-        "curvature": TensorBlock(curv, "haha"),
-        "ricci_first": TensorBlock(ric1, "ha"),
-        "ricci_second": TensorBlock(ric2, "ha"),
-        "quad1": TensorBlock(quad1, "ha"),
-        "quad2": TensorBlock(quad2, "ha"),
-    }

@@ -3,16 +3,24 @@
 import functools
 import json
 import os
+import pathlib
+import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plurigeo
 from plurigeo import cli
 from plurigeo.families import MetricFamily
 from plurigeo.grid import MetricField, TorusGrid, sample, save_field
+
+
+TORUS = {"kind": "torus_pluriclosed", "eps": 0.5}
 
 
 def write_config(path, payload):
@@ -81,6 +89,25 @@ class TestConfigValidation:
         monkeypatch.setenv("PLURIGEO_THREADS", "zero")
         code = run_cli(tmp_path, "hopf", {"command": "hopf", "samples": 2})
         assert code == cli.EXIT_CONFIG
+
+    def test_tnorm_check_needs_gflow(self, tmp_path, capsys):
+        code = run_cli(tmp_path, "flow", {
+            "command": "flow", "family": TORUS, "variant": "normalized",
+            "t_end": 0.01, "tnorm_check": True,
+        })
+        assert code == cli.EXIT_CONFIG
+        assert "tnorm_check" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_field_file_takes_no_dims(self, tmp_path, capsys):
+        path = tmp_path / "field.pgmf"
+        save_field(path, sample(MetricFamily("flat"), (4, 4, 4, 4)))
+        code = run_cli(tmp_path, "static", {
+            "command": "static", "field_file": str(path), "dims": [64, 64, 64, 64],
+        })
+        assert code == cli.EXIT_CONFIG
+        assert "dims" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_no_partial_output_on_bad_config(self, tmp_path):
         out = tmp_path / "out"
@@ -224,9 +251,6 @@ def _constant_field_file(tmp_path, fill=-1.0):
     return str(path)
 
 
-TORUS = {"kind": "torus_pluriclosed", "eps": 0.5}
-
-
 class TestInvalidInputsExitTwo:
     """Invalid inputs exit 2 with a one-line message and write nothing."""
 
@@ -261,6 +285,19 @@ class TestInvalidInputsExitTwo:
         assert not out.exists()
 
 
+class TestOverflowingStage:
+    def test_exits_three_with_files(self, tmp_path):
+        code, err, out = run_process(tmp_path, "flow", {
+            "command": "flow", "family": TORUS, "dims": [4, 4, 16, 4],
+            "dt": 1e100, "t_end": 1e100,
+        })
+        assert code == cli.EXIT_NUMERICAL
+        assert "Traceback" not in err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "blowup_suspected" and summary["steps"] == 0
+        assert (out / "diagnostics.csv").exists()
+
+
 class TestStepBudget:
     def test_max_steps_reached_exits_three(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.fl, "run", functools.partial(cli.fl.run, max_steps=3))
@@ -271,3 +308,97 @@ class TestStepBudget:
         summary = json.loads((tmp_path / "out/summary.json").read_text())
         assert summary["status"] == "max_steps_reached"
         assert summary["steps"] == 3 and summary["t_final"] < 0.5
+
+
+def _powers():
+    """Powers of ten from 1e-300 to 1e300."""
+    return st.integers(-300, 300).map(lambda e: 10.0**e)
+
+
+def _magnitudes():
+    """Zero and powers of ten of either sign."""
+    return st.one_of(st.just(0.0), _powers(), _powers().map(lambda x: -x))
+
+
+def _mostly(usable, extreme):
+    """``usable`` four times in five, else ``extreme``."""
+    return st.integers(0, 4).flatmap(lambda k: extreme if k == 0 else usable)
+
+
+def _positive(lo, hi):
+    """A float in [lo, hi] or a power of ten."""
+    return st.one_of(st.floats(lo, hi), _powers())
+
+
+FUZZ_DIMS = [8, 4, 8, 4]
+EPS_RANGE = {"flat": 0.0, "kahler_potential": 4.0, "torus_pluriclosed": 1.0}
+
+
+@st.composite
+def flow_configs(draw):
+    """Flow configs over extreme values; the dt/t_end ratio keeps a run near 50 steps."""
+    kind = draw(st.sampled_from(sorted(EPS_RANGE)))
+    eps = draw(_mostly(st.floats(0.0, EPS_RANGE[kind], exclude_max=kind != "flat"), _magnitudes()))
+    cfg = {"command": "flow", "family": {"kind": kind, "eps": eps}, "dims": FUZZ_DIMS,
+           "variant": draw(st.sampled_from(["gflow", "normalized"])),
+           "tnorm_check": draw(st.booleans()),
+           "cadence": draw(_mostly(st.integers(1, 60), st.one_of(
+               st.integers(-2, 0), st.just(10**300), _magnitudes())))}
+    if draw(st.booleans()):
+        dt = cfg["dt"] = draw(_mostly(_positive(1e-4, 10.0), _magnitudes()))
+    else:
+        safety = cfg["safety"] = draw(_mostly(_positive(1e-3, 3.0), _magnitudes()))
+        try:
+            dt = cli.fl.cfl_dt(sample(MetricFamily(kind, eps), tuple(FUZZ_DIMS)), safety)
+        except ValueError:  # an invalid config; its t_end is never reached
+            dt = 1.0
+    cfg["t_end"] = draw(_mostly(st.floats(0.5, 50.0), st.floats(-50.0, 50.0))) * dt
+    return cfg
+
+
+@st.composite
+def metric_payloads(draw):
+    """A field-file header over a perturbed, scaled metric, or one of its defects."""
+    dims = draw(st.sampled_from([(4, 4, 4, 4), (8, 4, 8, 4), (4, 4, 8, 4)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.standard_normal(dims + (2, 2)) + 1j * rng.standard_normal(dims + (2, 2))
+    scale, amp = draw(_positive(0.5, 2.0)), draw(_positive(0.0, 0.1))
+    defect = draw(st.sampled_from([None, "not_hermitian", "cut_short"]))
+    with np.errstate(all="ignore"):
+        values = scale * (np.eye(2) + amp * noise)
+        if defect != "not_hermitian":
+            values = 0.5 * (values + np.conj(values.swapaxes(-1, -2)))
+    payload = struct.pack("<4sI4I", b"PGMF", 1, *dims) + values.tobytes()
+    return payload[:-8] if defect == "cut_short" else payload
+
+
+def _exits_documented(tmp, command, payload):
+    """Run ``main`` in-process: the exit code is documented, exit 2 writes nothing."""
+    cfg = write_config(pathlib.Path(tmp) / "config.json", payload)
+    out = os.path.join(tmp, "out")
+    with np.errstate(all="ignore"):
+        code = cli.main([command, "--config", cfg, "--out", out])
+    assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+    if code == cli.EXIT_CONFIG:
+        assert not os.path.exists(out)
+    return code
+
+
+class TestFuzz:
+    """In-process fuzzing of ``main``; derandomized, so the suite stays reproducible."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(flow_configs())
+    def test_flow_configs(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            if _exits_documented(tmp, "flow", payload) == cli.EXIT_OK:  # completed
+                summary = json.loads((pathlib.Path(tmp) / "out" / "summary.json").read_text())
+                assert summary["t_final"] >= payload["t_end"] * (1 - 1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(st.binary(max_size=64), metric_payloads()))
+    def test_static_field_files(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "field.pgmf"
+            path.write_bytes(data)
+            _exits_documented(tmp, "static", {"command": "static", "field_file": str(path)})

@@ -65,6 +65,11 @@ class TestStep:
         with pytest.raises(fl.FlowBlowupError):
             fl.step(state, 1e-3)
 
+    def test_overflowing_stage_is_blowup(self, torus_field):
+        state = fl.FlowState(0.0, 0, torus_field)
+        with np.errstate(all="ignore"), pytest.raises(fl.FlowBlowupError):
+            fl.step(state, 1e100)
+
     def test_degenerate_error_on_positivity_loss(self, torus_field):
         # a huge step along -g drives eigenvalues through zero
         state = fl.FlowState(0.0, 0, torus_field)
@@ -157,6 +162,11 @@ class TestRun:
         res = fl.run(torus_field, t_end=0.02, dt=0.01, max_steps=2)
         assert res.status == "completed"
         assert res.summary["steps"] == 2
+
+    def test_tiny_t_end_is_reached(self, torus_field):
+        res = fl.run(torus_field, t_end=1e-20, dt=1e-20)
+        assert res.status == "completed"
+        assert res.summary["steps"] == 1 and res.summary["t_final"] == 1e-20
 
     @pytest.mark.parametrize("variant", ["gflow", "normalized"])
     def test_reused_first_stage_matches_plain_steps(self, torus_field, variant):

@@ -24,6 +24,15 @@ def kahler_jet(x1=0.3, x3=1.1, eps=0.4):
     return jet_at(MetricFamily("kahler_potential", eps), (x1, z, x3, z))
 
 
+def assert_valid_jet(jet, tol=1e-12):
+    """Hermitian positive-definite ``g``, ``d2h`` symmetric in (k, l), ``d2m`` real."""
+    g = jet.g
+    assert np.abs(g - np.conj(g.swapaxes(-1, -2))).max() <= tol
+    assert np.linalg.eigvalsh(g).min() > 0
+    assert np.abs(jet.d2h - jet.d2h.swapaxes(-4, -3)).max() <= tol
+    assert np.abs(np.conj(jet.d2m) - jet.d2m.swapaxes(-4, -3).swapaxes(-2, -1)).max() <= tol
+
+
 class TestConnection:
     def test_flat_connection_vanishes(self):
         jet = hm.HermitianJet.flat()
@@ -242,7 +251,7 @@ class TestPluriclosedResidual:
         d2m = jet.d2m.copy()
         d2m[1, 1, 0, 0] += delta
         jet2 = hm.HermitianJet(jet.g, jet.d1, d2m, jet.d2h)
-        jet2.validate()
+        assert_valid_jet(jet2)
         assert abs(hm.pluriclosed_residual(jet2) - delta) < 1e-14
 
 
@@ -315,38 +324,18 @@ class TestRandomJet:
         j2 = hm.random_jet(seed)
         assert np.array_equal(j1.g, j2.g)
         assert np.array_equal(j1.d2m, j2.d2m)
-        j1.validate()
+        assert_valid_jet(j1)
         assert np.linalg.eigvalsh(j1.g).min() >= 1.0 - 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**63 - 1))
     def test_pluriclosed_constraint(self, seed):
         jet = hm.random_jet(seed, pluriclosed=True)
-        jet.validate()
+        assert_valid_jet(jet)
         assert hm.pluriclosed_residual(jet) < 1e-14
 
 
-class TestTensorBlocks:
-    def test_labeled_tensors_symmetries(self):
-        blocks = hm.labeled_tensors(hm.random_jet(3))
-        blocks["torsion"].check()
-        assert blocks["torsion"].signature == "hha"
-        assert blocks["curvature"].rank == 4
-
-    def test_skew_violation_detected(self):
-        bad = hm.TensorBlock(np.ones((2, 2, 2)), "hha", skew_pairs=((0, 1),))
-        with pytest.raises(ValueError, match="skew"):
-            bad.check()
-
-
 class TestJetValidation:
-    def test_rejects_non_hermitian(self):
-        jet = hm.HermitianJet.flat()
-        g = jet.g.copy()
-        g[0, 1] = 0.5
-        with pytest.raises(ValueError, match="Hermitian"):
-            hm.HermitianJet(g, jet.d1, jet.d2m, jet.d2h).validate()
-
     def test_rejects_wrong_shape(self):
         jet = hm.HermitianJet.flat()
         with pytest.raises(ValueError, match="shape"):
