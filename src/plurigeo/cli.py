@@ -302,18 +302,24 @@ def cmd_flow(scenario: Scenario) -> int:
         blowup_factor=opts["blowup_factor"],
     )
     summary = dict(result.summary)
+    csv_path = os.path.join(scenario.out_dir, "diagnostics.csv")
+    summary_path = os.path.join(scenario.out_dir, "summary.json")
+    fl.write_diagnostics_csv(csv_path, result.records)
+    fl.write_summary_json(summary_path, summary)
+    print(f"flow finished: status={result.status} steps={summary['steps']}")
     if opts["tnorm_check"]:
-        audit = fl.tnorm_evolution_check(result.final_state)
+        # the audit takes its own RK4 steps, which can fail; the run's files stay
+        try:
+            audit = fl.tnorm_evolution_check(result.final_state)
+        except fl.FlowError as exc:
+            print(f"numerical failure: tnorm_check audit: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
         summary["tnorm_residual_raw_max"] = audit.max_raw
         summary["tnorm_residual_attributed_max"] = audit.max_attributed
         summary["tnorm_convention_term_max"] = float(
             np.abs(audit.convention_term).max()
         )
-    fl.write_diagnostics_csv(
-        os.path.join(scenario.out_dir, "diagnostics.csv"), result.records
-    )
-    fl.write_summary_json(os.path.join(scenario.out_dir, "summary.json"), summary)
-    print(f"flow finished: status={result.status} steps={summary['steps']}")
+        fl.write_summary_json(summary_path, summary)
     return EXIT_OK if result.status == "completed" else EXIT_NUMERICAL
 
 

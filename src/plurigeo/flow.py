@@ -157,6 +157,13 @@ def cfl_dt(
     return float(safety * h_min**2 * eig_range[0] / eig_range[1])
 
 
+def _require_pluriclosed(field: MetricField, tol: float = 1e-6) -> None:
+    """``omega_form`` needs pluriclosed initial data: an argument error otherwise."""
+    defect = hm.pluriclosed_residual(field.jets()[0]).max()
+    if defect > tol:
+        raise ValueError(f"omega_form requires pluriclosed data (defect {defect:.3e})")
+
+
 def _rhs(
     field: MetricField,
     variant: str,
@@ -164,15 +171,17 @@ def _rhs(
     pluriclosed_tol: float = 1e-6,
 ) -> np.ndarray:
     """Velocity of ``variant`` at ``field``; ``surf`` is the surface kernel's
-    output at ``field`` when the caller already has it."""
+    output at ``field`` when the caller already has it.  An ``omega_form``
+    field whose pluriclosed defect has drifted past ``pluriclosed_tol``
+    raises :class:`FlowDegenerateError`."""
     if variant == "omega_form":
         jet, _ = field.jets()
+        # the inverse first: a non-finite stage then fails as a blowup, not a drift
+        ops = hm.hodge_operators(jet)
         defect = hm.pluriclosed_residual(jet).max()
         if defect > pluriclosed_tol:
-            raise ValueError(
-                f"omega_form requires pluriclosed data (defect {defect:.3e})"
-            )
-        return -hm.hodge_operators(jet).static_op
+            raise FlowDegenerateError(f"omega_form: pluriclosed defect drifted to {defect:.3e}")
+        return -ops.static_op
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if surf is None:
@@ -191,7 +200,11 @@ def step(
     """One classical RK4 step; velocity recomputed per stage, output re-Hermitized.
 
     ``k1`` is the velocity of ``variant`` at ``state`` when the caller has
-    already evaluated it (the run loop takes it from the diagnostics).
+    already evaluated it (the run loop takes it from the diagnostics).  A
+    state at step 0 is initial data: for ``omega_form`` it must be
+    pluriclosed (``ValueError`` otherwise); a later drift is a
+    :class:`FlowDegenerateError`.  Overflow in a stage is expected and
+    caught by the finiteness checks, so numpy's warnings are off here.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -199,6 +212,8 @@ def step(
         raise ValueError(f"unknown variant {variant!r}")
     if not np.isfinite(state.field.values).all():
         raise FlowBlowupError("numerical blowup")
+    if variant == "omega_form" and state.step == 0:
+        _require_pluriclosed(state.field)
     grid = state.field.grid
     stage_dev = 0.0
 
@@ -218,11 +233,12 @@ def step(
         return herm
 
     g0 = state.field.values
-    k1 = f(g0, k1)
-    k2 = f(g0 + 0.5 * dt * k1)
-    k3 = f(g0 + 0.5 * dt * k2)
-    k4 = f(g0 + dt * k3)
-    g1 = g0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = f(g0, k1)
+        k2 = f(g0 + 0.5 * dt * k1)
+        k3 = f(g0 + 0.5 * dt * k2)
+        k4 = f(g0 + dt * k3)
+        g1 = g0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(g1).all():
         raise FlowBlowupError("numerical blowup")
     herm = 0.5 * (g1 + np.conj(g1.swapaxes(-1, -2)))
@@ -289,7 +305,10 @@ def run(
     stop rule: terminate with status ``blowup_suspected`` when the maximal
     curvature norm exceeds ``blowup_factor`` times its initial value.  A
     run that takes ``max_steps`` steps before ``t_end`` ends with status
-    ``max_steps_reached`` and a diagnostics record of its last state."""
+    ``max_steps_reached`` and a diagnostics record of its last state.
+    ``omega_form`` on initial data that is not pluriclosed raises
+    ``ValueError`` before any step; a pluriclosed defect that drifts past
+    1e-6 later ends the run with status ``degenerate``."""
     for name, val in (("t_end", t_end), ("safety", safety), ("blowup_factor", blowup_factor)):
         if not (np.isfinite(val) and val > 0):
             raise ValueError(f"{name} must be a positive finite number")
@@ -300,6 +319,8 @@ def run(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     field.check()
+    if variant == "omega_form":
+        _require_pluriclosed(field)
     state = FlowState(t=0.0, step=0, field=field)
     records: list[DiagnosticsRecord] = []
 
@@ -320,20 +341,20 @@ def run(
         h = min(h, t_end - state.t)
         try:
             state = step(state, h, variant, k1)
+            k1 = None
+            at_record = state.step % cadence == 0 or state.t >= t_stop
+            if at_record:
+                # an omega_form velocity here can find the pluriclosed drift
+                k1 = record(diagnostics(state, variant))
         except FlowDegenerateError as exc:
             status, reason = "degenerate", str(exc)
             break
         except FlowBlowupError as exc:
             status, reason = "blowup_suspected", str(exc)
             break
-        k1 = None
-        at_cadence = state.step % cadence == 0
-        finished = state.t >= t_stop
-        if at_cadence or finished:
-            k1 = record(diagnostics(state, variant))
-            if omega0 > 0 and records[-1].max_omega > blowup_factor * omega0:
-                status, reason = "blowup_suspected", "curvature blow-up threshold"
-                break
+        if at_record and omega0 > 0 and records[-1].max_omega > blowup_factor * omega0:
+            status, reason = "blowup_suspected", "curvature blow-up threshold"
+            break
     else:
         if state.t < t_stop:
             status = "max_steps_reached"

@@ -209,37 +209,38 @@ class HodgeOperators:
 
 
 def hodge_operators(jet: HermitianJet) -> HodgeOperators:
-    """All pointwise Hodge-type blocks of the metric jet."""
+    """All pointwise Hodge-type blocks of the metric jet.
+
+    Each shared contraction is computed once.  With the traces
+    ``a1_j = g^{p qbar} del_j g_{p qbar}`` and ``a2_j = g^{p qbar} del_p g_{j qbar}``,
+    ``tr_{jk} = g^{p qbar} d2m[j, k, p, q]``,
+    ``b[j, q, p] = g^{n qbar} g^{p mbar} del_j g_{n mbar}`` and its contractions
+    ``P_{jk} = b[j, q, p] d1b[q, p, k]``, ``Q_{jk} = b[j, q, p] d1b[k, p, q]``
+    (``d1b[k, i, j] = del_{kbar} g_{i jbar}``):
+
+    - ``dbar_star = (i/2)(a1 - a2)``, ``del_star = (i/2) conj(a2 - a1)``;
+    - ``del_del_star = g^{p qbar} d2m[j, q, p, k] - tr - P + Q``;
+    - ``dbar_dbar_star = g^{p qbar} d2m[p, k, j, q] - tr - P^H + Q^H``;
+    - ``chern_ricci = tr - Q``.
+    """
     gup = inverse_metric(jet.g)
     d1, d2m = jet.d1, jet.d2m
     d1b = _d1bar(jet)
-    del_star = 0.5j * (
-        np.einsum("...pq,...qpk->...k", gup, d1b)
-        - np.einsum("...pq,...kpq->...k", gup, d1b)
-    )
-    dbar_star = 0.5j * (
-        np.einsum("...pq,...jpq->...j", gup, d1)
-        - np.einsum("...pq,...pjq->...j", gup, d1)
-    )
-    dds = (
-        np.einsum("...pq,...jqpk->...jk", gup, d2m)
-        - np.einsum("...pq,...jkpq->...jk", gup, d2m)
-        - np.einsum("...pm,...nq,...jnm,...qpk->...jk", gup, gup, d1, d1b, optimize=True)
-        + np.einsum("...pm,...nq,...jnm,...kpq->...jk", gup, gup, d1, d1b, optimize=True)
-    )
-    dbdbs = (
-        np.einsum("...pq,...pkjq->...jk", gup, d2m)
-        - np.einsum("...pq,...jkpq->...jk", gup, d2m)
-        - np.einsum("...pm,...nq,...knm,...pjq->...jk", gup, gup, d1b, d1, optimize=True)
-        + np.einsum("...pm,...nq,...knm,...jpq->...jk", gup, gup, d1b, d1, optimize=True)
-    )
-    ricci = (
-        np.einsum("...pq,...jkpq->...jk", gup, d2m)
-        - np.einsum("...pr,...sq,...jsr,...kpq->...jk", gup, gup, d1, d1b, optimize=True)
-    )
+    a1 = np.einsum("...pq,...jpq->...j", gup, d1)
+    a2 = np.einsum("...pq,...pjq->...j", gup, d1)
+    trace = np.einsum("...pq,...jkpq->...jk", gup, d2m)
+    b = np.einsum("...nq,...jnm->...jqm", gup, d1)
+    b = np.einsum("...pm,...jqm->...jqp", gup, b)
+    p = np.einsum("...jqp,...qpk->...jk", b, d1b)
+    q = np.einsum("...jqp,...kpq->...jk", b, d1b)
+    p_h = np.conj(p.swapaxes(-1, -2))
+    q_h = np.conj(q.swapaxes(-1, -2))
+    dds = np.einsum("...pq,...jqpk->...jk", gup, d2m) - trace - p + q
+    dbdbs = np.einsum("...pq,...pkjq->...jk", gup, d2m) - trace - p_h + q_h
+    ricci = trace - q
     return HodgeOperators(
-        del_star=del_star,
-        dbar_star=dbar_star,
+        del_star=0.5j * np.conj(a2 - a1),
+        dbar_star=0.5j * (a1 - a2),
         del_del_star=dds,
         dbar_dbar_star=dbdbs,
         chern_ricci=ricci,
@@ -696,26 +697,35 @@ def random_jet(seed: int, pluriclosed: bool = False) -> HermitianJet:
     derivative components uniform in [-1, 1] per real part, symmetry and
     reality constraints enforced.  With ``pluriclosed`` the mixed second
     derivative ``d2m[1, 1, 0, 0]`` is solved so the pluriclosed defect
-    vanishes."""
-    rng = np.random.default_rng(seed)
-    a = (rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))) / np.sqrt(2)
-    g = a @ a.conj().T + np.eye(2)
-    d1 = rng.uniform(-1, 1, (2, 2, 2)) + 1j * rng.uniform(-1, 1, (2, 2, 2))
-    d2h = rng.uniform(-1, 1, (2, 2, 2, 2)) + 1j * rng.uniform(-1, 1, (2, 2, 2, 2))
-    d2h = (d2h + d2h.transpose(1, 0, 2, 3)) / 2
-    d2m = rng.uniform(-1, 1, (2, 2, 2, 2)) + 1j * rng.uniform(-1, 1, (2, 2, 2, 2))
-    d2m = (d2m + d2m.transpose(1, 0, 3, 2).conj()) / 2
-    if pluriclosed:
-        d2m[1, 1, 0, 0] = (-d2m[0, 0, 1, 1] + d2m[1, 0, 0, 1] + d2m[0, 1, 1, 0]).real
-    return HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h)
+    vanishes.  The batch of one of :func:`random_jet_batch`."""
+    jet = random_jet_batch([seed], pluriclosed)
+    return HermitianJet(g=jet.g[0], d1=jet.d1[0], d2m=jet.d2m[0], d2h=jet.d2h[0])
+
+
+# per seed, one draw of uniform doubles in [-1, 1], in this order: the real,
+# then the imaginary parts of A (2x2), d1 (2x2x2), d2h and d2m (2x2x2x2 each)
+_JET_DRAW = (4, 4, 8, 8, 16, 16, 16, 16)
 
 
 def random_jet_batch(seeds, pluriclosed: bool = False) -> HermitianJet:
-    """Stack :func:`random_jet` over a sequence of seeds (leading batch axis)."""
-    jets = [random_jet(int(s), pluriclosed) for s in seeds]
-    return HermitianJet(
-        g=np.stack([j.g for j in jets]),
-        d1=np.stack([j.d1 for j in jets]),
-        d2m=np.stack([j.d2m for j in jets]),
-        d2h=np.stack([j.d2h for j in jets]),
+    """:func:`random_jet` for each seed, along a leading batch axis.
+
+    Each seed's generator makes one draw; the jets are then assembled for
+    the whole batch at once.
+    """
+    draw = np.stack([np.random.default_rng(int(s)).uniform(-1, 1, sum(_JET_DRAW)) for s in seeds])
+    n = draw.shape[0]
+    re_a, im_a, re_d1, im_d1, re_h, im_h, re_m, im_m = np.split(
+        draw, np.cumsum(_JET_DRAW)[:-1], axis=1
     )
+    a = (re_a + 1j * im_a).reshape(n, 2, 2) / np.sqrt(2)
+    g = a @ np.conj(a.swapaxes(-1, -2)) + np.eye(2)
+    d1 = (re_d1 + 1j * im_d1).reshape(n, 2, 2, 2)
+    d2h = (re_h + 1j * im_h).reshape(n, 2, 2, 2, 2)
+    d2h = (d2h + d2h.swapaxes(1, 2)) / 2
+    d2m = (re_m + 1j * im_m).reshape(n, 2, 2, 2, 2)
+    # C order, as the kernels' reductions depend on the memory layout in the last bits
+    d2m = np.ascontiguousarray((d2m + np.conj(d2m.transpose(0, 2, 1, 4, 3))) / 2)
+    if pluriclosed:
+        d2m[:, 1, 1, 0, 0] = (-d2m[:, 0, 0, 1, 1] + d2m[:, 1, 0, 0, 1] + d2m[:, 0, 1, 1, 0]).real
+    return HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h)

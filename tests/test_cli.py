@@ -292,10 +292,26 @@ class TestOverflowingStage:
             "dt": 1e100, "t_end": 1e100,
         })
         assert code == cli.EXIT_NUMERICAL
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "blowup_suspected" and summary["steps"] == 0
         assert (out / "diagnostics.csv").exists()
+
+
+class TestTnormAuditFailure:
+    def test_run_files_kept(self, tmp_path):
+        # the run ends degenerate at its first step; the audit's own dt = 1
+        # steps then fail too, after the run's files are written
+        code, err, out = run_process(tmp_path, "flow", {
+            "command": "flow", "family": {"kind": "torus_pluriclosed", "eps": 0.9999},
+            "dims": [8, 4, 8, 4], "dt": 1.0, "t_end": 2.0, "tnorm_check": True,
+        })
+        assert code == cli.EXIT_NUMERICAL
+        assert "Traceback" not in err and "tnorm_check audit" in err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "degenerate"
+        assert "tnorm_residual_raw_max" not in summary
+        assert (out / "diagnostics.csv").read_text().startswith("step,")
 
 
 class TestStepBudget:
@@ -340,7 +356,7 @@ def flow_configs(draw):
     kind = draw(st.sampled_from(sorted(EPS_RANGE)))
     eps = draw(_mostly(st.floats(0.0, EPS_RANGE[kind], exclude_max=kind != "flat"), _magnitudes()))
     cfg = {"command": "flow", "family": {"kind": kind, "eps": eps}, "dims": FUZZ_DIMS,
-           "variant": draw(st.sampled_from(["gflow", "normalized"])),
+           "variant": draw(st.sampled_from(["gflow", "normalized", "omega_form"])),
            "tnorm_check": draw(st.booleans()),
            "cadence": draw(_mostly(st.integers(1, 60), st.one_of(
                st.integers(-2, 0), st.just(10**300), _magnitudes())))}

@@ -41,6 +41,8 @@ class TestStep:
         state = fl.FlowState(0.0, 0, MetricField(flat_field.grid, bad))
         with pytest.raises(ValueError, match="pluriclosed"):
             fl.step(state, 1e-3, "omega_form")
+        with pytest.raises(ValueError, match="pluriclosed"):
+            fl.run(state.field, variant="omega_form", t_end=1e-3)
 
     def test_unknown_variant(self, flat_field):
         with pytest.raises(ValueError):
@@ -133,6 +135,18 @@ class TestRun:
         res = fl.run(torus_field, t_end=0.1, cadence=1, blowup_factor=1e-6)
         assert res.status == "blowup_suspected"
         assert res.summary["reason"] == "curvature blow-up threshold"
+
+    def test_omega_form_drift_ends_degenerate(self):
+        # on all-axis data the discrete omega_form velocity moves the
+        # pluriclosed defect past its 1e-6 tolerance within a few steps
+        base = sample(MetricFamily("torus_pluriclosed", 0.5), (8, 8, 8, 8))
+        field = perturb_with_potential(base, 0.02 * random_trig(base.grid, seed=7))
+        res = fl.run(field, variant="omega_form", dt=1.5e-3, t_end=0.05, cadence=1)
+        assert res.status == "degenerate"
+        assert "pluriclosed defect" in res.summary["reason"]
+        assert 0 < res.summary["steps"] < 33
+        assert res.records[-1].step == res.summary["steps"]
+        assert res.summary["max_pluriclosed_resid"] <= 1e-6
 
     def test_invalid_parameters(self, torus_field):
         with pytest.raises(ValueError):

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plurigeo import cli
 from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily, jet_at
+from plurigeo.grid import perturb_with_potential, sample
+
+from conftest import random_trig
 
 EPS = 0.5
 Q = EPS**2 / (4 * (1 - EPS**2) ** 2)  # half the squared torsion norm of the family
@@ -167,7 +171,70 @@ class TestQuadratics:
         assert t2.min() >= 0
 
 
+def _hodge_oracle(jet):
+    """The term-by-term einsum formula of the Hodge-type blocks."""
+    gup = hm.inverse_metric(jet.g)
+    d1, d2m = jet.d1, jet.d2m
+    d1b = np.conj(d1.swapaxes(-1, -2))
+    del_star = 0.5j * (
+        np.einsum("...pq,...qpk->...k", gup, d1b)
+        - np.einsum("...pq,...kpq->...k", gup, d1b)
+    )
+    dbar_star = 0.5j * (
+        np.einsum("...pq,...jpq->...j", gup, d1)
+        - np.einsum("...pq,...pjq->...j", gup, d1)
+    )
+    dds = (
+        np.einsum("...pq,...jqpk->...jk", gup, d2m)
+        - np.einsum("...pq,...jkpq->...jk", gup, d2m)
+        - np.einsum("...pm,...nq,...jnm,...qpk->...jk", gup, gup, d1, d1b, optimize=True)
+        + np.einsum("...pm,...nq,...jnm,...kpq->...jk", gup, gup, d1, d1b, optimize=True)
+    )
+    dbdbs = (
+        np.einsum("...pq,...pkjq->...jk", gup, d2m)
+        - np.einsum("...pq,...jkpq->...jk", gup, d2m)
+        - np.einsum("...pm,...nq,...knm,...pjq->...jk", gup, gup, d1b, d1, optimize=True)
+        + np.einsum("...pm,...nq,...knm,...jpq->...jk", gup, gup, d1b, d1, optimize=True)
+    )
+    ricci = (
+        np.einsum("...pq,...jkpq->...jk", gup, d2m)
+        - np.einsum("...pr,...sq,...jsr,...kpq->...jk", gup, gup, d1, d1b, optimize=True)
+    )
+    return {
+        "del_star": del_star,
+        "dbar_star": dbar_star,
+        "del_del_star": dds,
+        "dbar_dbar_star": dbdbs,
+        "chern_ricci": ricci,
+        "static_op": -(dds + dbdbs + ricci),
+    }
+
+
+def _hodge_jets():
+    """Random jets, the family probe jets of ``identities`` and an all-axis grid jet."""
+    base = sample(MetricFamily("torus_pluriclosed", 0.5), (8, 8, 8, 8))
+    field = perturb_with_potential(base, 0.05 * random_trig(base.grid, seed=7))
+    return {
+        "random_free": hm.random_jet_batch(range(1000)),
+        "random_pluriclosed": hm.random_jet_batch(range(1000, 2000), pluriclosed=True),
+        "all_axis_grid": field.jets()[0],
+        **{name: jet for name, jet, _ in cli._family_sample_jets()},
+    }
+
+
+HODGE_JETS = _hodge_jets()
+
+
 class TestHodge:
+    @pytest.mark.parametrize("name", sorted(HODGE_JETS))
+    def test_matches_einsum_oracle(self, name):
+        jet = HODGE_JETS[name]
+        hod = hm.hodge_operators(jet)
+        for block, oracle in _hodge_oracle(jet).items():
+            value = getattr(hod, block)
+            rel = np.abs(value - oracle) / np.maximum(1.0, np.abs(oracle))
+            assert rel.max() <= 1e-13, block
+
     def test_kahler_codifferentials_vanish(self):
         hod = hm.hodge_operators(kahler_jet(np.linspace(0, 5, 9), 0.7))
         assert np.abs(hod.del_star).max() == 0.0
@@ -316,7 +383,41 @@ class TestIdentitySuite:
         assert max(float(np.asarray(v).max()) for v in res.values()) < 1e-13
 
 
+def _random_jet_reference(seed, pluriclosed=False):
+    """Frozen per-seed construction that :func:`hm.random_jet_batch` reproduces."""
+    rng = np.random.default_rng(seed)
+    a = (rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))) / np.sqrt(2)
+    g = a @ a.conj().T + np.eye(2)
+    d1 = rng.uniform(-1, 1, (2, 2, 2)) + 1j * rng.uniform(-1, 1, (2, 2, 2))
+    d2h = rng.uniform(-1, 1, (2, 2, 2, 2)) + 1j * rng.uniform(-1, 1, (2, 2, 2, 2))
+    d2h = (d2h + d2h.transpose(1, 0, 2, 3)) / 2
+    d2m = rng.uniform(-1, 1, (2, 2, 2, 2)) + 1j * rng.uniform(-1, 1, (2, 2, 2, 2))
+    d2m = (d2m + d2m.transpose(1, 0, 3, 2).conj()) / 2
+    if pluriclosed:
+        d2m[1, 1, 0, 0] = (-d2m[0, 0, 1, 1] + d2m[1, 0, 0, 1] + d2m[0, 1, 1, 0]).real
+    return g, d1, d2m, d2h
+
+
 class TestRandomJet:
+    @pytest.mark.parametrize("pluriclosed", [False, True])
+    @pytest.mark.parametrize("seeds", [
+        range(7, 607),
+        [5, 3, 10**12, 2**63 - 1, 0, 99, 4, 4],
+    ], ids=["contiguous", "scattered"])
+    def test_batch_is_byte_identical_to_reference(self, seeds, pluriclosed):
+        jet = hm.random_jet_batch(seeds, pluriclosed)
+        refs = [_random_jet_reference(s, pluriclosed) for s in seeds]
+        for k, name in enumerate(("g", "d1", "d2m", "d2h")):
+            expected = np.stack([ref[k] for ref in refs])
+            value = getattr(jet, name)
+            assert value.shape == expected.shape and value.dtype == expected.dtype
+            assert value.tobytes() == expected.tobytes(), name
+
+    def test_single_jet_is_the_batch_of_one(self):
+        jet = hm.random_jet(2**40, pluriclosed=True)
+        for name, ref in zip(("g", "d1", "d2m", "d2h"), _random_jet_reference(2**40, True)):
+            assert getattr(jet, name).tobytes() == ref.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**63 - 1))
     def test_deterministic_and_valid(self, seed):
