@@ -10,7 +10,8 @@ atomically, and identical configs with identical seeds produce
 byte-identical files regardless of PLURIGEO_THREADS.
 
 Exit codes: 0 success, 1 identity/tolerance failure, 2 usage or config
-error (no output is written), 3 numerical failure (a flow that ended in
+error (no output is written; also a request too large for memory or an
+unwritable output), 3 numerical failure (a flow that ended in
 any status but ``completed``: blowup, degenerate, or the step budget
 spent before ``t_end``).
 """
@@ -226,6 +227,11 @@ def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
         if seed_override < 0:
             raise ConfigError("seed must be nonnegative")
         seed = seed_override
+    probe = os.path.abspath(out_dir)  # the output directory or its nearest existing parent
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"output directory {out_dir!r}: {probe!r} is not a directory")
     return Scenario(command=command, seed=seed, out_dir=out_dir, options=options)
 
 
@@ -427,8 +433,8 @@ def main(argv=None) -> int:
             "hopf": cmd_hopf,
         }[scenario.command]
         return handler(scenario)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError, OSError) as exc:  # OSError: an unwritable output
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except (fl.FlowError,) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -438,12 +438,8 @@ def tnorm_evolution_check(state: FlowState, dt: float | None = None) -> TnormAud
     n10, n01 = hm.grad_torsion_norms(jet)
 
     # scalar Laplacian and holomorphic gradient of |T|^2 via the grid
-    t2 = tnorm_sq.astype(complex)
-    lap = np.zeros(grid.dims, dtype=complex)
-    dt2 = np.stack([grid.dz(t2, k) for k in range(2)], axis=-1)
-    for p in range(2):
-        for q in range(2):
-            lap += gup[..., p, q] * grid.dzbar(grid.dz(t2, p), q)
+    lap = (gup * grid.complex_hessian(tnorm_sq)).sum(axis=(-2, -1))
+    dt2 = np.stack([grid.dz(tnorm_sq, k) for k in range(2)], axis=-1)
     grad_w = np.einsum("...ij,...i,...j->...", gup, dt2, np.conj(w))
 
     div_conj = np.conj(cov.divergence).swapaxes(-1, -2)
@@ -460,9 +456,7 @@ def tnorm_evolution_check(state: FlowState, dt: float | None = None) -> TnormAud
     )
 
     def t2_of(st: FlowState) -> np.ndarray:
-        j, _ = st.field.jets()
-        _, _, v = hm.torsion_quadratics(j)
-        return v
+        return hm.surface_flow(st.field.surface_jet()).tnorm_sq
 
     plus = step(state, dt, "gflow")
     minus = step(state, -dt, "gflow")

@@ -6,9 +6,9 @@ differences with periodic wraparound,
 
     f'_i ~ (-f_{i+2} + 8 f_{i+1} - 8 f_{i-1} + f_{i-2}) / (12 h),
 
-second derivatives by composition.  Integrals are periodic Riemann sums
-times the cell volume, reduced with a fixed pairwise tree so results are
-bit-reproducible.
+second derivatives from the same stencils in one pass.  Integrals are
+periodic Riemann sums times the cell volume, reduced with a fixed
+pairwise tree so results are bit-reproducible.
 
 Forms follow the (i/2)-coefficient convention of :mod:`plurigeo.hermitian`:
 a real (1,1)-form is a Hermitian coefficient matrix per node, the (2,0)
@@ -42,7 +42,6 @@ __all__ = [
     "divisor_area",
     "exterior_derivative",
     "real_components",
-    "d_one_form",
     "save_field",
     "load_field",
 ]
@@ -101,11 +100,63 @@ def _periodic_diff(u: np.ndarray, axis: int, h: float, out: np.ndarray | None = 
     return out
 
 
-def _metric_entries(z: np.ndarray) -> np.ndarray:
+def _stencil_rows(f: np.ndarray, h: tuple, holomorphic: bool = False):
+    """The one derivative pass over real fields ``f`` (the last axis, after
+    the four grid axes, so every stencil slice is a contiguous run).  Yields
+    one row group at a time, row axis first: ``del_{z^k} f`` for k = 0, 1;
+    ``del_{z^k} del_{zbar^l} f`` for ``(k, l) = (0, 0), (1, 1), (0, 1)``;
+    with ``holomorphic``, ``del_{z^k} del_{z^l} f`` for the same pairs."""
+
+    def diff(u, a, out=None):  # del_{x_a}
+        return _periodic_diff(u, u.ndim - 5 + a, h[a], out)
+
+    # first derivatives in axis order 0, 2, 3, 1, so that each group of
+    # second derivatives below differentiates a slice, not a copy
+    d = np.empty((4,) + f.shape)
+    for slot, a in enumerate((0, 2, 3, 1)):
+        diff(f, a, out=d[slot])
+    # del_{z^k} f = (f_x - i f_y) / 2 with (x, y) = axes (2k, 2k + 1)
+    z = np.empty((2,) + f.shape, dtype=complex)
+    np.multiply(d[0:2], 0.5, out=z.real)
+    np.multiply(d[3:1:-1], -0.5, out=z.imag)
+    yield z
+    del z
+
+    d0 = diff(d[0:3], 0)  # f_00, f_02, f_03
+    d1 = diff(d[1:4], 1)  # f_12, f_13, f_11
+    f22, f33 = diff(d[1], 2), diff(d[2], 3)
+    z = np.zeros((3,) + f.shape, dtype=complex)
+    np.add(d0[0], d1[2], out=z.real[0])  # f_00 + f_11
+    np.add(f22, f33, out=z.real[1])  # f_22 + f_33
+    np.add(d0[1], d1[1], out=z.real[2])  # f_02 + f_13
+    np.subtract(d0[2], d1[0], out=z.imag[2])  # f_03 - f_12
+    z *= 0.25
+    yield z
+    if holomorphic:
+        del z
+        z = np.empty((3,) + f.shape, dtype=complex)
+        np.subtract(d0[0], d1[2], out=z.real[0])  # f_00 - f_11
+        np.multiply(diff(d[3], 0), -2.0, out=z.imag[0])  # -2 f_01
+        np.subtract(f22, f33, out=z.real[1])  # f_22 - f_33
+        np.multiply(diff(d[1], 3), -2.0, out=z.imag[1])  # -2 f_23
+        np.subtract(d0[1], d1[1], out=z.real[2])  # f_02 - f_13
+        np.negative(d0[2] + d1[0], out=z.imag[2])  # -(f_03 + f_12)
+        z *= 0.25
+        yield z
+
+
+def _metric_fields(v: np.ndarray) -> np.ndarray:
+    """The four real fields ``g11, g22, Re g12, Im g12`` on a trailing axis."""
+    return np.stack([v[..., 0, 0].real, v[..., 1, 1].real, v[..., 0, 1].real, v[..., 0, 1].imag], axis=-1)
+
+
+def _metric_entries(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Component-leading ``D g_{i jbar}`` from ``D`` of the four real fields
     ``g11, g22, Re g12, Im g12`` (the last axis of ``z``), for a derivative
-    ``D`` that is linear over the reals: shape ``(L, 2, 2) + grid dims``."""
-    out = np.empty(z.shape[:1] + (2, 2) + z.shape[1:-1], dtype=complex)
+    ``D`` that is linear over the reals: shape ``(L, 2, 2) + grid dims``,
+    into ``out`` if given."""
+    if out is None:
+        out = np.empty(z.shape[:1] + (2, 2) + z.shape[1:-1], dtype=complex)
     out[:, 0, 0] = z[..., 0]
     out[:, 1, 1] = z[..., 1]
     iq = 1j * z[..., 3]
@@ -165,13 +216,18 @@ class TorusGrid:
         return pairwise_sum(values) * self.cell
 
     def complex_hessian(self, u: np.ndarray) -> np.ndarray:
-        """Matrix ``h[..., i, j] = del_{z^i} del_{zbar^j} u`` per node."""
-        out = np.zeros(np.shape(u) + (2, 2), dtype=complex)
-        for i in range(2):
-            du = self.dz(np.asarray(u, dtype=complex), i)
-            for j in range(2):
-                out[..., i, j] = self.dzbar(du, j)
-        return out
+        """Matrix ``h[..., i, j] = del_{z^i} del_{zbar^j} u`` per node, for ``u``
+        of shape ``dims`` or ``dims + s``; a complex ``u`` is differentiated
+        as two real fields of one stencil pass."""
+        u = np.asarray(u)
+        f = u.reshape(self.dims + (-1,))
+        parts = (f.real, f.imag) if np.iscomplexobj(f) else (f,)
+        _, z = _stencil_rows(np.concatenate(parts, axis=-1).astype(float, copy=False), self.spacing)
+        # rows (0, 0), (0, 1), (1, 0), (1, 1); (1, 0) is conj (0, 1) on a real field
+        h = np.stack([z[0], z[2], np.conj(z[2]), z[1]], axis=-1)
+        if len(parts) == 2:
+            h = h[..., : f.shape[-1], :] + 1j * h[..., f.shape[-1] :, :]
+        return h.reshape(u.shape + (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -208,74 +264,31 @@ class MetricField:
         return float(self.grid.integrate(self.det()))
 
     def jets(self) -> tuple[HermitianJet, dict[str, float]]:
-        """Finite-difference jets at every node plus symmetry deviations.
-
-        Symmetries are enforced by averaging; because the periodic stencils
-        commute exactly the reported deviations are at rounding level for
-        exact Hermitian input.
-        """
-        g = self.values
-        grid = self.grid
-        d1 = np.zeros(grid.dims + (2, 2, 2), dtype=complex)
-        for k in range(2):
-            d1[..., k, :, :] = grid.dz(g, k)
-        d2m = np.zeros(grid.dims + (2, 2, 2, 2), dtype=complex)
-        d2h = np.zeros(grid.dims + (2, 2, 2, 2), dtype=complex)
-        for k in range(2):
-            for l in range(2):
-                d2m[..., k, l, :, :] = grid.dzbar(d1[..., k, :, :], l)
-                d2h[..., k, l, :, :] = grid.dz(d1[..., k, :, :], l)
-        d2h_sym = 0.5 * (d2h + d2h.swapaxes(-4, -3))
-        d2m_real = 0.5 * (d2m + np.conj(d2m.swapaxes(-4, -3).swapaxes(-2, -1)))
-        deviations = {
-            "d2h_symmetry": float(np.abs(d2h - d2h_sym).max()),
-            "d2m_reality": float(np.abs(d2m - d2m_real).max()),
-        }
-        return HermitianJet(g=g, d1=d1, d2m=d2m_real, d2h=d2h_sym), deviations
+        """Full jets at every node: the stencil pass of :meth:`surface_jet`
+        plus its holomorphic rows, each row group written straight into the
+        jet.  The ``(k, l) = (1, 0)`` rows are copied from ``(0, 1)``, so
+        ``d2h`` is symmetric and ``d2m`` real by construction and both
+        reported deviations are 0."""
+        g, dims = self.values, self.grid.dims
+        d1 = np.empty(dims + (2, 2, 2), dtype=complex)
+        d2m, d2h = (np.empty(dims + (2, 2, 2, 2), dtype=complex) for _ in range(2))
+        rows = _stencil_rows(_metric_fields(g), self.grid.spacing, holomorphic=True)
+        _metric_entries(next(rows), out=np.moveaxis(d1, (0, 1, 2, 3), (3, 4, 5, 6)))
+        for d2 in (d2m, d2h):
+            z, lead = next(rows), np.moveaxis(d2, (0, 1, 2, 3), (4, 5, 6, 7))  # (k, l, i, j) + dims
+            for r, (k, l) in enumerate(((0, 0), (1, 1), (0, 1))):
+                _metric_entries(z[r : r + 1], out=lead[k, l][None])
+            del z
+        np.conjugate(d2m[..., 0, 1, :, :].swapaxes(-1, -2), out=d2m[..., 1, 0, :, :])
+        d2h[..., 1, 0, :, :] = d2h[..., 0, 1, :, :]
+        return HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h), {"d2h_symmetry": 0.0, "d2m_reality": 0.0}
 
     def surface_jet(self) -> SurfaceJet:
         """First and mixed second derivatives at every node, in one stencil
-        pass over the four real fields ``g11, g22, Re g12, Im g12``.
-
-        Each field gets its 4 real first derivatives and the 8 real second
-        derivatives the mixed jet needs (``f_aa`` and ``f_ab`` across the two
-        complex coordinates), so ``d2m`` is real by construction.  The
-        ``g21`` entry is read as the conjugate of ``g12``.  The fields sit
-        on a trailing axis while they are differentiated, so every stencil
-        slice is a run of at least four contiguous values.
-        """
-        v = self.values
-        h = self.grid.spacing
-
-        def diff(u, a, out=None):  # del_{x_a}; grid axes just before the field axis
-            return _periodic_diff(u, u.ndim - 5 + a, h[a], out)
-
-        f = np.stack([v[..., 0, 0].real, v[..., 1, 1].real, v[..., 0, 1].real, v[..., 0, 1].imag], axis=-1)
-        # first derivatives in axis order 0, 2, 3, 1, so that each group of
-        # second derivatives below differentiates a slice, not a copy
-        d = np.empty((4,) + f.shape)
-        for slot, a in enumerate((0, 2, 3, 1)):
-            diff(f, a, out=d[slot])
-        d0 = diff(d[0:3], 0)  # f_00, f_02, f_03
-        d1 = diff(d[1:4], 1)  # f_12, f_13, f_11
-
-        # z1[k] = del_{z^k} f = (f_x - i f_y) / 2 with (x, y) = axes (2k, 2k + 1)
-        z1 = np.empty((2,) + f.shape, dtype=complex)
-        np.multiply(d[0:2], 0.5, out=z1.real)
-        np.multiply(d[3:1:-1], -0.5, out=z1.imag)
-        # z2[r] = del_{z^k} del_{zbar^l} f, (k, l) = (0, 0), (1, 1), (0, 1)
-        z2 = np.zeros((3,) + f.shape, dtype=complex)
-        re, im = z2.real, z2.imag
-        np.add(d0[0], d1[2], out=re[0])  # f_00 + f_11
-        np.add(diff(d[1], 2), diff(d[2], 3), out=re[1])  # f_22 + f_33
-        np.add(d0[1], d1[1], out=re[2])  # f_02 + f_13
-        np.subtract(d0[2], d1[0], out=im[2])  # f_03 - f_12
-        z2 *= 0.25
-        return SurfaceJet(g=v, d1=_metric_entries(z1), d2m=_metric_entries(z2))
-
-    def hermitized(self) -> "MetricField":
-        v = 0.5 * (self.values + np.conj(self.values.swapaxes(-1, -2)))
-        return MetricField(self.grid, v)
+        pass over the four real fields ``g11, g22, Re g12, Im g12`` (``g21``
+        is read as the conjugate of ``g12``), so ``d2m`` is real by construction."""
+        z1, z2 = _stencil_rows(_metric_fields(self.values), self.grid.spacing)
+        return SurfaceJet(g=self.values, d1=_metric_entries(z1), d2m=_metric_entries(z2))
 
 
 def sampling_grid(family: MetricFamily, dims: tuple[int, int, int, int]) -> TorusGrid:
@@ -308,9 +321,9 @@ def sample(family: MetricFamily, dims: tuple[int, int, int, int]) -> MetricField
 
 def perturb_with_potential(field: MetricField, u: np.ndarray) -> MetricField:
     """Add ``i del dbar u`` to the Kaehler form of a field (keeps it pluriclosed,
-    exactly so in the discrete calculus since the stencils commute)."""
-    h = field.grid.complex_hessian(u)
-    out = MetricField(field.grid, field.values + 2.0 * h).hermitized()
+    exactly so in the discrete calculus since the stencils commute; the
+    complex Hessian of a real ``u`` is Hermitian by construction)."""
+    out = MetricField(field.grid, field.values + 2.0 * field.grid.complex_hessian(u))
     out.check()
     return out
 
@@ -357,14 +370,8 @@ class FormField:
 
     def pluriclosed_defect(self) -> np.ndarray:
         """|del dbar beta| per node; only the (1,1) block contributes on a surface."""
-        g = self.grid
-        b = self.p11
-        val = (
-            g.dzbar(g.dz(b[..., 0, 0], 1), 1)
-            + g.dzbar(g.dz(b[..., 1, 1], 0), 0)
-            - g.dzbar(g.dz(b[..., 0, 1], 1), 0)
-            - g.dzbar(g.dz(b[..., 1, 0], 0), 1)
-        )
+        h = self.grid.complex_hessian(self.p11)  # h[..., i, j, k, l] = del_k del_lbar b_ij
+        val = h[..., 0, 0, 1, 1] + h[..., 1, 1, 0, 0] - h[..., 0, 1, 1, 0] - h[..., 1, 0, 0, 1]
         return np.abs(val)
 
 
@@ -450,14 +457,6 @@ class ThreeForm:
     def l2_norm(self) -> float:
         dens = (np.abs(self.components) ** 2).sum(axis=-1)
         return float(np.sqrt(self.grid.integrate(dens).real))
-
-
-def d_one_form(grid: TorusGrid, comp: np.ndarray) -> np.ndarray:
-    """d of a 1-form given by 4 real-coordinate components (last axis)."""
-    out = np.zeros(grid.dims + (len(PAIRS),), dtype=complex)
-    for idx, (a, b) in enumerate(PAIRS):
-        out[..., idx] = grid.dx(comp[..., b], a) - grid.dx(comp[..., a], b)
-    return out
 
 
 def exterior_derivative(form: FormField) -> ThreeForm:

@@ -285,6 +285,53 @@ class TestInvalidInputsExitTwo:
         assert not out.exists()
 
 
+# Each of these requests at least 1 PiB, beyond the 128 TiB x86-64 user
+# address space, so numpy refuses the allocation at once.
+HUGE_DIMS = [4096, 4096, 4096, 4096]
+
+
+class TestOversizedOrUnwritable:
+    """Requests too large for memory and unusable output paths exit 2 in-process."""
+
+    @pytest.mark.parametrize("payload", [
+        {"command": "static", "family": TORUS, "dims": HUGE_DIMS},
+        {"command": "flow", "family": TORUS, "dims": HUGE_DIMS},
+        {"command": "hopf", "samples": 10**14},
+    ], ids=lambda p: p["command"])
+    def test_oversized(self, tmp_path, capsys, payload):
+        code = run_cli(tmp_path, payload["command"], payload)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "Traceback" not in err and "config error" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"command": "identities", "count": 3},
+        {"command": "static", "family": {"kind": "flat"}, "dims": [4, 4, 4, 4]},
+        {"command": "flow", "family": TORUS, "t_end": 0.01},
+    ], ids=lambda p: p["command"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_out_is_a_file(self, tmp_path, capsys, payload, below):
+        (tmp_path / "out").write_text("keep")
+        out = "out/sub" if below else "out"
+        code = run_cli(tmp_path, payload["command"], payload, out=out)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "Traceback" not in err and "config error" in err
+        assert (tmp_path / "out").read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["out", f"{payload['command']}.json"])
+
+    def test_write_failure(self, tmp_path, capsys, monkeypatch):
+        def no_space(path, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_atomic_write_text", no_space)
+        code = run_cli(tmp_path, "identities", {"command": "identities", "count": 3})
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "Traceback" not in err and "No space left" in err
+
+
 class TestOverflowingStage:
     def test_exits_three_with_files(self, tmp_path):
         code, err, out = run_process(tmp_path, "flow", {
@@ -357,9 +404,10 @@ def flow_configs(draw):
     eps = draw(_mostly(st.floats(0.0, EPS_RANGE[kind], exclude_max=kind != "flat"), _magnitudes()))
     cfg = {"command": "flow", "family": {"kind": kind, "eps": eps}, "dims": FUZZ_DIMS,
            "variant": draw(st.sampled_from(["gflow", "normalized", "omega_form"])),
-           "tnorm_check": draw(st.booleans()),
            "cadence": draw(_mostly(st.integers(1, 60), st.one_of(
                st.integers(-2, 0), st.just(10**300), _magnitudes())))}
+    if cfg["variant"] == "gflow":  # a config error elsewhere (test_tnorm_check_needs_gflow)
+        cfg["tnorm_check"] = draw(st.booleans())
     if draw(st.booleans()):
         dt = cfg["dt"] = draw(_mostly(_positive(1e-4, 10.0), _magnitudes()))
     else:

@@ -1,5 +1,11 @@
 """Grid operator tests: stencil accuracy, exact structure, wedges, serialization."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +15,6 @@ from plurigeo.grid import (
     FormField,
     MetricField,
     TorusGrid,
-    d_one_form,
     degree,
     divisor_area,
     exterior_derivative,
@@ -132,6 +137,7 @@ class TestSampling:
         grid = TorusGrid((8, 4, 8, 4))
         u = 0.05 * random_trig(grid, 3)
         field = perturb_with_potential(sample(MetricFamily("flat"), grid.dims), u)
+        assert np.array_equal(field.values, np.conj(field.values.swapaxes(-1, -2)))
         jet, _ = field.jets()
         assert hm.pluriclosed_residual(jet).max() < 1e-13
         # torsion-free: it is a potential perturbation of the flat Kaehler form
@@ -186,16 +192,16 @@ class TestExteriorDerivative:
         assert np.abs(d.components - expected).max() <= 1e-3
 
     def test_d_squared_exact(self):
+        from plurigeo.grid import PAIRS, TRIPLES
+
         grid = TorusGrid((8, 4, 8, 4))
         comp1 = np.stack(
             [random_trig(grid, seed=10 + a).astype(complex) for a in range(4)], axis=-1
         )
-        two = d_one_form(grid, comp1)
-        # promote the 6 components to a FormField-free d: reuse exterior_derivative's
-        # triple rule directly through a synthetic (1,1)+20/02 decomposition is not
-        # needed; apply the same formula on raw components.
-        from plurigeo.grid import PAIRS, TRIPLES
-
+        # d of the 1-form, then d of the 2-form by exterior_derivative's triple rule
+        two = np.zeros(grid.dims + (len(PAIRS),), dtype=complex)
+        for idx, (a, b) in enumerate(PAIRS):
+            two[..., idx] = grid.dx(comp1[..., b], a) - grid.dx(comp1[..., a], b)
         index = {p: i for i, p in enumerate(PAIRS)}
         out = np.zeros(grid.dims + (4,), dtype=complex)
         for t, (a, b, c) in enumerate(TRIPLES):
@@ -225,6 +231,120 @@ class TestExteriorDerivative:
         b[..., 0, 0] += 0.2 * np.cos(x[2])  # x3-dependence in g_{1 1bar} breaks it
         f = FormField(grid, b)
         assert f.pluriclosed_defect().max() > 1e-3
+
+
+def _composed_jets(field):
+    """Full jets as ``dz``/``dzbar`` compositions, made symmetric and real by
+    averaging: the oracle of the one-pass ``MetricField.jets``."""
+    g, grid = field.values, field.grid
+    d1 = np.stack([grid.dz(g, k) for k in range(2)], axis=-3)
+    d2m = np.zeros(grid.dims + (2, 2, 2, 2), dtype=complex)
+    d2h = np.zeros(grid.dims + (2, 2, 2, 2), dtype=complex)
+    for k in range(2):
+        for l in range(2):
+            d2m[..., k, l, :, :] = grid.dzbar(d1[..., k, :, :], l)
+            d2h[..., k, l, :, :] = grid.dz(d1[..., k, :, :], l)
+    d2h = 0.5 * (d2h + d2h.swapaxes(-4, -3))
+    d2m = 0.5 * (d2m + np.conj(d2m.swapaxes(-4, -3).swapaxes(-2, -1)))
+    return hm.HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h)
+
+
+def _composed_hessian(grid, u):
+    """``del_{z^i} del_{zbar^j} u`` by composition: the ``complex_hessian`` oracle."""
+    out = np.zeros(np.shape(u) + (2, 2), dtype=complex)
+    for i in range(2):
+        du = grid.dz(np.asarray(u, dtype=complex), i)
+        for j in range(2):
+            out[..., i, j] = grid.dzbar(du, j)
+    return out
+
+
+def _composed_defect(form):
+    """``|del dbar beta|`` by composition: the ``pluriclosed_defect`` oracle."""
+    g, b = form.grid, form.p11
+    val = (
+        g.dzbar(g.dz(b[..., 0, 0], 1), 1)
+        + g.dzbar(g.dz(b[..., 1, 1], 0), 0)
+        - g.dzbar(g.dz(b[..., 0, 1], 1), 0)
+        - g.dzbar(g.dz(b[..., 1, 0], 0), 1)
+    )
+    return np.abs(val)
+
+
+def _rel(value, oracle) -> float:
+    """Largest |value - oracle| / max(1, |oracle|), entrywise."""
+    return float((np.abs(value - oracle) / np.maximum(1.0, np.abs(oracle))).max())
+
+
+class TestOnePass:
+    """Every second derivative comes from the one stencil pass of ``surface_jet``."""
+
+    @pytest.fixture(scope="class")
+    def fields(self, generic_fields, torus_field, kahler_field, flat_field):
+        # ``cross`` also varies along x0 + x1, x2 + x3, x0 + x3 and x1 - x2,
+        # so that no real second derivative f_ab of it vanishes
+        generic = generic_fields[1]
+        x = generic.grid.coords()
+        values = generic.values.copy()
+        values[..., 0, 0] += 0.05 * np.sin(x[0] + x[1])
+        values[..., 1, 1] += 0.05 * np.cos(x[2] + x[3])
+        bump = 0.05 * np.cos(x[0] + x[3]) + 0.05j * np.sin(x[1] - x[2])
+        values[..., 0, 1] += bump
+        values[..., 1, 0] += np.conj(bump)
+        cross = MetricField(generic.grid, values)
+        cross.check()
+        return (*generic_fields, cross, torus_field, kahler_field, flat_field)
+
+    def test_jets_match_composition(self, fields):
+        for field in fields:
+            jet, dev = field.jets()
+            oracle = _composed_jets(field)
+            for name in ("d1", "d2m", "d2h"):
+                assert _rel(getattr(jet, name), getattr(oracle, name)) <= 1e-15, name
+            assert dev == {"d2h_symmetry": 0.0, "d2m_reality": 0.0}
+
+    def test_jets_symmetric_and_real_by_construction(self, fields):
+        for field in fields:
+            jet, _ = field.jets()
+            assert np.array_equal(jet.d2h, jet.d2h.swapaxes(-4, -3))
+            assert np.array_equal(jet.d2m, np.conj(jet.d2m.swapaxes(-4, -3).swapaxes(-2, -1)))
+
+    def test_full_jet_contains_the_surface_jet(self, fields):
+        for field in fields:
+            full = hm.SurfaceJet.from_jet(field.jets()[0])
+            one_pass = field.surface_jet()
+            assert np.array_equal(full.d1, one_pass.d1)
+            assert np.array_equal(full.d2m, one_pass.d2m)
+
+    def test_complex_hessian_matches_composition(self):
+        grid = TorusGrid((8, 8, 8, 8))
+        x = grid.coords()
+        u = random_trig(grid, 3) + np.sin(x[0] + x[3]) * np.cos(x[1] - x[2])  # every f_ab nonzero
+        for v in (u, u + 1j * random_trig(grid, 4)):
+            assert _rel(grid.complex_hessian(v), _composed_hessian(grid, v)) <= 1e-14
+
+    def test_pluriclosed_defect_matches_composition(self, generic_fields):
+        field = generic_fields[1]
+        rng = np.random.default_rng(6)
+        p11 = field.values + 0.1 * (
+            rng.normal(size=field.values.shape) + 1j * rng.normal(size=field.values.shape)
+        )  # complex and not Hermitian
+        form = FormField(field.grid, p11)
+        assert _rel(form.pluriclosed_defect(), _composed_defect(form)) <= 1e-14
+
+
+def test_convergence_study_script():
+    """``scripts/convergence_study.py`` runs, and every order it prints is 4th."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "convergence_study.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    orders = re.findall(r"^.+ \S+e[-+]\d+ +\S+e[-+]\d+ +(\S+)$", proc.stdout, re.MULTILINE)
+    assert len(orders) == 4, proc.stdout
+    assert min(float(o) for o in orders) >= 3.5, proc.stdout
 
 
 class TestSerialization:

@@ -2,8 +2,9 @@
 
 The flow hot path evaluates ``surface_flow`` on ``MetricField.surface_jet``;
 the einsum kernels (``gflow_rhs``, ``chern_curvature``,
-``torsion_quadratics``, ``torsion``, ``curvature_norm``) and the full
-``MetricField.jets`` are the oracles it is pinned to.
+``torsion_quadratics``, ``torsion``, ``curvature_norm``) on the full
+``MetricField.jets`` are the oracles it is pinned to.  The jets themselves
+are pinned to ``dz``/``dzbar`` compositions in ``test_grid.py``.
 """
 
 import numpy as np
@@ -11,9 +12,7 @@ import pytest
 
 from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily, jet_at
-from plurigeo.grid import MetricField, degree, perturb_with_potential, sample, wedge_pair
-
-from conftest import random_trig
+from plurigeo.grid import degree, wedge_pair
 
 TOL = 1e-13
 
@@ -72,17 +71,6 @@ def test_singular_metric_raises():
     g[1] = 0.0
     with pytest.raises(hm.SingularMetricError):
         hm.surface_flow(hm.SurfaceJet.from_jet(hm.HermitianJet(g, jet.d1, jet.d2m, jet.d2h)))
-
-
-@pytest.fixture(scope="module")
-def generic_fields():
-    base = sample(MetricFamily("torus_pluriclosed", 0.5), (8, 8, 8, 8))
-    pluriclosed = perturb_with_potential(base, 0.05 * random_trig(base.grid, 7))
-    x = base.grid.coords()
-    values = pluriclosed.values.copy()
-    values[..., 0, 0] += 0.1 * np.cos(x[1]) * np.sin(x[3])
-    values[..., 1, 1] += 0.1 * np.sin(x[0] + x[2])
-    return pluriclosed, MetricField(base.grid, values)
 
 
 def test_surface_jet_matches_full_jets(generic_fields):
