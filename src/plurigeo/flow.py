@@ -96,9 +96,6 @@ class FlowState:
     step: int
     field: MetricField
     hermitian_dev: float = 0.0
-    # (min, max) eigenvalue of the metric over the grid, when a step has
-    # already computed them for its positivity check
-    eig_range: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -143,18 +140,14 @@ class RunResult:
     final_state: FlowState
 
 
-def cfl_dt(
-    field: MetricField, safety: float = 0.05, eig_range: tuple[float, float] | None = None
-) -> float:
-    """Parabolic step restriction ``safety * h_min^2 * eig_min / eig_max``;
-    ``eig_range`` is the field's (min, max) eigenvalue if already known."""
+def cfl_dt(field: MetricField, safety: float = 0.05) -> float:
+    """Parabolic step restriction ``safety * h_min^2 * eig_min / eig_max``,
+    from the closed-form spectrum of the field's 2x2 blocks."""
     if safety <= 0:
         raise ValueError("safety factor must be positive")
-    if eig_range is None:
-        eig = np.linalg.eigvalsh(field.values)
-        eig_range = (eig.min(), eig.max())
+    lo, hi = field.eigenvalues()
     h_min = min(field.grid.spacing)
-    return float(safety * h_min**2 * eig_range[0] / eig_range[1])
+    return float(safety * h_min**2 * lo.min() / hi.max())
 
 
 def _require_pluriclosed(field: MetricField, tol: float = 1e-6) -> None:
@@ -243,15 +236,14 @@ def step(
         raise FlowBlowupError("numerical blowup")
     herm = 0.5 * (g1 + np.conj(g1.swapaxes(-1, -2)))
     dev = max(float(np.abs(g1 - herm).max()), stage_dev)
-    eig = np.linalg.eigvalsh(herm)
-    if eig.min() <= 0:
+    field = MetricField(grid, herm)
+    if field.eigenvalues()[0].min() <= 0:
         raise FlowDegenerateError("flow degenerate")
     return FlowState(
         t=state.t + dt,
         step=state.step + 1,
-        field=MetricField(grid, herm),
+        field=field,
         hermitian_dev=max(state.hermitian_dev, dev),
-        eig_range=(float(eig.min()), float(eig.max())),
     )
 
 
@@ -337,7 +329,7 @@ def run(
     status = "completed"
     reason = ""
     while state.t < t_stop and state.step < max_steps:
-        h = cfl_dt(state.field, safety, state.eig_range) if dt is None else dt
+        h = cfl_dt(state.field, safety) if dt is None else dt
         h = min(h, t_end - state.t)
         try:
             state = step(state, h, variant, k1)

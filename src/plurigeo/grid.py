@@ -216,18 +216,12 @@ class TorusGrid:
         return pairwise_sum(values) * self.cell
 
     def complex_hessian(self, u: np.ndarray) -> np.ndarray:
-        """Matrix ``h[..., i, j] = del_{z^i} del_{zbar^j} u`` per node, for ``u``
-        of shape ``dims`` or ``dims + s``; a complex ``u`` is differentiated
-        as two real fields of one stencil pass."""
-        u = np.asarray(u)
-        f = u.reshape(self.dims + (-1,))
-        parts = (f.real, f.imag) if np.iscomplexobj(f) else (f,)
-        _, z = _stencil_rows(np.concatenate(parts, axis=-1).astype(float, copy=False), self.spacing)
+        """Matrix ``h[..., i, j] = del_{z^i} del_{zbar^j} u`` per node of a real
+        ``u`` of shape ``dims``, from one stencil pass."""
+        f = np.asarray(u).astype(float, casting="safe")  # a complex u raises TypeError
+        _, z = _stencil_rows(f.reshape(self.dims + (1,)), self.spacing)
         # rows (0, 0), (0, 1), (1, 0), (1, 1); (1, 0) is conj (0, 1) on a real field
-        h = np.stack([z[0], z[2], np.conj(z[2]), z[1]], axis=-1)
-        if len(parts) == 2:
-            h = h[..., : f.shape[-1], :] + 1j * h[..., f.shape[-1] :, :]
-        return h.reshape(u.shape + (2, 2))
+        return np.stack([z[0], z[2], np.conj(z[2]), z[1]], axis=-1).reshape(self.dims + (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +246,20 @@ class MetricField:
         dev = np.abs(self.values - np.conj(self.values.swapaxes(-1, -2))).max()
         if dev > herm_tol:
             raise ValueError(f"metric field not Hermitian (deviation {dev:.3e})")
-        eig = np.linalg.eigvalsh(self.values)
-        if eig.min() <= 0:
+        if self.eigenvalues()[0].min() <= 0:
             raise ValueError("metric field not positive definite")
 
     def det(self) -> np.ndarray:
         v = self.values
         return (v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]).real
+
+    def eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node ``(lambda_min, lambda_max) = (a+d)/2 -+ hypot((a-d)/2, |b|)`` of
+        ``[[a, b], [conj b, d]]``, halved first and with ``hypot``: no intermediate overflows."""
+        v = self.values
+        half_a, half_d = 0.5 * v[..., 0, 0].real, 0.5 * v[..., 1, 1].real
+        mid, rad = half_a + half_d, np.hypot(half_a - half_d, np.abs(v[..., 0, 1]))
+        return mid - rad, mid + rad
 
     def volume(self) -> float:
         return float(self.grid.integrate(self.det()))
@@ -369,10 +370,17 @@ class FormField:
         return float(max(herm, conj))
 
     def pluriclosed_defect(self) -> np.ndarray:
-        """|del dbar beta| per node; only the (1,1) block contributes on a surface."""
-        h = self.grid.complex_hessian(self.p11)  # h[..., i, j, k, l] = del_k del_lbar b_ij
-        val = h[..., 0, 0, 1, 1] + h[..., 1, 1, 0, 0] - h[..., 0, 1, 1, 0] - h[..., 1, 0, 0, 1]
-        return np.abs(val)
+        """|del dbar beta| per node (only the (1,1) block contributes on a surface):
+        with ``D_a = dx(., a)``, ``s = b01 + b10`` and ``t = b01 - b10``,
+        ``4 del dbar beta = D_0 (D_0 b11 - D_2 s + i D_3 t) + D_1 (D_1 b11 - D_3 s
+        - i D_2 t) + D_2 D_2 b00 + D_3 D_3 b00``, each entry differentiated only
+        along the axes its term reads."""
+        b, dx = self.p11, self.grid.dx
+        s, t = b[..., 0, 1] + b[..., 1, 0], b[..., 0, 1] - b[..., 1, 0]
+        val = dx(dx(b[..., 0, 0], 2), 2) + dx(dx(b[..., 0, 0], 3), 3)
+        val += dx(dx(b[..., 1, 1], 0) - dx(s, 2) + 1j * dx(t, 3), 0)
+        val += dx(dx(b[..., 1, 1], 1) - dx(s, 3) - 1j * dx(t, 2), 1)
+        return 0.25 * np.abs(val)
 
 
 def wedge_pair(b: np.ndarray, c: np.ndarray) -> np.ndarray:

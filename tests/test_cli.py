@@ -422,18 +422,21 @@ def flow_configs(draw):
 
 @st.composite
 def metric_payloads(draw):
-    """A field-file header over a perturbed, scaled metric, or one of its defects."""
+    """A field-file header over a perturbed, scaled metric, or one of its defects,
+    with the defect's name (``None`` for a positive-definite field)."""
     dims = draw(st.sampled_from([(4, 4, 4, 4), (8, 4, 8, 4), (4, 4, 8, 4)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     noise = rng.standard_normal(dims + (2, 2)) + 1j * rng.standard_normal(dims + (2, 2))
     scale, amp = draw(_positive(0.5, 2.0)), draw(_positive(0.0, 0.1))
-    defect = draw(st.sampled_from([None, "not_hermitian", "cut_short"]))
+    defect = draw(st.sampled_from([None, "not_hermitian", "cut_short", "indefinite"]))
     with np.errstate(all="ignore"):
         values = scale * (np.eye(2) + amp * noise)
         if defect != "not_hermitian":
             values = 0.5 * (values + np.conj(values.swapaxes(-1, -2)))
+    if defect == "indefinite":  # g22 < 0 < g11 at one node
+        values[0, 0, 0, 0, 1, 1] *= -1
     payload = struct.pack("<4sI4I", b"PGMF", 1, *dims) + values.tobytes()
-    return payload[:-8] if defect == "cut_short" else payload
+    return (payload[:-8] if defect == "cut_short" else payload), defect
 
 
 def _exits_documented(tmp, command, payload):
@@ -460,9 +463,12 @@ class TestFuzz:
                 assert summary["t_final"] >= payload["t_end"] * (1 - 1e-12)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.one_of(st.binary(max_size=64), metric_payloads()))
-    def test_static_field_files(self, data):
+    @given(st.one_of(st.tuples(st.binary(max_size=64), st.just("bytes")), metric_payloads()))
+    def test_static_field_files(self, case):
+        data, defect = case
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "field.pgmf"
             path.write_bytes(data)
-            _exits_documented(tmp, "static", {"command": "static", "field_file": str(path)})
+            code = _exits_documented(tmp, "static", {"command": "static", "field_file": str(path)})
+        if defect == "indefinite":  # rejected by the positivity check
+            assert code == cli.EXIT_CONFIG

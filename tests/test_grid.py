@@ -81,6 +81,43 @@ class TestDerivatives:
             grid.dx(u, 5)
 
 
+class TestSpectrum:
+    """``MetricField.eigenvalues`` (closed form) against LAPACK ``eigvalsh``."""
+
+    GRID = TorusGrid((4, 4, 4, 4))
+
+    def _batch(self, kind, seed):
+        """Seeded Hermitian blocks ``U diag(lam) U^*`` with a given spectrum shape."""
+        rng = np.random.default_rng(seed)
+        shape = self.GRID.dims + (2, 2)
+        if kind == "semidefinite":
+            return np.ones(shape, dtype=complex)
+        u, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        lam = rng.uniform(1.0, 2.0, self.GRID.dims + (2,))
+        lam[..., 0] *= {"well": 1.0, "conditioned": 1e-8, "indefinite": -1.0}[kind]
+        v = (u * lam[..., None, :]) @ np.conj(u.swapaxes(-1, -2))
+        return 0.5 * (v + np.conj(v.swapaxes(-1, -2)))
+
+    @pytest.mark.parametrize("kind", ["well", "conditioned", "indefinite", "semidefinite"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-160, 1e155])  # squares under- and overflow past 1e±154
+    def test_matches_eigvalsh(self, kind, scale):
+        for seed in range(3):
+            field = MetricField(self.GRID, scale * self._batch(kind, seed))
+            lo, hi = field.eigenvalues()
+            oracle = np.linalg.eigvalsh(field.values)
+            bound = 4e-15 * np.abs(oracle).max(axis=-1)
+            assert (np.abs(lo - oracle[..., 0]) <= bound).all()
+            assert (np.abs(hi - oracle[..., 1]) <= bound).all()
+            assert np.array_equal(np.sign(lo), np.sign(oracle[..., 0]))
+
+    @pytest.mark.parametrize("block", [[[1, 0], [0, -1]], [[1, 1], [1, 1]]], ids=["indefinite", "semidefinite"])
+    def test_check_rejects_non_positive_node(self, flat_field, block):
+        values = flat_field.values.copy()
+        values[1, 2, 3, 0] = block
+        with pytest.raises(ValueError, match="not positive definite"):
+            MetricField(flat_field.grid, values).check()
+
+
 class TestIntegration:
     def test_exact_for_trig_polynomials(self):
         grid = TorusGrid((8, 4, 8, 4))
@@ -320,8 +357,9 @@ class TestOnePass:
         grid = TorusGrid((8, 8, 8, 8))
         x = grid.coords()
         u = random_trig(grid, 3) + np.sin(x[0] + x[3]) * np.cos(x[1] - x[2])  # every f_ab nonzero
-        for v in (u, u + 1j * random_trig(grid, 4)):
-            assert _rel(grid.complex_hessian(v), _composed_hessian(grid, v)) <= 1e-14
+        assert _rel(grid.complex_hessian(u), _composed_hessian(grid, u)) <= 1e-14
+        with pytest.raises(TypeError):  # real input only
+            grid.complex_hessian(u + 1j * random_trig(grid, 4))
 
     def test_pluriclosed_defect_matches_composition(self, generic_fields):
         field = generic_fields[1]

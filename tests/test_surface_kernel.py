@@ -74,14 +74,12 @@ def test_singular_metric_raises():
 
 
 def test_surface_jet_matches_full_jets(generic_fields):
+    """The hot-path velocity on grid jets equals the einsum oracle on the full
+    jets (the jets themselves are bit-equal: ``TestOnePass`` in ``test_grid.py``)."""
     for field in generic_fields:
         full, _ = field.jets()
-        ref = hm.SurfaceJet.from_jet(full)
-        one_pass = field.surface_jet()
-        assert np.abs(one_pass.d1 - ref.d1).max() <= 1e-14
-        assert np.abs(one_pass.d2m - ref.d2m).max() <= 1e-14
         assert np.abs(
-            hm.surface_flow(one_pass).rhs - hm.gflow_rhs(full)
+            hm.surface_flow(field.surface_jet()).rhs - hm.gflow_rhs(full)
         ).max() <= 1e-13
 
 
