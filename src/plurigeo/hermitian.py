@@ -112,10 +112,11 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
     if not np.isfinite(det).all() or np.abs(det).min() < 1e-300:
         raise SingularMetricError("metric not invertible")
     gup = np.empty_like(g)
-    gup[..., 0, 0] = g[..., 1, 1] / det
-    gup[..., 1, 1] = g[..., 0, 0] / det
-    gup[..., 0, 1] = -g[..., 1, 0] / det
-    gup[..., 1, 0] = -g[..., 0, 1] / det
+    # written in place: the surface kernel calls this at every RK4 stage
+    np.divide(g[..., 1, 1], det, out=gup[..., 0, 0])
+    np.divide(g[..., 0, 0], det, out=gup[..., 1, 1])
+    np.divide(np.negative(g[..., 1, 0], out=gup[..., 0, 1]), det, out=gup[..., 0, 1])
+    np.divide(np.negative(g[..., 0, 1], out=gup[..., 1, 0]), det, out=gup[..., 1, 0])
     return gup
 
 
@@ -328,105 +329,152 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
     """Closed-form ``gflow`` velocity and diagnostics scalars on a surface.
 
-    Component by component, with the torsion reduced to its two
-    components ``tau_k = T_{1 2 kbar}``:
+    The metric is read once into contiguous arrays, ``a = g_{1 1bar}`` and
+    ``d = g_{2 2bar}`` real and ``b = g_{1 2bar}`` complex; the real diagonal
+    of ``g^{-1}`` comes from :func:`inverse_metric` (and with it the
+    singularity check), ``g^{1 2bar} = -conj(b) / det g`` with ``det g``
+    formed as there, and ``g^{2 1bar}`` is its conjugate, so the kernel's
+    ``g^{-1}`` is exactly Hermitian.  Component by component, with the
+    torsion reduced to its two components ``tau_k = T_{1 2 kbar}``:
 
     - ``|T|^2 = (2 / det g) g^{m nbar} tau_n conj(tau_m)``, ``|w|^2 = |T|^2 / 2``
       and ``quad1 = (1/2) |T|^2 g`` (the surface torsion algebra);
     - ``-ric1_{k lbar} = g^{i jbar} del_i del_jbar g_{k lbar}
-      - g^{i jbar} g^{m nbar} del_i g_{k nbar} conj(del_j g_{l mbar})``.
+      - g^{i jbar} g^{m nbar} del_i g_{k nbar} conj(del_j g_{l mbar})``,
+      the quadratic term as a weighted sum of squares in the Cholesky frame
+      ``g^{-1} = L diag(g^{1 1bar}, 1 / g_{2 2bar}) L^H``,
+      ``L = [[1, 0], [mu, 1]]``, ``mu = -g_{2 1bar} / g_{2 2bar}``;
+    - with ``curvature``, ``|Omega|^2`` in the same frame
+      (:func:`_curvature_norm_sq`).
 
     Agrees with :func:`gflow_rhs`, :func:`chern_curvature`,
     :func:`torsion_quadratics`, :func:`torsion` and, with ``curvature``,
-    :func:`curvature_norm` (squared) to rounding on jets that satisfy the
-    reality of ``d2m``.
+    :func:`curvature_norm` (squared) on jets that satisfy the reality of
+    ``d2m``: within 1e-13 relative (floor 1) for well-conditioned ``g``, and
+    within ``1e-14 * kappa(g)`` for condition numbers up to 1e6, where the
+    einsum oracles themselves lose digits (``tests/test_surface_kernel.py``).
     """
     g = jet.g
     gup = inverse_metric(g)
-    G = ((gup[..., 0, 0], gup[..., 0, 1]), (gup[..., 1, 0], gup[..., 1, 1]))
+    # contiguous copies: strided views of the (..., 2, 2) arrays slow every
+    # operation that reads them
+    a, d, b = g[..., 0, 0].real.copy(), g[..., 1, 1].real.copy(), g[..., 0, 1].copy()
+    G00, G11 = gup[..., 0, 0].real.copy(), gup[..., 1, 1].real.copy()
+    # det as inverse_metric forms it, so that all of g^{-1} shares one
+    # determinant; g^{1 2bar} from it, not from gup, whose off-diagonal
+    # entries are conjugates only to ~kappa(g) eps
     det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
+    G01 = np.conj(b) / -det
     d1, r = jet.d1, jet.d2m
-    d1c = np.conj(d1)
 
     tau0 = d1[0, 1, 0] - d1[1, 0, 0]
     tau1 = d1[0, 1, 1] - d1[1, 0, 1]
-    w_sq = (
-        G[0][0].real * _abs2(tau0)
-        + G[1][1].real * _abs2(tau1)
-        + 2.0 * (G[0][1] * tau1 * np.conj(tau0)).real
-    ) / det
+    w_sq = (G00 * _abs2(tau0) + G11 * _abs2(tau1) + 2.0 * (G01 * tau1 * np.conj(tau0)).real) / det
 
-    # u[i][k][m] = g^{m nbar} del_i g_{k nbar}; s[j][k][m] = g^{i jbar} u[i][k][m]
-    u = [[[G[m][0] * d1[i, k, 0] + G[m][1] * d1[i, k, 1] for m in (0, 1)]
-          for k in (0, 1)] for i in (0, 1)]
-    s = [[[G[0][j] * u[0][k][m] + G[1][j] * u[1][k][m] for m in (0, 1)]
-          for k in (0, 1)] for j in (0, 1)]
+    # The Cholesky frame g^{-1} = L diag(lsq) L^H, L = [[1, 0], [mu, 1]], of
+    # the quadratic term and of |Omega|^2: y[i][k][q] = sum_n L[n, q] del_i g_{k nbar}
+    # and Y[p][k][q] = sum_i conj(L[i, p]) y[i][k][q].  These temporaries stay
+    # alive until the outputs are allocated: freed earlier, they leave the top
+    # of the heap free, glibc returns it to the OS, and the next stencil pass
+    # page-faults it back (21k instead of 6k minor faults in a two-step
+    # 16x8x16x8 run with diagnostics every step).
+    lsq = (G00, 1.0 / d)
+    mu = np.conj(b) / -d
+    y = [[(d1[i, k, 0] + mu * d1[i, k, 1], d1[i, k, 1]) for k in (0, 1)] for i in (0, 1)]
+    Y = ([[y[0][k][q] + np.conj(mu) * y[1][k][q] for q in (0, 1)] for k in (0, 1)], y[1])
+    wts = (lsq[0] * lsq[0], lsq[0] * lsq[1], lsq[1] * lsq[1])
 
-    def neg_ric1(k: int, l: int) -> np.ndarray:
-        trace = (
-            G[0][0] * r[0, k, l]
-            + G[1][1] * r[1, k, l]
-            + G[0][1] * r[2, k, l]
-            + G[1][0] * np.conj(r[2, l, k])
-        )
-        quad = (
-            s[0][k][0] * d1c[0, l, 0]
-            + s[0][k][1] * d1c[0, l, 1]
-            + s[1][k][0] * d1c[1, l, 0]
-            + s[1][k][1] * d1c[1, l, 1]
-        )
-        return trace - quad
+    def quad(k: int, l: int) -> np.ndarray:  # g^{i jbar} g^{m nbar} del_i g_{k nbar} conj(del_j g_{l mbar})
+        if k == l:
+            q = wts[0] * _abs2(Y[0][k][0])
+            q += wts[1] * (_abs2(Y[0][k][1]) + _abs2(Y[1][k][0]))
+            q += wts[2] * _abs2(Y[1][k][1])
+            return q
+        q = wts[0] * (Y[0][k][0] * np.conj(Y[0][l][0]))
+        q += wts[1] * (Y[0][k][1] * np.conj(Y[0][l][1]) + Y[1][k][0] * np.conj(Y[1][l][0]))
+        q += wts[2] * (Y[1][k][1] * np.conj(Y[1][l][1]))
+        return q
 
-    n00 = neg_ric1(0, 0).real
-    n11 = neg_ric1(1, 1).real
-    n01 = neg_ric1(0, 1)
+    # -ric1 = g^{i jbar} d2m[i, j] - quad; its diagonal is real
+    n00 = G00 * r[0, 0, 0].real + G11 * r[1, 0, 0].real + 2.0 * (G01 * r[2, 0, 0]).real - quad(0, 0)
+    n11 = G00 * r[0, 1, 1].real + G11 * r[1, 1, 1].real + 2.0 * (G01 * r[2, 1, 1]).real - quad(1, 1)
+    n01 = (G00 * r[0, 0, 1] + G11 * r[1, 0, 1] + G01 * r[2, 0, 1]
+           + np.conj(G01 * r[2, 1, 0]) - quad(0, 1))
     rhs = np.empty(np.shape(g), dtype=complex)
-    rhs[..., 0, 0] = n00 + w_sq * g[..., 0, 0].real
-    rhs[..., 1, 1] = n11 + w_sq * g[..., 1, 1].real
-    rhs[..., 0, 1] = n01 + w_sq * g[..., 0, 1]
+    rhs[..., 0, 0] = n00 + w_sq * a
+    rhs[..., 1, 1] = n11 + w_sq * d
+    rhs[..., 0, 1] = n01 + w_sq * b
     rhs[..., 1, 0] = np.conj(rhs[..., 0, 1])
-    scal = -(G[0][0].real * n00 + G[1][1].real * n11 + 2.0 * (G[0][1] * n01).real)
+    scal = -(G00 * n00 + G11 * n11 + 2.0 * (G01 * n01).real)
     pluriclosed = np.abs(r[1, 0, 0] + r[0, 1, 1] - 2.0 * r[2, 1, 0].real)
-
-    curv_sq = None
-    if curvature:
-        curv_sq = _curvature_norm_sq(G, r, d1c, u)
     return SurfaceFlow(
         rhs=rhs,
         scal=scal,
         tnorm_sq=2.0 * w_sq,
         w_sq=w_sq,
         pluriclosed=pluriclosed,
-        curv_sq=curv_sq,
+        curv_sq=_curvature_norm_sq(lsq, mu, y, r) if curvature else None,
     )
 
 
-def _curvature_norm_sq(G, r, d1c, u) -> np.ndarray:
-    """``|Omega|^2 = tr(W^2)`` with ``W = (gup (x) gup) X^T`` and ``X`` the
-    curvature as a Hermitian 4x4 matrix over the index pairs ``(i k), (j l)``."""
+def _curvature_norm_sq(lsq, mu, y, r) -> np.ndarray:
+    """``|Omega|^2`` as the Frobenius norm of the curvature in a Cholesky frame.
 
-    def d2m(i, j, k, l):
+    ``g^{-1} = l l^H`` with ``l00 = sqrt(g^{1 1bar})``, ``l10 = -g21 / sqrt(g22 det)``,
+    ``l11 = 1 / sqrt(g22)``; ``lsq = (l00^2, l11^2)``, and ``y`` is the
+    kernel's ``del g`` in the unit frame ``L`` below.  Then
+    ``|Omega|^2 = sum |Z|^2`` over ``Z[p, q, s, t] = sum conj(l[i, p]) l[j, q]
+    conj(l[k, s]) l[l, t] Omega_{i jbar k lbar}``.  Writing ``l = L diag(l00, l11)``
+    with ``L = [[1, 0], [mu, 1]]``, ``mu = l10 / l00 = -g21 / g22``, the unit frame
+    ``L`` acts in two stages, first on the inner pair ``(k, l)``, then on the
+    outer pair ``(i, j)``, and the diagonal enters as the weight
+    ``l_p^2 l_q^2 l_s^2 l_t^2`` of ``|Zhat|^2``.  The inner stage is applied to the
+    factors of ``Omega = sum_n v_n conj(v_n) - del del-bar g``
+    (``v[i][k][n] = sum_m l[m, n] del_i g_{k mbar} = l_n y[i][k][n]``) and to ``d2m``.  By the
+    Hermitian symmetry ``Z[q, p, t, s] = conj Z[p, q, s, t]``, each inner entry
+    ``(s, s)`` needs only the outer blocks ``(0, 0), (1, 1), (0, 1)``, and the
+    inner entry ``(1, 0)`` is the conjugate of ``(0, 1)``.
+    """
+    muc = np.conj(mu)
+    l00, l11 = np.sqrt(lsq[0]), np.sqrt(lsq[1])
+    # x[i][s][n] = sum_k conj(L[k, s]) v[i][k][n], v[i][k][n] = l_n y[i][k][n]
+    x = []
+    for i in (0, 1):
+        v0 = [l00 * y[i][k][0] for k in (0, 1)]
+        v1 = [l11 * y[i][k][1] for k in (0, 1)]
+        x.append(((v0[0] + muc * v0[1], v1[0] + muc * v1[1]), (v0[1], v1[1])))
+
+    def d2m(i: int, j: int, k: int, l: int) -> np.ndarray:  # del_i del_jbar g_{k lbar}
         if i == j:
             return r[i, k, l]
         return r[2, k, l] if i == 0 else np.conj(r[2, l, k])
 
-    idx = (0, 1)
-    curv = {
-        (i, j, k, l): u[i][k][0] * d1c[j, l, 0] + u[i][k][1] * d1c[j, l, 1] - d2m(i, j, k, l)
-        for i in idx for j in idx for k in idx for l in idx
-    }
-    # raise the second and fourth slots: w[a, b, c, d] = g^{b b'} g^{d d'} curv[a, b', c, d']
-    half = {
-        (a, b, c, d): G[d][0] * curv[a, b, c, 0] + G[d][1] * curv[a, b, c, 1]
-        for a in idx for b in idx for c in idx for d in idx
-    }
-    w = {
-        (a, b, c, d): G[b][0] * half[a, 0, c, d] + G[b][1] * half[a, 1, c, d]
-        for a in idx for b in idx for c in idx for d in idx
-    }
-    total = np.zeros(np.shape(G[0][0]))
-    for (a, b, c, d), val in w.items():
-        total += (val * w[b, a, d, c]).real
+    def inner(i: int, j: int, s: int, t: int) -> np.ndarray:  # (L^H Omega_{i jbar} L)[s, t]
+        def right(k):  # (d2m L)[k, t]
+            return d2m(i, j, k, 0) + mu * d2m(i, j, k, 1) if t == 0 else d2m(i, j, k, 1)
+
+        out = x[i][s][0] * np.conj(x[j][t][0])
+        out += x[i][s][1] * np.conj(x[j][t][1])
+        out -= right(0) + muc * right(1) if s == 0 else right(1)
+        return out
+
+    total = np.zeros_like(lsq[1])
+    for s in (0, 1):  # inner entry (s, s): outer block (1, 0) = conj (0, 1), diagonal ones real
+        b00, b11, b01 = inner(0, 0, s, s).real, inner(1, 1, s, s).real, inner(0, 1, s, s)
+        z01 = b01 + muc * b11
+        z00 = b00 + 2.0 * (mu * b01).real + _abs2(mu) * b11
+        total += (lsq[s] * lsq[s]) * (
+            lsq[0] * lsq[0] * z00 * z00 + lsq[1] * lsq[1] * b11 * b11 + 2.0 * lsq[0] * lsq[1] * _abs2(z01)
+        )
+    # inner entry (0, 1), counted twice for (1, 0)
+    b00, b11, b01, b10 = inner(0, 0, 0, 1), inner(1, 1, 0, 1), inner(0, 1, 0, 1), inner(1, 0, 0, 1)
+    z10 = b10 + mu * b11
+    z01 = b01 + muc * b11
+    z00 = b00 + mu * b01 + muc * z10
+    total += (2.0 * lsq[0] * lsq[1]) * (
+        lsq[0] * lsq[0] * _abs2(z00) + lsq[1] * lsq[1] * _abs2(b11)
+        + lsq[0] * lsq[1] * (_abs2(z01) + _abs2(z10))
+    )
     return total
 
 

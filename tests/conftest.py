@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily
 from plurigeo.grid import MetricField, TorusGrid, perturb_with_potential, sample
 
@@ -23,6 +24,12 @@ def flat_field():
 @pytest.fixture(scope="session")
 def generic_fields():
     """All-axis fields at 8^4: a pluriclosed one and a generic one."""
+    return all_axis_fields()
+
+
+def all_axis_fields():
+    """The ``generic_fields`` pair: a pluriclosed all-axis field at 8^4 and a
+    generic one (its diagonal perturbed off pluriclosedness)."""
     base = sample(MetricFamily("torus_pluriclosed", 0.5), (8, 8, 8, 8))
     pluriclosed = perturb_with_potential(base, 0.05 * random_trig(base.grid, 7))
     x = base.grid.coords()
@@ -30,6 +37,40 @@ def generic_fields():
     values[..., 0, 0] += 0.1 * np.cos(x[1]) * np.sin(x[3])
     values[..., 1, 1] += 0.1 * np.sin(x[0] + x[2])
     return pluriclosed, MetricField(base.grid, values)
+
+
+def cross_field():
+    """The generic all-axis field, also varied along x0 + x1, x2 + x3, x0 + x3
+    and x1 - x2, so that no real second derivative f_ab of it vanishes (the
+    other fields have no f_03 or f_12, so the (0, 1) mixed row's imaginary
+    part f_03 - f_12 is zero on them)."""
+    generic = all_axis_fields()[1]
+    x = generic.grid.coords()
+    values = generic.values.copy()
+    values[..., 0, 0] += 0.05 * np.sin(x[0] + x[1])
+    values[..., 1, 1] += 0.05 * np.cos(x[2] + x[3])
+    bump = 0.05 * np.cos(x[0] + x[3]) + 0.05j * np.sin(x[1] - x[2])
+    values[..., 0, 1] += bump
+    values[..., 1, 0] += np.conj(bump)
+    cross = MetricField(generic.grid, values)
+    cross.check()
+    return cross
+
+
+def composed_jets(field):
+    """Full jets as ``dz``/``dzbar`` compositions, made symmetric and real by
+    averaging: the oracle of the one-pass ``MetricField.jets``."""
+    g, grid = field.values, field.grid
+    d1 = np.stack([grid.dz(g, k) for k in range(2)], axis=-3)
+    d2m = np.zeros(grid.dims + (2, 2, 2, 2), dtype=complex)
+    d2h = np.zeros(grid.dims + (2, 2, 2, 2), dtype=complex)
+    for k in range(2):
+        for l in range(2):
+            d2m[..., k, l, :, :] = grid.dzbar(d1[..., k, :, :], l)
+            d2h[..., k, l, :, :] = grid.dz(d1[..., k, :, :], l)
+    d2h = 0.5 * (d2h + d2h.swapaxes(-4, -3))
+    d2m = 0.5 * (d2m + np.conj(d2m.swapaxes(-4, -3).swapaxes(-2, -1)))
+    return hm.HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h)
 
 
 def random_trig(grid: TorusGrid, seed: int, modes: int = 2, amp: float = 1.0):

@@ -152,6 +152,15 @@ def test_criterion_6_volume_law_degree_divisor(torus_run, kahler_run):
     report(6, ok, "; ".join(details))
 
 
+def test_volume_law_error_scaled_by_its_terms(kahler_run):
+    """On Kaehler data dvol/dt is rounding noise, so the error divided by it
+    (floored at 1e-8) reads noise; divided by the size of the law's terms it
+    reads rounding."""
+    scaled = kahler_run.summary["volume_law_max_err_scaled"]
+    assert scaled <= 1e-13
+    assert kahler_run.summary["volume_law_max_rel_err"] >= 1e3 * scaled
+
+
 def test_criterion_7_tnorm_refinement_study():
     t0 = time.perf_counter()
     out = {}

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import os
 import pathlib
 import struct
@@ -64,6 +65,21 @@ class TestConfigValidation:
     def test_count_zero_usage_error(self, tmp_path):
         code = run_cli(tmp_path, "identities", {"command": "identities", "count": 0})
         assert code == cli.EXIT_CONFIG
+
+    def test_count_over_budget(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a jet was drawn")
+
+        monkeypatch.setattr(cli.hm, "random_jet_batch", no_draw)
+        payload = {"command": "identities", "count": cli.MAX_IDENTITY_COUNT + 1}
+        assert run_cli(tmp_path, "identities", payload) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
+        # the budget itself is a valid count
+        payload["count"] = cli.MAX_IDENTITY_COUNT
+        scenario = cli.load_scenario(write_config(tmp_path / "max.json", payload))
+        assert scenario.options["count"] == cli.MAX_IDENTITY_COUNT
 
     def test_bad_family(self, tmp_path):
         code = run_cli(tmp_path, "flow", {
@@ -420,14 +436,21 @@ def flow_configs(draw):
     return cfg
 
 
+def _bounded_or_power(lo, hi):
+    """``(x, False)`` with x in [lo, hi] four times in five, else ``(power of ten, True)``."""
+    return _mostly(st.floats(lo, hi).map(lambda x: (x, False)), _powers().map(lambda x: (x, True)))
+
+
 @st.composite
 def metric_payloads(draw):
     """A field-file header over a perturbed, scaled metric, or one of its defects,
-    with the defect's name (``None`` for a positive-definite field)."""
+    with a label: the defect's name, ``None`` for a positive-definite field whose
+    scale and amplitude lie in the bounded ranges, ``"extreme"`` for one whose
+    scale or amplitude is a power of ten."""
     dims = draw(st.sampled_from([(4, 4, 4, 4), (8, 4, 8, 4), (4, 4, 8, 4)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     noise = rng.standard_normal(dims + (2, 2)) + 1j * rng.standard_normal(dims + (2, 2))
-    scale, amp = draw(_positive(0.5, 2.0)), draw(_positive(0.0, 0.1))
+    (scale, power_scale), (amp, power_amp) = draw(_bounded_or_power(0.5, 2.0)), draw(_bounded_or_power(0.0, 0.1))
     defect = draw(st.sampled_from([None, "not_hermitian", "cut_short", "indefinite"]))
     with np.errstate(all="ignore"):
         values = scale * (np.eye(2) + amp * noise)
@@ -435,8 +458,19 @@ def metric_payloads(draw):
             values = 0.5 * (values + np.conj(values.swapaxes(-1, -2)))
     if defect == "indefinite":  # g22 < 0 < g11 at one node
         values[0, 0, 0, 0, 1, 1] *= -1
+    if defect is None and (power_scale or power_amp):
+        defect = "extreme"
     payload = struct.pack("<4sI4I", b"PGMF", 1, *dims) + values.tobytes()
     return (payload[:-8] if defect == "cut_short" else payload), defect
+
+
+def _numbers(obj):
+    """Every number in a parsed JSON document."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for item in obj for x in _numbers(item)]
+    return [obj] if isinstance(obj, (int, float)) and not isinstance(obj, bool) else []
 
 
 def _exits_documented(tmp, command, payload):
@@ -470,5 +504,9 @@ class TestFuzz:
             path = pathlib.Path(tmp) / "field.pgmf"
             path.write_bytes(data)
             code = _exits_documented(tmp, "static", {"command": "static", "field_file": str(path)})
+            if defect is None:  # a clean field: its report is written, and finite
+                assert code == cli.EXIT_OK
+                report = json.loads((pathlib.Path(tmp) / "out" / "static_report.json").read_text())
+                assert all(math.isfinite(v) for v in _numbers(report))
         if defect == "indefinite":  # rejected by the positivity check
             assert code == cli.EXIT_CONFIG

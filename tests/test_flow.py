@@ -129,6 +129,8 @@ class TestRun:
         res = fl.run(torus_field, variant="normalized", t_end=0.1, cadence=10)
         drift = abs(res.summary["vol_final"] - res.summary["vol_initial"])
         assert drift / res.summary["vol_initial"] <= 1e-4
+        # measured against the normalized law dvol/dt = 0, not 2 E_w - d
+        assert res.summary["volume_law_max_err_scaled"] <= 1e-13
 
     def test_blowup_stop_rule(self, torus_field):
         # an absurdly small threshold must trip the curvature stop rule

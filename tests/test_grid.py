@@ -28,7 +28,7 @@ from plurigeo.grid import (
     wedge_pair,
 )
 
-from conftest import random_trig
+from conftest import composed_jets, cross_field, random_trig
 
 
 class TestDerivatives:
@@ -270,22 +270,6 @@ class TestExteriorDerivative:
         assert f.pluriclosed_defect().max() > 1e-3
 
 
-def _composed_jets(field):
-    """Full jets as ``dz``/``dzbar`` compositions, made symmetric and real by
-    averaging: the oracle of the one-pass ``MetricField.jets``."""
-    g, grid = field.values, field.grid
-    d1 = np.stack([grid.dz(g, k) for k in range(2)], axis=-3)
-    d2m = np.zeros(grid.dims + (2, 2, 2, 2), dtype=complex)
-    d2h = np.zeros(grid.dims + (2, 2, 2, 2), dtype=complex)
-    for k in range(2):
-        for l in range(2):
-            d2m[..., k, l, :, :] = grid.dzbar(d1[..., k, :, :], l)
-            d2h[..., k, l, :, :] = grid.dz(d1[..., k, :, :], l)
-    d2h = 0.5 * (d2h + d2h.swapaxes(-4, -3))
-    d2m = 0.5 * (d2m + np.conj(d2m.swapaxes(-4, -3).swapaxes(-2, -1)))
-    return hm.HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h)
-
-
 def _composed_hessian(grid, u):
     """``del_{z^i} del_{zbar^j} u`` by composition: the ``complex_hessian`` oracle."""
     out = np.zeros(np.shape(u) + (2, 2), dtype=complex)
@@ -318,24 +302,12 @@ class TestOnePass:
 
     @pytest.fixture(scope="class")
     def fields(self, generic_fields, torus_field, kahler_field, flat_field):
-        # ``cross`` also varies along x0 + x1, x2 + x3, x0 + x3 and x1 - x2,
-        # so that no real second derivative f_ab of it vanishes
-        generic = generic_fields[1]
-        x = generic.grid.coords()
-        values = generic.values.copy()
-        values[..., 0, 0] += 0.05 * np.sin(x[0] + x[1])
-        values[..., 1, 1] += 0.05 * np.cos(x[2] + x[3])
-        bump = 0.05 * np.cos(x[0] + x[3]) + 0.05j * np.sin(x[1] - x[2])
-        values[..., 0, 1] += bump
-        values[..., 1, 0] += np.conj(bump)
-        cross = MetricField(generic.grid, values)
-        cross.check()
-        return (*generic_fields, cross, torus_field, kahler_field, flat_field)
+        return (*generic_fields, cross_field(), torus_field, kahler_field, flat_field)
 
     def test_jets_match_composition(self, fields):
         for field in fields:
             jet, dev = field.jets()
-            oracle = _composed_jets(field)
+            oracle = composed_jets(field)
             for name in ("d1", "d2m", "d2h"):
                 assert _rel(getattr(jet, name), getattr(oracle, name)) <= 1e-15, name
             assert dev == {"d2h_symmetry": 0.0, "d2m_reality": 0.0}

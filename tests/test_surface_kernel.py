@@ -14,6 +14,8 @@ from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily, jet_at
 from plurigeo.grid import degree, wedge_pair
 
+from conftest import composed_jets, cross_field
+
 TOL = 1e-13
 
 
@@ -28,11 +30,45 @@ def _family_jets():
     }
 
 
-JETS = {
-    "random_free": hm.random_jet_batch(range(2000)),
-    "random_pluriclosed": hm.random_jet_batch(range(2000, 4000), pluriclosed=True),
-    **_family_jets(),
-}
+def conditioned_jets(kappa: float, seeds, seed: int) -> hm.HermitianJet:
+    """Random jets whose metric has condition number ``kappa``: eigenvalues 1
+    and 1/kappa, eigenvectors from a seeded random unitary per jet."""
+    jet = hm.random_jet_batch(seeds)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((len(seeds), 2, 2)) + 1j * rng.standard_normal((len(seeds), 2, 2))
+    q, _ = np.linalg.qr(z)
+    g = np.einsum("nij,j,nkj->nik", q, np.array([1.0, 1.0 / kappa]), np.conj(q))
+    g = 0.5 * (g + np.conj(g.swapaxes(-1, -2)))
+    return hm.HermitianJet(g, jet.d1, jet.d2m, jet.d2h)
+
+
+def _kernel_and_oracle_jets():
+    """Name -> (the kernel's input, the oracles' jet).  For ``cross`` the
+    kernel reads the flow's one stencil pass and the oracles the ``dz``/``dzbar``
+    compositions, so a wrong sign in any row of the pass shows here."""
+    jets = {
+        "random_free": hm.random_jet_batch(range(2000)),
+        "random_pluriclosed": hm.random_jet_batch(range(2000, 4000), pluriclosed=True),
+        **_family_jets(),
+        **{f"kappa_{k:.0e}": conditioned_jets(k, range(4000 + i * 2000, 6000 + i * 2000), i)
+           for i, k in enumerate(KAPPAS)},
+    }
+    pairs = {name: (hm.SurfaceJet.from_jet(jet), jet) for name, jet in jets.items()}
+    cross = cross_field()
+    pairs["cross"] = (cross.surface_jet(), composed_jets(cross))
+    return pairs
+
+
+# The einsum oracles lose digits like kappa(g) eps, so on the conditioned
+# sets the kernel is held to KAPPA_TOL * kappa (largest error / kappa
+# measured over the three sets: 1.6e-15)
+KAPPAS = (1e2, 1e4, 1e6)
+KAPPA_TOL = 1e-14
+JETS = _kernel_and_oracle_jets()
+
+
+def _tol(name: str) -> float:
+    return KAPPA_TOL * float(name[len("kappa_"):]) if name.startswith("kappa_") else TOL
 
 
 def _rel(value, oracle) -> float:
@@ -43,23 +79,30 @@ def _rel(value, oracle) -> float:
 
 @pytest.mark.parametrize("name", sorted(JETS))
 def test_kernel_matches_oracles(name):
-    jet = JETS[name]
-    out = hm.surface_flow(hm.SurfaceJet.from_jet(jet), curvature=True)
+    surface, jet = JETS[name]
+    tol = _tol(name)
+    out = hm.surface_flow(surface, curvature=True)
     _, _, _, scal = hm.chern_curvature(jet)
     _, _, tnorm_sq = hm.torsion_quadratics(jet)
     _, w = hm.torsion(jet)
     gup = hm.inverse_metric(jet.g)
     w_sq = np.einsum("...ij,...i,...j->...", gup, w, np.conj(w)).real
-    assert _rel(out.rhs, hm.gflow_rhs(jet)) <= TOL
-    assert _rel(out.scal, scal) <= TOL
-    assert _rel(out.tnorm_sq, tnorm_sq) <= TOL
-    assert _rel(out.w_sq, w_sq) <= TOL
-    assert _rel(np.sqrt(out.curv_sq), hm.curvature_norm(jet)) <= TOL
-    assert _rel(out.pluriclosed, hm.pluriclosed_residual(jet)) <= TOL
+    assert _rel(out.rhs, hm.gflow_rhs(jet)) <= tol
+    assert _rel(out.scal, scal) <= tol
+    assert _rel(out.tnorm_sq, tnorm_sq) <= tol
+    assert _rel(out.w_sq, w_sq) <= tol
+    assert _rel(np.sqrt(out.curv_sq), hm.curvature_norm(jet)) <= tol
+    assert _rel(out.pluriclosed, hm.pluriclosed_residual(jet)) <= tol
+
+
+def test_conditioned_jets_have_their_condition_number():
+    for kappa in KAPPAS:
+        lam = np.linalg.eigvalsh(JETS[f"kappa_{kappa:.0e}"][1].g)
+        assert np.allclose(lam[:, 1] / lam[:, 0], kappa, rtol=1e-6)
 
 
 def test_velocity_is_exactly_hermitian():
-    out = hm.surface_flow(hm.SurfaceJet.from_jet(JETS["random_free"]))
+    out = hm.surface_flow(JETS["random_free"][0])
     rhs = out.rhs
     assert np.array_equal(rhs, np.conj(rhs.swapaxes(-1, -2)))
     assert out.curv_sq is None
