@@ -15,10 +15,12 @@ The ``gflow`` and ``normalized`` velocities come from one stencil pass
 (:meth:`MetricField.surface_jet`) and the fused surface kernel
 (:func:`plurigeo.hermitian.surface_flow`); ``omega_form`` evaluates the
 static operator on full jets.  Stepping is classical RK4 with the velocity
-recomputed at every stage; the output is re-Hermitized (deviation
-recorded) and checked for positivity.  The run loop records integral
-diagnostics, reuses the velocity the diagnostics evaluated as the first
-stage of the next step, and applies the curvature blow-up stop rule.
+recomputed at every stage; the output is checked for positivity.  Every
+velocity is exactly Hermitian on exactly Hermitian data, so no step
+projects: ``run`` takes the Hermitian part of its initial field once.
+The run loop records integral diagnostics, reuses the velocity the
+diagnostics evaluated as the first stage of the next step, and applies
+the curvature blow-up stop rule.
 
 The per-step volume-law prediction is ``2 E_w - d`` with
 ``E_w = int |w|^2 dV``; this is the unique torsion-trace scaling that
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermitian as hm
-from .grid import MetricField, divisor_area, degree, wedge_pair
+from .grid import FormField, MetricField, divisor_area, degree, wedge_pair
 
 __all__ = [
     "FlowError",
@@ -62,6 +64,9 @@ VARIANTS = ("gflow", "normalized", "omega_form")
 
 # terminal statuses of a run; every status but the first exits 3 in the CLI
 STATUSES = ("completed", "max_steps_reached", "blowup_suspected", "degenerate")
+
+# the largest pluriclosed defect omega_form accepts, initially and during a run
+_PLURICLOSED_TOL = 1e-6
 
 CSV_COLUMNS = [
     "step",
@@ -95,7 +100,6 @@ class FlowState:
     t: float
     step: int
     field: MetricField
-    hermitian_dev: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -153,29 +157,24 @@ def cfl_dt(field: MetricField, safety: float = 0.05) -> float:
     return float(safety * h_min**2 * lo.min() / hi.max())
 
 
-def _require_pluriclosed(field: MetricField, tol: float = 1e-6) -> None:
+def _require_pluriclosed(field: MetricField) -> None:
     """``omega_form`` needs pluriclosed initial data: an argument error otherwise."""
-    defect = hm.pluriclosed_residual(field.jets()[0]).max()
-    if defect > tol:
+    defect = FormField.from_metric(field).pluriclosed_defect().max()
+    if defect > _PLURICLOSED_TOL:
         raise ValueError(f"omega_form requires pluriclosed data (defect {defect:.3e})")
 
 
-def _rhs(
-    field: MetricField,
-    variant: str,
-    surf: hm.SurfaceFlow | None = None,
-    pluriclosed_tol: float = 1e-6,
-) -> np.ndarray:
+def _rhs(field: MetricField, variant: str, surf: hm.SurfaceFlow | None = None) -> np.ndarray:
     """Velocity of ``variant`` at ``field``; ``surf`` is the surface kernel's
     output at ``field`` when the caller already has it.  An ``omega_form``
-    field whose pluriclosed defect has drifted past ``pluriclosed_tol``
-    raises :class:`FlowDegenerateError`."""
+    field whose pluriclosed defect has drifted past 1e-6 raises
+    :class:`FlowDegenerateError`."""
     if variant == "omega_form":
         jet, _ = field.jets()
         # the inverse first: a non-finite stage then fails as a blowup, not a drift
         ops = hm.hodge_operators(jet)
         defect = hm.pluriclosed_residual(jet).max()
-        if defect > pluriclosed_tol:
+        if defect > _PLURICLOSED_TOL:
             raise FlowDegenerateError(f"omega_form: pluriclosed defect drifted to {defect:.3e}")
         return -ops.static_op
     if variant not in VARIANTS:
@@ -193,8 +192,10 @@ def _rhs(
 def step(
     state: FlowState, dt: float, variant: str = "gflow", k1: np.ndarray | None = None
 ) -> FlowState:
-    """One classical RK4 step; velocity recomputed per stage, output re-Hermitized.
+    """One classical RK4 step, the velocity recomputed per stage.
 
+    Each velocity is exactly Hermitian on an exactly Hermitian field, so
+    the step keeps such a field exactly Hermitian without projecting.
     ``k1`` is the velocity of ``variant`` at ``state`` when the caller has
     already evaluated it (the run loop takes it from the diagnostics).  A
     state at step 0 is initial data: for ``omega_form`` it must be
@@ -211,43 +212,31 @@ def step(
     if variant == "omega_form" and state.step == 0:
         _require_pluriclosed(state.field)
     grid = state.field.grid
-    stage_dev = 0.0
 
-    def f(values: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
-        nonlocal stage_dev
-        if rhs is None:
-            try:
-                rhs = _rhs(MetricField(grid, values), variant)
-            except hm.SingularMetricError as exc:
-                # the inverse rejects a non-finite determinant (the stage
-                # overflowed) and a vanishing one (the stage lost positivity)
-                if not np.isfinite(MetricField(grid, values).det()).all():
-                    raise FlowBlowupError("numerical blowup") from exc
-                raise FlowDegenerateError("flow degenerate") from exc
-        herm = 0.5 * (rhs + np.conj(rhs.swapaxes(-1, -2)))
-        stage_dev = max(stage_dev, float(np.abs(rhs - herm).max()))
-        return herm
+    def f(values: np.ndarray) -> np.ndarray:
+        try:
+            return _rhs(MetricField(grid, values), variant)
+        except hm.SingularMetricError as exc:
+            # the inverse rejects a non-finite determinant (the stage
+            # overflowed) and a vanishing one (the stage lost positivity)
+            if not np.isfinite(MetricField(grid, values).det()).all():
+                raise FlowBlowupError("numerical blowup") from exc
+            raise FlowDegenerateError("flow degenerate") from exc
 
     g0 = state.field.values
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = f(g0, k1)
+        if k1 is None:
+            k1 = f(g0)
         k2 = f(g0 + 0.5 * dt * k1)
         k3 = f(g0 + 0.5 * dt * k2)
         k4 = f(g0 + dt * k3)
         g1 = g0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(g1).all():
         raise FlowBlowupError("numerical blowup")
-    herm = 0.5 * (g1 + np.conj(g1.swapaxes(-1, -2)))
-    dev = max(float(np.abs(g1 - herm).max()), stage_dev)
-    field = MetricField(grid, herm)
+    field = MetricField(grid, g1)
     if field.eigenvalues()[0].min() <= 0:
         raise FlowDegenerateError("flow degenerate")
-    return FlowState(
-        t=state.t + dt,
-        step=state.step + 1,
-        field=field,
-        hermitian_dev=max(state.hermitian_dev, dev),
-    )
+    return FlowState(t=state.t + dt, step=state.step + 1, field=field)
 
 
 def diagnostics(state: FlowState, variant: str = "gflow") -> DiagnosticsRecord:
@@ -304,7 +293,10 @@ def run(
     ``max_steps_reached`` and a diagnostics record of its last state.
     ``omega_form`` on initial data that is not pluriclosed raises
     ``ValueError`` before any step; a pluriclosed defect that drifts past
-    1e-6 later ends the run with status ``degenerate``."""
+    1e-6 later ends the run with status ``degenerate``.  The initial field,
+    admitted by :meth:`MetricField.check` up to 1e-12 off Hermitian, is
+    replaced by its Hermitian part; the summary's ``hermitian_dev`` is the
+    largest entry of the deviation removed."""
     for name, val in (("t_end", t_end), ("safety", safety), ("blowup_factor", blowup_factor)):
         if not (np.isfinite(val) and val > 0):
             raise ValueError(f"{name} must be a positive finite number")
@@ -315,6 +307,9 @@ def run(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     field.check()
+    herm = 0.5 * (field.values + np.conj(field.values.swapaxes(-1, -2)))
+    hermitian_dev = float(np.abs(field.values - herm).max())
+    field = MetricField(field.grid, herm)
     if variant == "omega_form":
         _require_pluriclosed(field)
     state = FlowState(t=0.0, step=0, field=field)
@@ -378,7 +373,7 @@ def run(
         "max_kahler_resid": max(r.kahler_resid for r in records),
         "final_max_t2": last.max_t2,
         "final_max_omega": last.max_omega,
-        "hermitian_dev": state.hermitian_dev,
+        "hermitian_dev": hermitian_dev,
         "volume_law_max_rel_err": max(
             abs(r.dvol_dt_measured - r.dvol_dt_predicted)
             / max(abs(r.dvol_dt_measured), 1e-8)

@@ -240,11 +240,11 @@ class MetricField:
         if self.values.shape != expect:
             raise ValueError(f"values must have shape {expect}")
 
-    def check(self, herm_tol: float = 1e-12) -> None:
+    def check(self) -> None:
         if not np.isfinite(self.values).all():
             raise ValueError("metric field has non-finite values")
         dev = np.abs(self.values - np.conj(self.values.swapaxes(-1, -2))).max()
-        if dev > herm_tol:
+        if dev > 1e-12:
             raise ValueError(f"metric field not Hermitian (deviation {dev:.3e})")
         if self.eigenvalues()[0].min() <= 0:
             raise ValueError("metric field not positive definite")

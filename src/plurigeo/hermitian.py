@@ -107,8 +107,12 @@ class HermitianJet:
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:
-    """Inverse metric ``gup[..., i, j] = g^{i jbar}`` with ``g^{i jbar} g_{k jbar} = delta_ik``."""
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    """Inverse metric ``gup[..., i, j] = g^{i jbar}`` with ``g^{i jbar} g_{k jbar} = delta_ik``.
+
+    ``det g`` is taken real, so the inverse of an exactly Hermitian ``g`` is
+    exactly Hermitian (the complex products leave ``det`` a rounding-size
+    imaginary part)."""
+    det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
     if not np.isfinite(det).all() or np.abs(det).min() < 1e-300:
         raise SingularMetricError("metric not invertible")
     gup = np.empty_like(g)
@@ -204,9 +208,9 @@ class HodgeOperators:
     del_star: np.ndarray        # (del* omega)_{kbar}
     dbar_star: np.ndarray       # (dbar* omega)_j
     del_del_star: np.ndarray    # (del del* omega) coefficient matrix
-    dbar_dbar_star: np.ndarray  # (dbar dbar* omega) coefficient matrix
+    dbar_dbar_star: np.ndarray  # (dbar dbar* omega) coefficient matrix, del_del_star^H
     chern_ricci: np.ndarray     # ((i/2) del dbar log det g) coefficient matrix
-    static_op: np.ndarray       # -(del del* + dbar dbar*) - chern_ricci
+    static_op: np.ndarray       # -(del del* + dbar dbar*) - chern_ricci, exactly Hermitian
 
 
 def hodge_operators(jet: HermitianJet) -> HodgeOperators:
@@ -221,8 +225,11 @@ def hodge_operators(jet: HermitianJet) -> HodgeOperators:
 
     - ``dbar_star = (i/2)(a1 - a2)``, ``del_star = (i/2) conj(a2 - a1)``;
     - ``del_del_star = g^{p qbar} d2m[j, q, p, k] - tr - P + Q``;
-    - ``dbar_dbar_star = g^{p qbar} d2m[p, k, j, q] - tr - P^H + Q^H``;
-    - ``chern_ricci = tr - Q``.
+    - ``dbar_dbar_star = del_del_star^H``, which is
+      ``g^{p qbar} d2m[p, k, j, q] - tr - P^H + Q^H`` by the reality of ``d2m``;
+    - ``chern_ricci = tr - Q``;
+    - ``static_op = -(H + H^H)`` with ``H = del_del_star + chern_ricci / 2``,
+      so it is exactly Hermitian.
     """
     gup = inverse_metric(jet.g)
     d1, d2m = jet.d1, jet.d2m
@@ -234,18 +241,16 @@ def hodge_operators(jet: HermitianJet) -> HodgeOperators:
     b = np.einsum("...pm,...jqm->...jqp", gup, b)
     p = np.einsum("...jqp,...qpk->...jk", b, d1b)
     q = np.einsum("...jqp,...kpq->...jk", b, d1b)
-    p_h = np.conj(p.swapaxes(-1, -2))
-    q_h = np.conj(q.swapaxes(-1, -2))
     dds = np.einsum("...pq,...jqpk->...jk", gup, d2m) - trace - p + q
-    dbdbs = np.einsum("...pq,...pkjq->...jk", gup, d2m) - trace - p_h + q_h
     ricci = trace - q
+    h = dds + 0.5 * ricci
     return HodgeOperators(
         del_star=0.5j * np.conj(a2 - a1),
         dbar_star=0.5j * (a1 - a2),
         del_del_star=dds,
-        dbar_dbar_star=dbdbs,
+        dbar_dbar_star=np.conj(dds.swapaxes(-1, -2)),
         chern_ricci=ricci,
-        static_op=-(dds + dbdbs + ricci),
+        static_op=-(h + np.conj(h.swapaxes(-1, -2))),
     )
 
 
@@ -330,12 +335,12 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
     """Closed-form ``gflow`` velocity and diagnostics scalars on a surface.
 
     The metric is read once into contiguous arrays, ``a = g_{1 1bar}`` and
-    ``d = g_{2 2bar}`` real and ``b = g_{1 2bar}`` complex; the real diagonal
-    of ``g^{-1}`` comes from :func:`inverse_metric` (and with it the
-    singularity check), ``g^{1 2bar} = -conj(b) / det g`` with ``det g``
-    formed as there, and ``g^{2 1bar}`` is its conjugate, so the kernel's
-    ``g^{-1}`` is exactly Hermitian.  Component by component, with the
-    torsion reduced to its two components ``tau_k = T_{1 2 kbar}``:
+    ``d = g_{2 2bar}`` real and ``b = g_{1 2bar}`` complex, and ``g^{-1}``
+    (with the singularity check) comes from :func:`inverse_metric` as its
+    real diagonal and ``g^{1 2bar}``; ``g^{2 1bar}`` is read as the
+    conjugate of ``g^{1 2bar}``, which it is exactly on exactly Hermitian
+    ``g``.  Component by component, with the torsion reduced to its two
+    components ``tau_k = T_{1 2 kbar}``:
 
     - ``|T|^2 = (2 / det g) g^{m nbar} tau_n conj(tau_m)``, ``|w|^2 = |T|^2 / 2``
       and ``quad1 = (1/2) |T|^2 g`` (the surface torsion algebra);
@@ -359,12 +364,8 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
     # contiguous copies: strided views of the (..., 2, 2) arrays slow every
     # operation that reads them
     a, d, b = g[..., 0, 0].real.copy(), g[..., 1, 1].real.copy(), g[..., 0, 1].copy()
-    G00, G11 = gup[..., 0, 0].real.copy(), gup[..., 1, 1].real.copy()
-    # det as inverse_metric forms it, so that all of g^{-1} shares one
-    # determinant; g^{1 2bar} from it, not from gup, whose off-diagonal
-    # entries are conjugates only to ~kappa(g) eps
+    G00, G11, G01 = gup[..., 0, 0].real.copy(), gup[..., 1, 1].real.copy(), gup[..., 0, 1].copy()
     det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
-    G01 = np.conj(b) / -det
     d1, r = jet.d1, jet.d2m
 
     tau0 = d1[0, 1, 0] - d1[1, 0, 0]
@@ -592,24 +593,22 @@ def _rel(num: np.ndarray, *scales: np.ndarray) -> np.ndarray:
     return np.asarray(num, dtype=float) / floor
 
 
-def identity_suite(
-    jet: HermitianJet, pluriclosed: bool = False, pluriclosed_tol: float = 1e-8
-) -> dict[str, np.ndarray]:
+def identity_suite(jet: HermitianJet, pluriclosed: bool = False) -> dict[str, np.ndarray]:
     """Relative residuals of the pointwise tensor identities of the theory.
 
     Each residual is normalised by the larger of 1 and the participating
     term magnitudes.  When ``pluriclosed`` is set, the residuals that only
     hold on pluriclosed jets are included; the flag is rejected if the
-    pluriclosed defect exceeds ``pluriclosed_tol``.
+    pluriclosed defect exceeds 1e-8.
 
     Returns a dict mapping identity names to batch-shaped arrays.
     """
     if pluriclosed:
         bmax = pluriclosed_residual(jet)
-        if bmax.max() > pluriclosed_tol:
+        if bmax.max() > 1e-8:
             raise ValueError(
                 "pluriclosed flag set but residual "
-                f"{bmax.max():.3e} exceeds tolerance {pluriclosed_tol:.1e}"
+                f"{bmax.max():.3e} exceeds tolerance 1.0e-08"
             )
     g = jet.g
     gup = inverse_metric(g)

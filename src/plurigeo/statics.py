@@ -152,9 +152,7 @@ class BuchdahlResult:
     psi_sq: float
 
 
-def buchdahl_check(
-    omega: MetricField, psi: FormField, pluriclosed_tol: float = 1e-6
-) -> BuchdahlResult:
+def buchdahl_check(omega: MetricField, psi: FormField) -> BuchdahlResult:
     """Gap of the reverse Cauchy-Schwarz inequality for a real pluriclosed
     (1,1)-form psi against the metric form:
     ``gap = (int omega ^ psi)^2 - (int omega^2)(int psi^2) >= 0``."""
@@ -164,7 +162,7 @@ def buchdahl_check(
         raise ValueError("psi must be a real (1,1)-form")
     defect = psi.pluriclosed_defect().max()
     scale_psi = max(1.0, float(np.abs(psi.p11).max()))
-    if defect > pluriclosed_tol * scale_psi:
+    if defect > 1e-6 * scale_psi:
         raise ValueError(f"psi is not pluriclosed (defect {defect:.3e})")
     grid = omega.grid
     omega_form = FormField.from_metric(omega)

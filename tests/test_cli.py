@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -22,6 +23,11 @@ from plurigeo.grid import MetricField, TorusGrid, sample, save_field
 
 
 TORUS = {"kind": "torus_pluriclosed", "eps": 0.5}
+README_CONFIGS = re.findall(
+    r"```json\n(.*?)```",
+    (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(),
+    re.DOTALL,
+)
 
 
 def write_config(path, payload):
@@ -131,6 +137,13 @@ class TestConfigValidation:
             "command": "flow", "family": {"kind": "flat"}, "t_end": -1,
         })
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("index", range(len(README_CONFIGS)))
+    def test_readme_config_loads(self, tmp_path, index):
+        # configs are strict, so a renamed or removed key leaves README wrong
+        path = tmp_path / "config.json"
+        path.write_text(README_CONFIGS[index])
+        cli.load_scenario(str(path), out_override=str(tmp_path))
 
 
 class TestIdentities:

@@ -194,6 +194,22 @@ class TestRun:
         assert np.array_equal(res.final_state.field.values, state.field.values)
         assert all(rec.velocity is None for rec in res.records)
 
+    @pytest.mark.parametrize("variant", fl.VARIANTS)
+    def test_velocity_is_exactly_hermitian(self, generic_fields, variant):
+        # the reason no RK4 stage projects onto Hermitian matrices
+        rhs = fl._rhs(generic_fields[0], variant)
+        assert np.array_equal(rhs, np.conj(rhs.swapaxes(-1, -2)))
+
+    def test_initial_field_made_exactly_hermitian(self, torus_field):
+        vals = torus_field.values.copy()
+        vals[..., 1, 0] += 1e-13  # within what MetricField.check admits
+        field = MetricField(torus_field.grid, vals)
+        res = fl.run(field, t_end=0.02, dt=0.01)
+        herm = 0.5 * (vals + np.conj(vals.swapaxes(-1, -2)))
+        assert res.summary["hermitian_dev"] == np.abs(vals - herm).max() > 0
+        final = res.final_state.field.values
+        assert np.array_equal(final, np.conj(final.swapaxes(-1, -2)))
+
     def test_diagnostics_velocity_is_the_flow_rhs(self, torus_field):
         rec = fl.diagnostics(fl.FlowState(0.0, 0, torus_field))
         jet, _ = torus_field.jets()

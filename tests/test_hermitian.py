@@ -234,6 +234,7 @@ class TestHodge:
             value = getattr(hod, block)
             rel = np.abs(value - oracle) / np.maximum(1.0, np.abs(oracle))
             assert rel.max() <= 1e-13, block
+        assert np.array_equal(hod.static_op, np.conj(hod.static_op.swapaxes(-1, -2)))
 
     def test_kahler_codifferentials_vanish(self):
         hod = hm.hodge_operators(kahler_jet(np.linspace(0, 5, 9), 0.7))

@@ -97,8 +97,13 @@ def test_kernel_matches_oracles(name):
 
 def test_conditioned_jets_have_their_condition_number():
     for kappa in KAPPAS:
-        lam = np.linalg.eigvalsh(JETS[f"kappa_{kappa:.0e}"][1].g)
+        g = JETS[f"kappa_{kappa:.0e}"][1].g
+        lam = np.linalg.eigvalsh(g)
         assert np.allclose(lam[:, 1] / lam[:, 0], kappa, rtol=1e-6)
+        # g is exactly Hermitian, and so is its inverse
+        gup = hm.inverse_metric(g)
+        assert not np.diagonal(gup, axis1=-2, axis2=-1).imag.any()
+        assert np.array_equal(gup[:, 1, 0], np.conj(gup[:, 0, 1]))
 
 
 def test_velocity_is_exactly_hermitian():
