@@ -439,7 +439,7 @@ def tnorm_evolution_check(state: FlowState, dt: float | None = None) -> TnormAud
     # scalar Laplacian and holomorphic gradient of |T|^2 via the grid
     lap = (gup * grid.complex_hessian(tnorm_sq)).sum(axis=(-2, -1))
     dt2 = np.stack([grid.dz(tnorm_sq, k) for k in range(2)], axis=-1)
-    grad_w = np.einsum("...ij,...i,...j->...", gup, dt2, np.conj(w))
+    grad_w = hm._contract("...ij,...i,...j->...", gup, dt2, np.conj(w))
 
     div_conj = np.conj(cov.divergence).swapaxes(-1, -2)
     qsd = hm.metric_pairing(g, quad2, ric1 + 2.0 * div_conj)

@@ -26,6 +26,9 @@ has coefficient matrix ``g`` itself and ``beta ^ gamma`` reduces to
 
 from __future__ import annotations
 
+import functools
+import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +69,82 @@ def _amax(x: np.ndarray, rank: int) -> np.ndarray:
     if rank == 0:
         return a
     return a.reshape(a.shape[: a.ndim - rank] + (-1,)).max(axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction_plan(subscripts: str, shapes: tuple, batched: tuple) -> tuple:
+    """Pairwise steps ``(positions, einsum string)`` of one contraction.
+
+    The greedy path of the tensor indices is found once by
+    :func:`numpy.einsum_path` and does not depend on the batch size; one
+    letter unused by ``subscripts`` is appended to every batched term and to
+    the output.  Intermediates keep their indices in sorted order, as numpy's
+    own path does."""
+    lhs, out = subscripts.replace("...", "").split("->")
+    cores = lhs.split(",")
+    path = np.einsum_path(lhs + "->" + out, *(np.empty(s) for s in shapes), optimize="greedy")[0]
+    letter = next(c for c in string.ascii_letters if c not in subscripts)
+    tail = letter if any(batched) else ""
+    terms = [c + letter if b else c for c, b in zip(cores, batched)]
+    steps = []
+    for n, positions in enumerate(path[1:], start=2):
+        positions = tuple(sorted(positions, reverse=True))
+        picked = [terms.pop(p) for p in positions]
+        if n == len(path):
+            result = out + tail
+        else:
+            keep = set("".join(terms) + out)
+            result = "".join(sorted({c for t in picked for c in t if c in keep} - {letter}))
+            result += letter if any(letter in t for t in picked) else ""
+        terms.append(result)
+        steps.append((positions, ",".join(picked) + "->" + result))
+    return tuple(steps)
+
+
+def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands)`` with the batch axes trailing.
+
+    Every term of ``subscripts`` leads with ``...``, and the leading axes of
+    each operand broadcast to one batch shape.  Each distinct operand is
+    copied once into a contiguous array with its batch axes flattened to the
+    last axis, so every pairwise step of the cached greedy path
+    (:func:`_contraction_plan`) is a plain einsum whose inner loop runs along
+    the batch; numpy's ``optimize`` would instead search the path on every
+    call and multiply one 2x2 block per batch item.  The copies make the
+    result independent of the operands' memory layout.  Agrees with
+    ``np.einsum`` to rounding (the sums are taken in another order); the
+    result is batch-leading.
+    """
+    cores = [t.removeprefix("...") for t in subscripts.split("->")[0].split(",")]
+    batch = np.broadcast_shapes(*(x.shape[: x.ndim - len(c)] for x, c in zip(operands, cores)))
+    size = math.prod(batch)
+    copies: dict[int, np.ndarray] = {}
+    args = []
+    for x, c in zip(operands, cores):
+        if id(x) not in copies:
+            y, nb = x, x.ndim - len(c)
+            if nb:
+                if y.shape[:nb] != batch:
+                    y, nb = np.broadcast_to(y, batch + y.shape[nb:]), len(batch)
+                y = np.ascontiguousarray(y.transpose(tuple(range(nb, y.ndim)) + tuple(range(nb))))
+                y = y.reshape(y.shape[: len(c)] + (size,))
+            copies[id(x)] = y
+        args.append(copies[id(x)])
+    del copies  # each copy is freed once its last step has read it
+    steps = _contraction_plan(
+        subscripts,
+        tuple(x.shape[: len(c)] for x, c in zip(args, cores)),
+        tuple(x.ndim > len(c) for x, c in zip(args, cores)),
+    )
+    for positions, expr in steps:
+        picked = [args.pop(p) for p in positions]
+        args.append(np.einsum(expr, *picked))
+    res = args[0]
+    if not batch:
+        return res
+    nc = res.ndim - 1
+    res = res.reshape(res.shape[:nc] + batch)
+    return res.transpose(tuple(range(nc, res.ndim)) + tuple(range(nc)))
 
 
 @dataclass(frozen=True)
@@ -132,14 +211,14 @@ def _d1bar(jet: HermitianJet) -> np.ndarray:
 def chern_connection(jet: HermitianJet) -> np.ndarray:
     """Connection coefficients ``gam[..., k, i, j] = Gamma^k_{ij} = g^{k lbar} del_i g_{j lbar}``."""
     gup = inverse_metric(jet.g)
-    return np.einsum("...kl,...ijl->...kij", gup, jet.d1)
+    return _contract("...kl,...ijl->...kij", gup, jet.d1)
 
 
 def torsion(jet: HermitianJet) -> tuple[np.ndarray, np.ndarray]:
     """Torsion ``T[..., i, j, k] = T_{i j kbar}`` and its trace ``w[..., i] = g^{j kbar} T_{i j kbar}``."""
     t = jet.d1 - jet.d1.swapaxes(-3, -2)
     gup = inverse_metric(jet.g)
-    w = np.einsum("...jk,...ijk->...i", gup, t)
+    w = _contract("...jk,...ijk->...i", gup, t)
     return t, w
 
 
@@ -159,12 +238,12 @@ def chern_curvature(jet: HermitianJet) -> tuple[np.ndarray, np.ndarray, np.ndarr
         Scalar trace ``g^{k lbar} ric1_{k lbar}`` (real).
     """
     gup = inverse_metric(jet.g)
-    curv = -jet.d2m + np.einsum(
-        "...mn,...ikn,...jlm->...ijkl", gup, jet.d1, np.conj(jet.d1), optimize=True
+    curv = -jet.d2m + _contract(
+        "...mn,...ikn,...jlm->...ijkl", gup, jet.d1, np.conj(jet.d1)
     )
-    ric1 = np.einsum("...ij,...ijkl->...kl", gup, curv)
-    ric2 = np.einsum("...kl,...ijkl->...ij", gup, curv)
-    scal = np.einsum("...kl,...kl->...", gup, ric1).real
+    ric1 = _contract("...ij,...ijkl->...kl", gup, curv)
+    ric2 = _contract("...kl,...ijkl->...ij", gup, curv)
+    scal = _contract("...kl,...kl->...", gup, ric1).real
     return curv, ric1, ric2, scal
 
 
@@ -179,9 +258,9 @@ def torsion_quadratics(jet: HermitianJet) -> tuple[np.ndarray, np.ndarray, np.nd
     gup = inverse_metric(jet.g)
     t, _ = torsion(jet)
     tb = np.conj(t)
-    quad1 = np.einsum("...kl,...mn,...ikn,...jlm->...ij", gup, gup, t, tb, optimize=True)
-    quad2 = np.einsum("...kl,...mn,...lni,...kmj->...ij", gup, gup, tb, t, optimize=True)
-    tnorm_sq = np.einsum("...ij,...ij->...", gup, quad1).real
+    quad1 = _contract("...kl,...mn,...ikn,...jlm->...ij", gup, gup, t, tb)
+    quad2 = _contract("...kl,...mn,...lni,...kmj->...ij", gup, gup, tb, t)
+    tnorm_sq = _contract("...ij,...ij->...", gup, quad1).real
     return quad1, quad2, tnorm_sq
 
 
@@ -234,14 +313,14 @@ def hodge_operators(jet: HermitianJet) -> HodgeOperators:
     gup = inverse_metric(jet.g)
     d1, d2m = jet.d1, jet.d2m
     d1b = _d1bar(jet)
-    a1 = np.einsum("...pq,...jpq->...j", gup, d1)
-    a2 = np.einsum("...pq,...pjq->...j", gup, d1)
-    trace = np.einsum("...pq,...jkpq->...jk", gup, d2m)
-    b = np.einsum("...nq,...jnm->...jqm", gup, d1)
-    b = np.einsum("...pm,...jqm->...jqp", gup, b)
-    p = np.einsum("...jqp,...qpk->...jk", b, d1b)
-    q = np.einsum("...jqp,...kpq->...jk", b, d1b)
-    dds = np.einsum("...pq,...jqpk->...jk", gup, d2m) - trace - p + q
+    a1 = _contract("...pq,...jpq->...j", gup, d1)
+    a2 = _contract("...pq,...pjq->...j", gup, d1)
+    trace = _contract("...pq,...jkpq->...jk", gup, d2m)
+    b = _contract("...nq,...jnm->...jqm", gup, d1)
+    b = _contract("...pm,...jqm->...jqp", gup, b)
+    p = _contract("...jqp,...qpk->...jk", b, d1b)
+    q = _contract("...jqp,...kpq->...jk", b, d1b)
+    dds = _contract("...pq,...jqpk->...jk", gup, d2m) - trace - p + q
     ricci = trace - q
     h = dds + 0.5 * ricci
     return HodgeOperators(
@@ -511,20 +590,20 @@ def covariant_torsion_ops(jet: HermitianJet) -> CovariantTorsion:
     dth = d2h - d2h.swapaxes(-3, -2)  # del_a T_{i j kbar}
     grad_hol = (
         dth
-        - np.einsum("...pai,...pjk->...aijk", gam, t)
-        - np.einsum("...paj,...ipk->...aijk", gam, t)
+        - _contract("...pai,...pjk->...aijk", gam, t)
+        - _contract("...paj,...ipk->...aijk", gam, t)
     )
-    dtb = np.einsum("...iajk->...aijk", d2m) - np.einsum("...jaik->...aijk", d2m)
-    grad_antihol = dtb - np.einsum("...rak,...ijr->...aijk", gamb, t)
+    dtb = _contract("...iajk->...aijk", d2m) - _contract("...jaik->...aijk", d2m)
+    grad_antihol = dtb - _contract("...rak,...ijr->...aijk", gamb, t)
 
     # div_{i jbar} = g^{p qbar} nabla_{qbar} T_{p i jbar}
-    div = np.einsum("...pq,...qpij->...ij", gup, grad_antihol)
+    div = _contract("...pq,...qpij->...ij", gup, grad_antihol)
 
-    dgup_b = -np.einsum("...pb,...aq,...jab->...jpq", gup, gup, d1b, optimize=True)
-    dtb_w = np.einsum("...ijpq->...ijpq", d2m) - np.einsum("...pjiq->...ijpq", d2m)
+    dgup_b = -_contract("...pb,...aq,...jab->...jpq", gup, gup, d1b)
+    dtb_w = _contract("...ijpq->...ijpq", d2m) - _contract("...pjiq->...ijpq", d2m)
     trace_grad = (
-        np.einsum("...jpq,...ipq->...ij", dgup_b, t)
-        + np.einsum("...pq,...ijpq->...ij", gup, dtb_w)
+        _contract("...jpq,...ipq->...ij", dgup_b, t)
+        + _contract("...pq,...ijpq->...ij", gup, dtb_w)
     )
     return CovariantTorsion(grad_hol, grad_antihol, div, trace_grad)
 
@@ -540,8 +619,8 @@ def metric_pairing(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     matching ``omega ^ omega = 2 det g dx^4``.
     """
     gup = inverse_metric(g)
-    return np.einsum(
-        "...ik,...lj,...ij,...kl->...", gup, gup, a, np.conj(b), optimize=True
+    return _contract(
+        "...ik,...lj,...ij,...kl->...", gup, gup, a, np.conj(b)
     )
 
 
@@ -554,13 +633,13 @@ def grad_torsion_norms(jet: HermitianJet) -> tuple[np.ndarray, np.ndarray]:
     """
     cov = covariant_torsion_ops(jet)
     gup = inverse_metric(jet.g)
-    n10 = np.einsum(
+    n10 = _contract(
         "...ax,...ib,...jc,...dk,...aijk,...xbcd->...",
-        gup, gup, gup, gup, cov.grad_hol, np.conj(cov.grad_hol), optimize=True,
+        gup, gup, gup, gup, cov.grad_hol, np.conj(cov.grad_hol)
     ).real
-    n01 = np.einsum(
+    n01 = _contract(
         "...xa,...ib,...jc,...dk,...aijk,...xbcd->...",
-        gup, gup, gup, gup, cov.grad_antihol, np.conj(cov.grad_antihol), optimize=True,
+        gup, gup, gup, gup, cov.grad_antihol, np.conj(cov.grad_antihol)
     ).real
     return n10, n01
 
@@ -569,9 +648,9 @@ def curvature_norm(jet: HermitianJet) -> np.ndarray:
     """Pointwise norm |Omega|_g of the full Chern curvature."""
     curv, _, _, _ = chern_curvature(jet)
     gup = inverse_metric(jet.g)
-    sq = np.einsum(
+    sq = _contract(
         "...ia,...bj,...kc,...dl,...ijkl,...abcd->...",
-        gup, gup, gup, gup, curv, np.conj(curv), optimize=True,
+        gup, gup, gup, gup, curv, np.conj(curv)
     )
     return np.sqrt(np.maximum(sq.real, 0.0))
 
@@ -623,7 +702,7 @@ def identity_suite(jet: HermitianJet, pluriclosed: bool = False) -> dict[str, np
     out: dict[str, np.ndarray] = {}
 
     # connection antisymmetrisation reproduces the torsion
-    lhs = gam - gam.swapaxes(-2, -1) - np.einsum("...kl,...ijl->...kij", gup, t)
+    lhs = gam - gam.swapaxes(-2, -1) - _contract("...kl,...ijl->...kij", gup, t)
     out["connection_torsion"] = _rel(_amax(lhs, 3), _amax(gam, 3))
 
     # codifferential vs torsion trace
@@ -641,43 +720,43 @@ def identity_suite(jet: HermitianJet, pluriclosed: bool = False) -> dict[str, np
 
     # first Bianchi identity, all index combinations
     rb = (
-        np.einsum("...srqk->...rqks", cov.grad_antihol)
-        - np.einsum("...qsrk->...rqks", curv)
-        + np.einsum("...rsqk->...rqks", curv)
+        _contract("...srqk->...rqks", cov.grad_antihol)
+        - _contract("...qsrk->...rqks", curv)
+        + _contract("...rsqk->...rqks", curv)
     )
     out["bianchi_first"] = _rel(_amax(rb, 4), _amax(curv, 4), _amax(cov.grad_antihol, 4))
 
     # gradient of the proportional quadratic vs <grad |T|^2, w>
-    dgup_h = -np.einsum("...pb,...cq,...acb->...apq", gup, gup, jet.d1, optimize=True)
+    dgup_h = -_contract("...pb,...cq,...acb->...apq", gup, gup, jet.d1)
     dth = jet.d2h - jet.d2h.swapaxes(-3, -2)
     dtb_h = np.conj(
-        np.einsum("...jalm->...ajlm", jet.d2m) - np.einsum("...lajm->...ajlm", jet.d2m)
+        _contract("...jalm->...ajlm", jet.d2m) - _contract("...lajm->...ajlm", jet.d2m)
     )
     dquad1 = (
-        np.einsum("...akl,...mn,...ikn,...jlm->...aij", dgup_h, gup, t, tb, optimize=True)
-        + np.einsum("...kl,...amn,...ikn,...jlm->...aij", gup, dgup_h, t, tb, optimize=True)
-        + np.einsum("...kl,...mn,...aikn,...jlm->...aij", gup, gup, dth, tb, optimize=True)
-        + np.einsum("...kl,...mn,...ikn,...ajlm->...aij", gup, gup, t, dtb_h, optimize=True)
+        _contract("...akl,...mn,...ikn,...jlm->...aij", dgup_h, gup, t, tb)
+        + _contract("...kl,...amn,...ikn,...jlm->...aij", gup, dgup_h, t, tb)
+        + _contract("...kl,...mn,...aikn,...jlm->...aij", gup, gup, dth, tb)
+        + _contract("...kl,...mn,...ikn,...ajlm->...aij", gup, gup, t, dtb_h)
     )
-    nquad1 = dquad1 - np.einsum("...paj,...pk->...ajk", gam, quad1)
-    asym = nquad1 - np.einsum("...jak->...ajk", nquad1)
-    lhs46 = np.einsum(
-        "...im,...jn,...pk,...ijk,...mnp->...", gup, gup, gup, asym, tb, optimize=True
+    nquad1 = dquad1 - _contract("...paj,...pk->...ajk", gam, quad1)
+    asym = nquad1 - _contract("...jak->...ajk", nquad1)
+    lhs46 = _contract(
+        "...im,...jn,...pk,...ijk,...mnp->...", gup, gup, gup, asym, tb
     )
-    dt2 = np.einsum("...apq,...pq->...a", dgup_h, quad1) + np.einsum(
+    dt2 = _contract("...apq,...pq->...a", dgup_h, quad1) + _contract(
         "...pq,...apq->...a", gup, dquad1
     )
-    rhs46 = np.einsum("...ij,...i,...j->...", gup, dt2, np.conj(w), optimize=True)
+    rhs46 = _contract("...ij,...i,...j->...", gup, dt2, np.conj(w))
     out["quad_gradient_trace"] = _rel(np.abs(lhs46 - rhs46), np.abs(lhs46), np.abs(rhs46))
 
     # contracted Bianchi forms
     x47 = (
-        np.einsum("...srqk->...rqks", cov.grad_antihol)
-        - np.einsum("...qsrk->...rqks", curv)
+        _contract("...srqk->...rqks", cov.grad_antihol)
+        - _contract("...qsrk->...rqks", curv)
     )
-    lhs47 = np.einsum(
+    lhs47 = _contract(
         "...im,...jn,...pk,...rs,...qt,...jit,...rqks,...mnp->...",
-        gup, gup, gup, gup, gup, t, x47, tb, optimize=True,
+        gup, gup, gup, gup, gup, t, x47, tb
     )
     rhs47 = metric_pairing(g, ric1, quad2)
     out["bianchi_torsion_curvature"] = _rel(
@@ -685,32 +764,32 @@ def identity_suite(jet: HermitianJet, pluriclosed: bool = False) -> dict[str, np
     )
 
     y48 = (
-        np.einsum("...srjt->...rjts", cov.grad_antihol)
-        - np.einsum("...jsrt->...rjts", curv)
+        _contract("...srjt->...rjts", cov.grad_antihol)
+        - _contract("...jsrt->...rjts", curv)
     )
-    t48a = np.einsum(
+    t48a = _contract(
         "...im,...jn,...pk,...rs,...qt,...rjts,...iqk,...mnp->...",
-        gup, gup, gup, gup, gup, y48, t, tb, optimize=True,
+        gup, gup, gup, gup, gup, y48, t, tb
     )
-    t48b = np.einsum(
+    t48b = _contract(
         "...im,...jn,...pk,...rs,...qt,...rits,...jqk,...mnp->...",
-        gup, gup, gup, gup, gup, y48, t, tb, optimize=True,
+        gup, gup, gup, gup, gup, y48, t, tb
     )
     out["bianchi_scalar_contraction"] = _rel(
         np.abs((t48a - t48b) + scal * tnorm_sq), np.abs(scal * tnorm_sq), np.abs(t48a - t48b)
     )
 
     z49 = (
-        np.einsum("...sjqk->...jqks", cov.grad_antihol)
-        + np.einsum("...jsqk->...jqks", curv)
+        _contract("...sjqk->...jqks", cov.grad_antihol)
+        + _contract("...jsqk->...jqks", curv)
     )
-    u49a = np.einsum(
+    u49a = _contract(
         "...im,...jn,...pk,...rs,...qt,...irt,...jqks,...mnp->...",
-        gup, gup, gup, gup, gup, t, z49, tb, optimize=True,
+        gup, gup, gup, gup, gup, t, z49, tb
     )
-    u49b = np.einsum(
+    u49b = _contract(
         "...im,...jn,...pk,...rs,...qt,...jrt,...iqks,...mnp->...",
-        gup, gup, gup, gup, gup, t, z49, tb, optimize=True,
+        gup, gup, gup, gup, gup, t, z49, tb
     )
     div_conj = np.conj(cov.divergence).swapaxes(-1, -2)
     rhs49 = metric_pairing(g, quad2, ric1 + div_conj)
@@ -771,8 +850,7 @@ def random_jet_batch(seeds, pluriclosed: bool = False) -> HermitianJet:
     d2h = (re_h + 1j * im_h).reshape(n, 2, 2, 2, 2)
     d2h = (d2h + d2h.swapaxes(1, 2)) / 2
     d2m = (re_m + 1j * im_m).reshape(n, 2, 2, 2, 2)
-    # C order, as the kernels' reductions depend on the memory layout in the last bits
-    d2m = np.ascontiguousarray((d2m + np.conj(d2m.transpose(0, 2, 1, 4, 3))) / 2)
+    d2m = (d2m + np.conj(d2m.transpose(0, 2, 1, 4, 3))) / 2
     if pluriclosed:
         d2m[:, 1, 1, 0, 0] = (-d2m[:, 0, 0, 1, 1] + d2m[:, 1, 0, 0, 1] + d2m[:, 0, 1, 1, 0]).real
     return HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h)

@@ -171,6 +171,27 @@ class TestIdentities:
         })
         assert code == cli.EXIT_CONFIG
 
+    def test_chunked_report_is_byte_identical(self, tmp_path, monkeypatch):
+        payload = {"command": "identities", "count": 30, "seed": 7}
+        assert run_cli(tmp_path, "identities", payload, out="whole") == cli.EXIT_OK
+        batches = []
+        draw = cli.hm.random_jet_batch
+
+        def record(seeds, pluriclosed=False):
+            batches.append((list(seeds), pluriclosed))
+            return draw(seeds, pluriclosed)
+
+        monkeypatch.setattr(cli.hm, "random_jet_batch", record)
+        monkeypatch.setattr(cli, "IDENTITY_CHUNK", 7)
+        assert run_cli(tmp_path, "identities", payload, out="chunked") == cli.EXIT_OK
+        # the same two seed ranges, drawn at most 7 seeds at a time
+        assert max(len(seeds) for seeds, _ in batches) == 7
+        for pluriclosed, first in ((False, 7), (True, 37)):
+            drawn = [s for seeds, p in batches if p == pluriclosed for s in seeds]
+            assert drawn == list(range(first, first + 30))
+        whole = (tmp_path / "whole/identities_report.json").read_bytes()
+        assert (tmp_path / "chunked/identities_report.json").read_bytes() == whole
+
 
 class TestFlowCommand:
     def test_files_written(self, tmp_path):

@@ -1,12 +1,18 @@
 """Pointwise kernel tests: frozen closed-form values plus identity properties."""
 
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plurigeo import cli
+from plurigeo import flow as fl
 from plurigeo import hermitian as hm
+from plurigeo import statics
 from plurigeo.families import MetricFamily, jet_at
 from plurigeo.grid import perturb_with_potential, sample
 
@@ -382,6 +388,93 @@ class TestIdentitySuite:
     def test_families_pass(self):
         res = hm.identity_suite(torus_jet(np.linspace(0, 6, 9)), pluriclosed=True)
         assert max(float(np.asarray(v).max()) for v in res.values()) < 1e-13
+
+
+# the modules whose tensor contractions all go through hm._contract
+_CONTRACTING = [pathlib.Path(hm.__file__), pathlib.Path(fl.__file__)]
+
+
+def _assert_matches_einsum(subscripts, operands, out, tol=1e-14):
+    ref = np.einsum(subscripts, *operands)
+    assert np.shape(out) == np.shape(ref), subscripts
+    err = np.abs(out - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max(initial=0.0) <= tol, (subscripts, err.max())
+
+
+class TestContract:
+    """``_contract`` is ``np.einsum`` taken with the batch axes trailing."""
+
+    def test_every_call_site_matches_einsum(self, monkeypatch, generic_fields):
+        calls = []
+        contract = hm._contract
+
+        def record(subscripts, *operands):
+            out = contract(subscripts, *operands)
+            calls.append((subscripts, operands, out))
+            return out
+
+        monkeypatch.setattr(hm, "_contract", record)
+        for pluriclosed in (False, True):
+            hm.identity_suite(hm.random_jet_batch(range(40), pluriclosed), pluriclosed)
+            hm.identity_suite(hm.random_jet(3, pluriclosed), pluriclosed)
+        field = generic_fields[0]  # pluriclosed, varies along all four axes
+        statics.static_report(field, np.diag([1.0, -1.0]))
+        jet, _ = field.jets()
+        hm.grad_torsion_norms(jet)
+        hm.curvature_norm(jet)
+        fl.tnorm_evolution_check(fl.FlowState(0.0, 0, field))
+
+        for subscripts, operands, out in calls:
+            _assert_matches_einsum(subscripts, operands, out)
+        source = "".join(path.read_text() for path in _CONTRACTING)
+        assert {c[0] for c in calls} == set(re.findall(r'_contract\(\s*"([^"]+)"', source))
+
+    @pytest.mark.parametrize("a_batch, b_batch", [
+        ((4, 2, 3, 2), (4, 2, 3, 2)),  # a 4-axis grid batch
+        ((5, 1, 3), (5, 1, 3)),        # a size-1 batch axis
+        ((), (6,)),                    # an operand with no batch axes
+        ((6, 1), (1, 3)),              # batch axes that broadcast
+        ((), ()),                      # a single point
+    ])
+    def test_batches_match_einsum(self, a_batch, b_batch):
+        rng = np.random.default_rng(4)
+
+        def draw(shape):
+            return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+        a, b = draw(a_batch + (2, 2)), draw(b_batch + (2, 2, 2))
+        for subscripts, operands in (
+            ("...kl,...ijl->...kij", (a, b)),
+            ("...pb,...cq,...acb->...apq", (a, a, b)),
+            ("...ij,...kji->...", (a, b)),
+            ("...iaj->...jai", (b,)),
+        ):
+            _assert_matches_einsum(subscripts, operands, hm._contract(subscripts, *operands))
+
+    def test_result_independent_of_memory_layout(self):
+        jet = hm.random_jet_batch(range(50))
+        gup = hm.inverse_metric(jet.g)
+        t, _ = hm.torsion(jet)
+        subscripts = "...kl,...mn,...ikn,...jlm->...ij"
+        expected = hm._contract(subscripts, gup, gup, t, np.conj(t)).tobytes()
+        for layout in (np.asfortranarray, lambda x: np.ascontiguousarray(x.T).T):
+            g2, t2 = layout(gup), layout(t)
+            assert hm._contract(subscripts, g2, g2, t2, np.conj(t2)).tobytes() == expected
+
+    @pytest.mark.parametrize("path", _CONTRACTING, ids=lambda p: p.name)
+    def test_no_direct_einsum(self, path):
+        # numpy's optimize path multiplies one 2x2 block per batch item: only
+        # _contract calls einsum, and only its path finder passes optimize=
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Attribute) and node.func.attr == "einsum":
+                    assert owner == "_contract", f"{path.name}:{node.lineno} calls einsum"
+                if any(k.arg == "optimize" for k in node.keywords):
+                    assert owner == "_contraction_plan", f"{path.name}:{node.lineno} passes optimize="
 
 
 def _random_jet_reference(seed, pluriclosed=False):
