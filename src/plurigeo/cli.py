@@ -43,9 +43,9 @@ COMMANDS = ("identities", "flow", "static", "hopf")
 
 # identities draws and checks its two seed ranges IDENTITY_CHUNK jets at a
 # time, so its memory is one chunk's jets and suite intermediates whatever
-# the count (10**5 peaked at 62 MB RSS, against 0.68 GB unchunked, and took
-# 7.6 s on a 2-vCPU VM); a larger count is refused before any draw to bound
-# the run time
+# the count (10**5 peaked at 56 MB RSS, against 0.68 GB unchunked, and took
+# 2.5-4.4 s on a 2-vCPU VM, half the time of a generator per seed); a larger
+# count is refused before any draw to bound the run time
 MAX_IDENTITY_COUNT = 10**5
 IDENTITY_CHUNK = 4096
 

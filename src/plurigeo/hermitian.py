@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import string
 from dataclasses import dataclass
 
@@ -828,6 +829,147 @@ def random_jet(seed: int, pluriclosed: bool = False) -> HermitianJet:
     return HermitianJet(g=jet.g[0], d1=jet.d1[0], d2m=jet.d2m[0], d2h=jet.d2h[0])
 
 
+# numpy's ``default_rng(seed).uniform(-1, 1, size)``, bit for bit, for a
+# whole batch of seeds at once: SeedSequence's entropy hash on uint32 lanes,
+# then PCG64 (O'Neill's XSL-RR 128/64) with every 128-bit number held as a
+# (hi, lo) pair of uint64 lanes, one lane per seed
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# outputs per jump-ahead: enough to amortize numpy's per-call cost, few
+# enough that a block of a few thousand seeds stays in cache
+_DRAW_BLOCK = 8
+
+
+def _hash_constants(start: int, mult: int, n: int) -> np.ndarray:
+    """``start * mult**k mod 2**32`` for k = 0..n, as a uint32 column."""
+    c = [start]
+    for _ in range(n):
+        c.append(c[-1] * mult & 0xFFFFFFFF)
+    return np.array(c, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _seed_state(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` per seed.
+
+    ``words`` is (w, n) uint32: n seeds of w 32-bit words each, least
+    significant first.  The hash constants depend only on w, so each step
+    of SeedSequence's ``mix_entropy`` is one operation over the batch.
+    Returns (4, n) uint64.
+    """
+    w, n = words.shape
+    c = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(w - 4, 0))
+    entropy = np.zeros((max(w, 4), n), np.uint32)
+    entropy[:w] = words
+    pool = _hashmix(entropy[:4], c[0:4], c[1:5])
+    k = 4
+    for src in range(4):
+        # pool[src] is not among the words it updates, so one hash of it serves all three
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[k:k + 3], c[k + 1:k + 4]))
+        k += 3
+    for src in range(4, w):
+        pool = _mix(pool, _hashmix(entropy[src], c[k:k + 4], c[k + 1:k + 5]))
+        k += 4
+    cb = _hash_constants(_INIT_B, _MULT_B, 8)
+    state = _hashmix(np.tile(pool, (2, 1)), cb[:8], cb[1:]).astype(np.uint64)
+    # each uint64 of the state is two consecutive uint32 words, low word first
+    return state[0::2] | (state[1::2] << np.uint64(32))
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit product of uint64 ``a`` and ``b``."""
+    a0, a1 = a & _LOW32, a >> np.uint64(32)
+    b0, b1 = b & _LOW32, b >> np.uint64(32)
+    t = a1 * b0 + ((a0 * b0) >> np.uint64(32))
+    u = a0 * b1 + (t & _LOW32)
+    return a1 * b1 + (t >> np.uint64(32)) + (u >> np.uint64(32))
+
+
+def _mul128(x: tuple, y: tuple) -> tuple:
+    """``x * y mod 2**128`` of (hi, lo) uint64 pairs."""
+    return _mulhi64(x[1], y[1]) + x[1] * y[0] + x[0] * y[1], x[1] * y[1]
+
+
+def _add128(x: tuple, y: tuple) -> tuple:
+    """``x + y mod 2**128`` of (hi, lo) uint64 pairs."""
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < x[1]), lo
+
+
+def _u128(values) -> tuple:
+    """Python ints below 2**128 as a (hi, lo) pair of uint64 arrays."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64))
+
+
+def _pcg_jumps(block: int) -> tuple:
+    """``M**r`` and ``1 + M + ... + M**(r-1)`` for r = 1..block, as (hi, lo)
+    columns: r steps of the LCG ``s -> M s + inc`` take s to
+    ``M**r s + (1 + ... + M**(r-1)) inc``."""
+    powers, sums = [_PCG_MULT], [1]
+    for _ in range(block - 1):
+        sums.append((sums[-1] + powers[-1]) & _MASK128)
+        powers.append(powers[-1] * _PCG_MULT & _MASK128)
+    return tuple(tuple(a[:, None] for a in _u128(v)) for v in (powers, sums))
+
+
+_PCG_JUMPS = _pcg_jumps(_DRAW_BLOCK)
+
+
+def _uniform_batch(seeds, size: int) -> np.ndarray:
+    """``np.random.default_rng(s).uniform(-1, 1, size)`` for each seed, bit
+    for bit, as an (n, size) array."""
+    ints = [operator.index(s) for s in seeds]
+    if min(ints, default=0) < 0:
+        raise ValueError("seeds must be non-negative")
+    n = len(ints)
+    n_words = np.maximum((np.fromiter(map(int.bit_length, ints), np.int64, n) + 31) // 32, 1)
+    generated = np.empty((4, n), np.uint64)
+    # a set, not np.unique, which imports numpy.ma (~1.8 MB RSS)
+    for w in set(n_words.tolist()):
+        rows = np.flatnonzero(n_words == w)
+        raw = b"".join([ints[i].to_bytes(4 * w, "little") for i in rows])
+        generated[:, rows] = _seed_state(np.frombuffer(raw, dtype="<u4").reshape(-1, w).T)
+
+    # PCG64 from generate_state's (initstate hi, lo, initseq hi, lo): with
+    # inc = 2 initseq + 1, the seeded state is (initstate + inc) M + inc
+    init, (seq_hi, seq_lo) = (generated[0], generated[1]), generated[2:]
+    inc = ((seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63)), (seq_lo << np.uint64(1)) | np.uint64(1))
+    state = _add128(_mul128(_add128(init, inc), _u128([_PCG_MULT])), inc)
+    powers, sums = _PCG_JUMPS
+    offsets = _mul128(inc, sums)
+    blocks = -(-size // _DRAW_BLOCK)
+    out = np.empty((blocks, _DRAW_BLOCK, n), np.uint64)
+    for b in range(blocks):
+        hi, lo = _add128(_mul128(state, powers), offsets)
+        # XSL-RR output of each state after a step
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        out[b] = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        state = hi[-1], lo[-1]
+    # random_uniform's -1 + 2 * ((x >> 11) * 2**-53), in which every product is exact
+    out >>= np.uint64(11)
+    draw = out.reshape(blocks * _DRAW_BLOCK, n)[:size].T.astype(np.float64, order="C")
+    draw *= 2.0**-52
+    draw -= 1.0
+    return draw
+
+
 # per seed, one draw of uniform doubles in [-1, 1], in this order: the real,
 # then the imaginary parts of A (2x2), d1 (2x2x2), d2h and d2m (2x2x2x2 each)
 _JET_DRAW = (4, 4, 8, 8, 16, 16, 16, 16)
@@ -836,10 +978,12 @@ _JET_DRAW = (4, 4, 8, 8, 16, 16, 16, 16)
 def random_jet_batch(seeds, pluriclosed: bool = False) -> HermitianJet:
     """:func:`random_jet` for each seed, along a leading batch axis.
 
-    Each seed's generator makes one draw; the jets are then assembled for
-    the whole batch at once.
+    Seeds are non-negative integers (``operator.index``; a float is a
+    ``TypeError``).  Each seed's 88 doubles are those of
+    ``np.random.default_rng(seed).uniform(-1, 1, 88)``, drawn for the whole
+    batch at once; the jets are then assembled for the whole batch too.
     """
-    draw = np.stack([np.random.default_rng(int(s)).uniform(-1, 1, sum(_JET_DRAW)) for s in seeds])
+    draw = _uniform_batch(seeds, sum(_JET_DRAW))
     n = draw.shape[0]
     re_a, im_a, re_d1, im_d1, re_h, im_h, re_m, im_m = np.split(
         draw, np.cumsum(_JET_DRAW)[:-1], axis=1

@@ -21,6 +21,8 @@ from plurigeo import cli
 from plurigeo.families import MetricFamily
 from plurigeo.grid import MetricField, TorusGrid, sample, save_field
 
+from test_hermitian import _random_jet_reference
+
 
 TORUS = {"kind": "torus_pluriclosed", "eps": 0.5}
 README_CONFIGS = re.findall(
@@ -191,6 +193,23 @@ class TestIdentities:
             assert drawn == list(range(first, first + 30))
         whole = (tmp_path / "whole/identities_report.json").read_bytes()
         assert (tmp_path / "chunked/identities_report.json").read_bytes() == whole
+
+    def test_report_across_a_word_boundary(self, tmp_path, monkeypatch):
+        # the unconstrained range straddles 2**32, where a seed grows a second
+        # 32-bit word, inside one chunk, and the pluriclosed range starts just
+        # above it; the oracle draws one generator per seed
+        payload = {"command": "identities", "count": 4, "seed": 2**32 - 3}
+        assert run_cli(tmp_path, "identities", payload, out="batch") == cli.EXIT_OK
+
+        def per_seed(seeds, pluriclosed=False):
+            refs = [_random_jet_reference(s, pluriclosed) for s in seeds]
+            g, d1, d2m, d2h = (np.stack(parts) for parts in zip(*refs))
+            return cli.hm.HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h)
+
+        monkeypatch.setattr(cli.hm, "random_jet_batch", per_seed)
+        assert run_cli(tmp_path, "identities", payload, out="per_seed") == cli.EXIT_OK
+        batch = (tmp_path / "batch/identities_report.json").read_bytes()
+        assert (tmp_path / "per_seed/identities_report.json").read_bytes() == batch
 
 
 class TestFlowCommand:

@@ -497,7 +497,10 @@ class TestRandomJet:
     @pytest.mark.parametrize("seeds", [
         range(7, 607),
         [5, 3, 10**12, 2**63 - 1, 0, 99, 4, 4],
-    ], ids=["contiguous", "scattered"])
+        # unsorted, every side of the 32-bit word boundaries, and a repeat
+        [2**64, 0, 10**40, 2**32 - 1, 2**128 + 3, 2**32, 2**200 - 1, 2**64 - 1, 2**32, 1],
+        np.array([2**64 - 1, 7, 2**32], dtype=np.uint64),
+    ], ids=["contiguous", "scattered", "word_counts", "numpy_uint64"])
     def test_batch_is_byte_identical_to_reference(self, seeds, pluriclosed):
         jet = hm.random_jet_batch(seeds, pluriclosed)
         refs = [_random_jet_reference(s, pluriclosed) for s in seeds]
@@ -511,6 +514,31 @@ class TestRandomJet:
         jet = hm.random_jet(2**40, pluriclosed=True)
         for name, ref in zip(("g", "d1", "d2m", "d2h"), _random_jet_reference(2**40, True)):
             assert getattr(jet, name).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0)])
+    def test_non_integral_seed_is_a_type_error(self, seed):
+        with pytest.raises(TypeError):
+            hm.random_jet(seed)
+        with pytest.raises(TypeError):
+            hm.random_jet_batch([4, seed])
+
+    def test_negative_seed_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            hm.random_jet(-1)
+        with pytest.raises(ValueError):
+            hm.random_jet_batch([3, -2**70])
+
+    def test_draws_no_generator(self):
+        # a numpy generator per seed (~15 us to build) costs several times the
+        # vectorized draw of a whole jet, so none may be built here
+        tree = ast.parse(pathlib.Path(hm.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                assert name not in {"default_rng", "Generator", "SeedSequence", "PCG64"}, (
+                    f"hermitian.py:{node.lineno} calls {name}"
+                )
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**63 - 1))
