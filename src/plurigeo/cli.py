@@ -217,6 +217,9 @@ def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
             raise ConfigError("c1_bundle must be a real 2x2 matrix") from exc
         if bundle.shape != (2, 2) or not np.isfinite(bundle).all():
             raise ConfigError("c1_bundle must be a real 2x2 matrix of finite numbers")
+        # static_report's test that the class is Hermitian, made before any sampling
+        if np.abs(bundle - bundle.T).max() > 1e-12:
+            raise ConfigError("c1_bundle must be symmetric")
         options = {
             "family": family, "field_file": field_file, "dims": dims,
             "c1_bundle": bundle,

@@ -83,13 +83,6 @@ def _zeros(shape):
     )
 
 
-def _flat_jet(shape):
-    g, d1, d2m, d2h = _zeros(shape)
-    g[..., 0, 0] = 1.0
-    g[..., 1, 1] = 1.0
-    return HermitianJet(g, d1, d2m, d2h)
-
-
 def _kahler_jet(eps, x1, x3):
     x1, x3 = np.broadcast_arrays(np.asarray(x1, float), np.asarray(x3, float))
     g, d1, d2m, d2h = _zeros(x1.shape)
@@ -171,7 +164,7 @@ def jet_at(family: MetricFamily, point) -> HermitianJet:
         raise ValueError("torus point must have 4 real coordinates")
     x1, _, x3, _ = (np.asarray(p, float) for p in point)
     if family.kind == "flat":
-        return _flat_jet(np.broadcast(x1, x3).shape)
+        return HermitianJet.flat(np.broadcast(x1, x3).shape)
     if family.kind == "kahler_potential":
         return _kahler_jet(family.eps, x1, x3)
     return _torus_pluriclosed_jet(family.eps, np.broadcast_arrays(x1, x3)[1])

@@ -830,64 +830,62 @@ def random_jet(seed: int, pluriclosed: bool = False) -> HermitianJet:
 
 
 # numpy's ``default_rng(seed).uniform(-1, 1, size)``, bit for bit, for a
-# whole batch of seeds at once: SeedSequence's entropy hash on uint32 lanes,
-# then PCG64 (O'Neill's XSL-RR 128/64) with every 128-bit number held as a
-# (hi, lo) pair of uint64 lanes, one lane per seed
+# whole batch of seeds at once, in the steps of numpy's own code: SeedSequence
+# (numpy/random/bit_generator.pyx) on uint32 lanes, then PCG64 (O'Neill's
+# XSL-RR 128/64) with every 128-bit number held as a (hi, lo) pair of uint64
+# lanes, one lane per seed
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+# SeedSequence's hash constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _LOW32 = np.uint64(0xFFFFFFFF)
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-# outputs per jump-ahead: enough to amortize numpy's per-call cost, few
-# enough that a block of a few thousand seeds stays in cache
-_DRAW_BLOCK = 8
-
-
-def _hash_constants(start: int, mult: int, n: int) -> np.ndarray:
-    """``start * mult**k mod 2**32`` for k = 0..n, as a uint32 column."""
-    c = [start]
-    for _ in range(n):
-        c.append(c[-1] * mult & 0xFFFFFFFF)
-    return np.array(c, dtype=np.uint32)[:, None]
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mult
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> np.uint32(16))
+# PCG64's 128-bit LCG multiplier, as (hi, lo)
+_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
 
 
 def _seed_state(words: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` per seed.
 
     ``words`` is (w, n) uint32: n seeds of w 32-bit words each, least
-    significant first.  The hash constants depend only on w, so each step
-    of SeedSequence's ``mix_entropy`` is one operation over the batch.
+    significant first.  The hash constants depend only on w, so each call of
+    SeedSequence's ``hashmix`` and ``mix`` is one operation over the batch.
     Returns (4, n) uint64.
     """
     w, n = words.shape
-    c = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(w - 4, 0))
-    entropy = np.zeros((max(w, 4), n), np.uint32)
-    entropy[:w] = words
-    pool = _hashmix(entropy[:4], c[0:4], c[1:5])
-    k = 4
-    for src in range(4):
-        # pool[src] is not among the words it updates, so one hash of it serves all three
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[k:k + 3], c[k + 1:k + 4]))
-        k += 3
-    for src in range(4, w):
-        pool = _mix(pool, _hashmix(entropy[src], c[k:k + 4], c[k + 1:k + 5]))
-        k += 4
-    cb = _hash_constants(_INIT_B, _MULT_B, 8)
-    state = _hashmix(np.tile(pool, (2, 1)), cb[:8], cb[1:]).astype(np.uint64)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = _MIX_L * x - _MIX_R * y
+        return result ^ (result >> np.uint32(16))
+
+    # mix_entropy with a pool of 4 words
+    zero = np.zeros(n, np.uint32)
+    mixer = [hashmix(words[i] if i < w else zero) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
+    for i_src in range(4, w):
+        for i_dst in range(4):
+            mixer[i_dst] = mix(mixer[i_dst], hashmix(words[i_src]))
+
+    # generate_state(4, np.uint64): 8 uint32 words cycling over the pool
+    hash_const = _INIT_B
+    state = np.empty((8, n), np.uint32)
+    for i_dst in range(8):
+        data_val = mixer[i_dst % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
+        data_val = data_val * np.uint32(hash_const)
+        state[i_dst] = data_val ^ (data_val >> np.uint32(16))
+    state = state.astype(np.uint64)
     # each uint64 of the state is two consecutive uint32 words, low word first
     return state[0::2] | (state[1::2] << np.uint64(32))
 
@@ -901,35 +899,15 @@ def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a1 * b1 + (t >> np.uint64(32)) + (u >> np.uint64(32))
 
 
-def _mul128(x: tuple, y: tuple) -> tuple:
-    """``x * y mod 2**128`` of (hi, lo) uint64 pairs."""
-    return _mulhi64(x[1], y[1]) + x[1] * y[0] + x[0] * y[1], x[1] * y[1]
-
-
-def _add128(x: tuple, y: tuple) -> tuple:
-    """``x + y mod 2**128`` of (hi, lo) uint64 pairs."""
-    lo = x[1] + y[1]
-    return x[0] + y[0] + (lo < x[1]), lo
-
-
-def _u128(values) -> tuple:
-    """Python ints below 2**128 as a (hi, lo) pair of uint64 arrays."""
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64))
-
-
-def _pcg_jumps(block: int) -> tuple:
-    """``M**r`` and ``1 + M + ... + M**(r-1)`` for r = 1..block, as (hi, lo)
-    columns: r steps of the LCG ``s -> M s + inc`` take s to
-    ``M**r s + (1 + ... + M**(r-1)) inc``."""
-    powers, sums = [_PCG_MULT], [1]
-    for _ in range(block - 1):
-        sums.append((sums[-1] + powers[-1]) & _MASK128)
-        powers.append(powers[-1] * _PCG_MULT & _MASK128)
-    return tuple(tuple(a[:, None] for a in _u128(v)) for v in (powers, sums))
-
-
-_PCG_JUMPS = _pcg_jumps(_DRAW_BLOCK)
+def _lcg(state: tuple, inc: tuple) -> tuple:
+    """One PCG64 step ``s -> s M + inc mod 2**128`` on (hi, lo) uint64 pairs.
+    Returns the new state and its XSL-RR output."""
+    (hi, lo), (mult_hi, mult_lo) = state, _PCG_MULT
+    prod_lo = lo * mult_lo
+    new_lo = prod_lo + inc[1]
+    new_hi = _mulhi64(lo, mult_lo) + lo * mult_hi + hi * mult_lo + inc[0] + (new_lo < prod_lo)
+    x, rot = new_hi ^ new_lo, new_hi >> np.uint64(58)
+    return (new_hi, new_lo), (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
 def _uniform_batch(seeds, size: int) -> np.ndarray:
@@ -947,24 +925,19 @@ def _uniform_batch(seeds, size: int) -> np.ndarray:
         raw = b"".join([ints[i].to_bytes(4 * w, "little") for i in rows])
         generated[:, rows] = _seed_state(np.frombuffer(raw, dtype="<u4").reshape(-1, w).T)
 
-    # PCG64 from generate_state's (initstate hi, lo, initseq hi, lo): with
-    # inc = 2 initseq + 1, the seeded state is (initstate + inc) M + inc
-    init, (seq_hi, seq_lo) = (generated[0], generated[1]), generated[2:]
+    # PCG64 from generate_state's (initstate hi, lo, initseq hi, lo):
+    # inc = 2 initseq + 1; from state 0, one step (state = inc), then
+    # state += initstate and one more step
+    init_hi, init_lo, seq_hi, seq_lo = generated
     inc = ((seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63)), (seq_lo << np.uint64(1)) | np.uint64(1))
-    state = _add128(_mul128(_add128(init, inc), _u128([_PCG_MULT])), inc)
-    powers, sums = _PCG_JUMPS
-    offsets = _mul128(inc, sums)
-    blocks = -(-size // _DRAW_BLOCK)
-    out = np.empty((blocks, _DRAW_BLOCK, n), np.uint64)
-    for b in range(blocks):
-        hi, lo = _add128(_mul128(state, powers), offsets)
-        # XSL-RR output of each state after a step
-        x, rot = hi ^ lo, hi >> np.uint64(58)
-        out[b] = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        state = hi[-1], lo[-1]
+    lo = init_lo + inc[1]
+    state, _ = _lcg((init_hi + inc[0] + (lo < init_lo), lo), inc)
+    out = np.empty((size, n), np.uint64)
+    for k in range(size):
+        state, out[k] = _lcg(state, inc)
     # random_uniform's -1 + 2 * ((x >> 11) * 2**-53), in which every product is exact
     out >>= np.uint64(11)
-    draw = out.reshape(blocks * _DRAW_BLOCK, n)[:size].T.astype(np.float64, order="C")
+    draw = out.T.astype(np.float64, order="C")
     draw *= 2.0**-52
     draw -= 1.0
     return draw

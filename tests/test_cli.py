@@ -336,6 +336,8 @@ class TestInvalidInputsExitTwo:
         {"command": "flow", "family": {"kind": "hopf"}},
         {"command": "static", "family": TORUS, "dims": [4, 4, 4, 4]},
         {"command": "static", "family": {"kind": "flat"}, "c1_bundle": [[1, 0], [0, float("nan")]]},
+        {"command": "static", "family": {"kind": "flat"}, "dims": [4, 4, 4, 4],
+         "c1_bundle": [[1, 2], [3, 4]]},
         {"command": "identities", "count": 3, "tolerances": {"bianchi_first": float("inf")}},
         {"command": "hopf", "samples": 3, "tol": float("nan")},
     ], ids=lambda p: json.dumps(p, sort_keys=True))

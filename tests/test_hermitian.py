@@ -498,7 +498,8 @@ class TestRandomJet:
         range(7, 607),
         [5, 3, 10**12, 2**63 - 1, 0, 99, 4, 4],
         # unsorted, every side of the 32-bit word boundaries, and a repeat
-        [2**64, 0, 10**40, 2**32 - 1, 2**128 + 3, 2**32, 2**200 - 1, 2**64 - 1, 2**32, 1],
+        [2**64, 0, 10**40, 2**32 - 1, 2**128 + 3, 2**32, 2**200 - 1, 2**64 - 1, 2**32, 1,
+         2**127, 2**191 + 5],
         np.array([2**64 - 1, 7, 2**32], dtype=np.uint64),
     ], ids=["contiguous", "scattered", "word_counts", "numpy_uint64"])
     def test_batch_is_byte_identical_to_reference(self, seeds, pluriclosed):
@@ -509,6 +510,14 @@ class TestRandomJet:
             value = getattr(jet, name)
             assert value.shape == expected.shape and value.dtype == expected.dtype
             assert value.tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("seeds", [[], range(0), np.array([], dtype=np.uint64)],
+                             ids=["list", "range", "numpy_uint64"])
+    def test_empty_batch(self, seeds):
+        jet = hm.random_jet_batch(seeds)
+        flat = hm.HermitianJet.flat((0,))
+        for name in ("g", "d1", "d2m", "d2h"):
+            assert getattr(jet, name).shape == getattr(flat, name).shape, name
 
     def test_single_jet_is_the_batch_of_one(self):
         jet = hm.random_jet(2**40, pluriclosed=True)
