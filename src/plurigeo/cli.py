@@ -41,11 +41,11 @@ EXIT_NUMERICAL = 3
 
 COMMANDS = ("identities", "flow", "static", "hopf")
 
-# identities draws and checks its two seed ranges IDENTITY_CHUNK jets at a
-# time, so its memory is one chunk's jets and suite intermediates whatever
-# the count (10**5 peaked at 56 MB RSS, against 0.68 GB unchunked, and took
-# 2.5-4.4 s on a 2-vCPU VM, half the time of a generator per seed); a larger
-# count is refused before any draw to bound the run time
+# identities draws its jets from one generator and checks them IDENTITY_CHUNK
+# at a time, so its memory is one chunk's jets and suite intermediates
+# whatever the count (10**5 peaked at 61 MB RSS, against 0.68 GB unchunked,
+# and took 3.8 s on a 2-vCPU VM); a larger count is refused before any draw
+# to bound the run time
 MAX_IDENTITY_COUNT = 10**5
 IDENTITY_CHUNK = 4096
 
@@ -279,10 +279,11 @@ def cmd_identities(scenario: Scenario) -> int:
         for name, vals in res.items():
             worst[name] = max(worst[name], float(np.asarray(vals).max()))
 
-    for first, pluriclosed in ((seed, False), (seed + count, True)):
-        for start in range(first, first + count, IDENTITY_CHUNK):
-            seeds = range(start, min(start + IDENTITY_CHUNK, first + count))
-            absorb(hm.identity_suite(hm.random_jet_batch(seeds, pluriclosed), pluriclosed))
+    rng = np.random.default_rng(seed)
+    for pluriclosed in (False, True):
+        for start in range(0, count, IDENTITY_CHUNK):
+            jets = hm.random_jet_batch(rng, min(IDENTITY_CHUNK, count - start), pluriclosed)
+            absorb(hm.identity_suite(jets, pluriclosed))
     for _, jet, pluriclosed in _family_sample_jets():
         absorb(hm.identity_suite(jet, pluriclosed=pluriclosed))
 

@@ -179,10 +179,6 @@ class FamilyCheck:
     tol: float = 1e-10
 
 
-def _rel(x, scale):
-    return np.abs(x) / max(1.0, scale)
-
-
 def family_predictions(family: MetricFamily) -> list[FamilyCheck]:
     """Expected invariants of the family, as named residual checks."""
     checks: list[FamilyCheck] = []

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import string
 from dataclasses import dataclass
 
@@ -53,7 +52,6 @@ __all__ = [
     "metric_pairing",
     "grad_torsion_norms",
     "curvature_norm",
-    "torsion_norm",
     "identity_suite",
     "random_jet",
     "random_jet_batch",
@@ -656,12 +654,6 @@ def curvature_norm(jet: HermitianJet) -> np.ndarray:
     return np.sqrt(np.maximum(sq.real, 0.0))
 
 
-def torsion_norm(jet: HermitianJet) -> np.ndarray:
-    """Pointwise norm |T|_g."""
-    _, _, tnorm_sq = torsion_quadratics(jet)
-    return np.sqrt(np.maximum(tnorm_sq, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # identity suite
 
@@ -824,149 +816,35 @@ def random_jet(seed: int, pluriclosed: bool = False) -> HermitianJet:
     derivative components uniform in [-1, 1] per real part, symmetry and
     reality constraints enforced.  With ``pluriclosed`` the mixed second
     derivative ``d2m[1, 1, 0, 0]`` is solved so the pluriclosed defect
-    vanishes.  The batch of one of :func:`random_jet_batch`."""
-    jet = random_jet_batch([seed], pluriclosed)
+    vanishes.  The batch of one of :func:`random_jet_batch`, drawn from
+    ``np.random.default_rng(seed)``."""
+    jet = random_jet_batch(np.random.default_rng(seed), 1, pluriclosed)
     return HermitianJet(g=jet.g[0], d1=jet.d1[0], d2m=jet.d2m[0], d2h=jet.d2h[0])
 
 
-# numpy's ``default_rng(seed).uniform(-1, 1, size)``, bit for bit, for a
-# whole batch of seeds at once, in the steps of numpy's own code: SeedSequence
-# (numpy/random/bit_generator.pyx) on uint32 lanes, then PCG64 (O'Neill's
-# XSL-RR 128/64) with every 128-bit number held as a (hi, lo) pair of uint64
-# lanes, one lane per seed
-
-# SeedSequence's hash constants
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_LOW32 = np.uint64(0xFFFFFFFF)
-# PCG64's 128-bit LCG multiplier, as (hi, lo)
-_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
-
-
-def _seed_state(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` per seed.
-
-    ``words`` is (w, n) uint32: n seeds of w 32-bit words each, least
-    significant first.  The hash constants depend only on w, so each call of
-    SeedSequence's ``hashmix`` and ``mix`` is one operation over the batch.
-    Returns (4, n) uint64.
-    """
-    w, n = words.shape
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = _MIX_L * x - _MIX_R * y
-        return result ^ (result >> np.uint32(16))
-
-    # mix_entropy with a pool of 4 words
-    zero = np.zeros(n, np.uint32)
-    mixer = [hashmix(words[i] if i < w else zero) for i in range(4)]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
-    for i_src in range(4, w):
-        for i_dst in range(4):
-            mixer[i_dst] = mix(mixer[i_dst], hashmix(words[i_src]))
-
-    # generate_state(4, np.uint64): 8 uint32 words cycling over the pool
-    hash_const = _INIT_B
-    state = np.empty((8, n), np.uint32)
-    for i_dst in range(8):
-        data_val = mixer[i_dst % 4] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
-        data_val = data_val * np.uint32(hash_const)
-        state[i_dst] = data_val ^ (data_val >> np.uint32(16))
-    state = state.astype(np.uint64)
-    # each uint64 of the state is two consecutive uint32 words, low word first
-    return state[0::2] | (state[1::2] << np.uint64(32))
-
-
-def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit product of uint64 ``a`` and ``b``."""
-    a0, a1 = a & _LOW32, a >> np.uint64(32)
-    b0, b1 = b & _LOW32, b >> np.uint64(32)
-    t = a1 * b0 + ((a0 * b0) >> np.uint64(32))
-    u = a0 * b1 + (t & _LOW32)
-    return a1 * b1 + (t >> np.uint64(32)) + (u >> np.uint64(32))
-
-
-def _lcg(state: tuple, inc: tuple) -> tuple:
-    """One PCG64 step ``s -> s M + inc mod 2**128`` on (hi, lo) uint64 pairs.
-    Returns the new state and its XSL-RR output."""
-    (hi, lo), (mult_hi, mult_lo) = state, _PCG_MULT
-    prod_lo = lo * mult_lo
-    new_lo = prod_lo + inc[1]
-    new_hi = _mulhi64(lo, mult_lo) + lo * mult_hi + hi * mult_lo + inc[0] + (new_lo < prod_lo)
-    x, rot = new_hi ^ new_lo, new_hi >> np.uint64(58)
-    return (new_hi, new_lo), (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-
-
-def _uniform_batch(seeds, size: int) -> np.ndarray:
-    """``np.random.default_rng(s).uniform(-1, 1, size)`` for each seed, bit
-    for bit, as an (n, size) array."""
-    ints = [operator.index(s) for s in seeds]
-    if min(ints, default=0) < 0:
-        raise ValueError("seeds must be non-negative")
-    n = len(ints)
-    n_words = np.maximum((np.fromiter(map(int.bit_length, ints), np.int64, n) + 31) // 32, 1)
-    generated = np.empty((4, n), np.uint64)
-    # a set, not np.unique, which imports numpy.ma (~1.8 MB RSS)
-    for w in set(n_words.tolist()):
-        rows = np.flatnonzero(n_words == w)
-        raw = b"".join([ints[i].to_bytes(4 * w, "little") for i in rows])
-        generated[:, rows] = _seed_state(np.frombuffer(raw, dtype="<u4").reshape(-1, w).T)
-
-    # PCG64 from generate_state's (initstate hi, lo, initseq hi, lo):
-    # inc = 2 initseq + 1; from state 0, one step (state = inc), then
-    # state += initstate and one more step
-    init_hi, init_lo, seq_hi, seq_lo = generated
-    inc = ((seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63)), (seq_lo << np.uint64(1)) | np.uint64(1))
-    lo = init_lo + inc[1]
-    state, _ = _lcg((init_hi + inc[0] + (lo < init_lo), lo), inc)
-    out = np.empty((size, n), np.uint64)
-    for k in range(size):
-        state, out[k] = _lcg(state, inc)
-    # random_uniform's -1 + 2 * ((x >> 11) * 2**-53), in which every product is exact
-    out >>= np.uint64(11)
-    draw = out.T.astype(np.float64, order="C")
-    draw *= 2.0**-52
-    draw -= 1.0
-    return draw
-
-
-# per seed, one draw of uniform doubles in [-1, 1], in this order: the real,
-# then the imaginary parts of A (2x2), d1 (2x2x2), d2h and d2m (2x2x2x2 each)
+# per jet, 88 uniform doubles in [-1, 1], in this order: the real, then the
+# imaginary parts of A (2x2), d1 (2x2x2), d2h and d2m (2x2x2x2 each)
 _JET_DRAW = (4, 4, 8, 8, 16, 16, 16, 16)
 
 
-def random_jet_batch(seeds, pluriclosed: bool = False) -> HermitianJet:
-    """:func:`random_jet` for each seed, along a leading batch axis.
-
-    Seeds are non-negative integers (``operator.index``; a float is a
-    ``TypeError``).  Each seed's 88 doubles are those of
-    ``np.random.default_rng(seed).uniform(-1, 1, 88)``, drawn for the whole
-    batch at once; the jets are then assembled for the whole batch too.
+def random_jet_batch(
+    rng: np.random.Generator, count: int, pluriclosed: bool = False
+) -> HermitianJet:
+    """``count`` :func:`random_jet` constructions along a leading batch axis,
+    from one ``rng.uniform(-1, 1, (count, 88))`` draw: jet ``i`` reads row
+    ``i``.  The stream is sequential, so two calls on one generator draw the
+    same jets as one call for their total count.
     """
-    draw = _uniform_batch(seeds, sum(_JET_DRAW))
-    n = draw.shape[0]
+    draw = rng.uniform(-1, 1, (count, sum(_JET_DRAW)))
     re_a, im_a, re_d1, im_d1, re_h, im_h, re_m, im_m = np.split(
         draw, np.cumsum(_JET_DRAW)[:-1], axis=1
     )
-    a = (re_a + 1j * im_a).reshape(n, 2, 2) / np.sqrt(2)
+    a = (re_a + 1j * im_a).reshape(count, 2, 2) / np.sqrt(2)
     g = a @ np.conj(a.swapaxes(-1, -2)) + np.eye(2)
-    d1 = (re_d1 + 1j * im_d1).reshape(n, 2, 2, 2)
-    d2h = (re_h + 1j * im_h).reshape(n, 2, 2, 2, 2)
+    d1 = (re_d1 + 1j * im_d1).reshape(count, 2, 2, 2)
+    d2h = (re_h + 1j * im_h).reshape(count, 2, 2, 2, 2)
     d2h = (d2h + d2h.swapaxes(1, 2)) / 2
-    d2m = (re_m + 1j * im_m).reshape(n, 2, 2, 2, 2)
+    d2m = (re_m + 1j * im_m).reshape(count, 2, 2, 2, 2)
     d2m = (d2m + np.conj(d2m.transpose(0, 2, 1, 4, 3))) / 2
     if pluriclosed:
         d2m[:, 1, 1, 0, 0] = (-d2m[:, 0, 0, 1, 1] + d2m[:, 1, 0, 0, 1] + d2m[:, 0, 1, 1, 0]).real

@@ -65,7 +65,7 @@ def test_criterion_1_hopf_static_example():
 
 def test_criterion_2_surface_torsion_algebra():
     t0 = time.perf_counter()
-    jets = hm.random_jet_batch(range(1000))
+    jets = hm.random_jet_batch(np.random.default_rng(0), 1000)
     g = jets.g
     quad1, quad2, t2 = hm.torsion_quadratics(jets)
     scale = np.maximum(1.0, np.abs(quad1).max(axis=(-1, -2)))
@@ -82,7 +82,7 @@ def test_criterion_2_surface_torsion_algebra():
 
 
 def test_criterion_3_pluriclosed_jet_identities():
-    jets = hm.random_jet_batch(range(5000, 6000), pluriclosed=True)
+    jets = hm.random_jet_batch(np.random.default_rng(5000), 1000, pluriclosed=True)
     res = hm.identity_suite(jets, pluriclosed=True)
     names = [
         "torsion_trace_identity",
@@ -123,7 +123,8 @@ def test_criterion_4_kahler_reduction():
         state = fl.step(state, dt, "gflow")
         g_oracle = oracle_step(g_oracle)
         jet, _ = state.field.jets()
-        max_t = max(max_t, float(hm.torsion_norm(jet).max()))
+        _, _, tnorm_sq = hm.torsion_quadratics(jet)
+        max_t = max(max_t, float(np.sqrt(np.maximum(tnorm_sq, 0.0)).max()))
     diff = float(np.abs(state.field.values - g_oracle).max())
     ok = max_t <= 1e-6 and diff <= 1e-6
     report(4, ok, f"kahler reduction over 50 steps: max|T| {max_t:.2e} (<=1e-6), "

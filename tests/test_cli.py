@@ -179,37 +179,35 @@ class TestIdentities:
         batches = []
         draw = cli.hm.random_jet_batch
 
-        def record(seeds, pluriclosed=False):
-            batches.append((list(seeds), pluriclosed))
-            return draw(seeds, pluriclosed)
+        def record(rng, count, pluriclosed=False):
+            batches.append((count, pluriclosed))
+            return draw(rng, count, pluriclosed)
 
         monkeypatch.setattr(cli.hm, "random_jet_batch", record)
         monkeypatch.setattr(cli, "IDENTITY_CHUNK", 7)
         assert run_cli(tmp_path, "identities", payload, out="chunked") == cli.EXIT_OK
-        # the same two seed ranges, drawn at most 7 seeds at a time
-        assert max(len(seeds) for seeds, _ in batches) == 7
-        for pluriclosed, first in ((False, 7), (True, 37)):
-            drawn = [s for seeds, p in batches if p == pluriclosed for s in seeds]
-            assert drawn == list(range(first, first + 30))
+        # 30 unconstrained, then 30 pluriclosed jets, at most 7 at a time
+        assert batches == [(7, False)] * 4 + [(2, False)] + [(7, True)] * 4 + [(2, True)]
         whole = (tmp_path / "whole/identities_report.json").read_bytes()
         assert (tmp_path / "chunked/identities_report.json").read_bytes() == whole
 
-    def test_report_across_a_word_boundary(self, tmp_path, monkeypatch):
-        # the unconstrained range straddles 2**32, where a seed grows a second
-        # 32-bit word, inside one chunk, and the pluriclosed range starts just
-        # above it; the oracle draws one generator per seed
-        payload = {"command": "identities", "count": 4, "seed": 2**32 - 3}
+    def test_report_is_one_stream_of_reference_jets(self, tmp_path, monkeypatch):
+        # the oracle draws jet after jet from its own generator of the config
+        # seed: count unconstrained jets, then count pluriclosed ones
+        payload = {"command": "identities", "count": 9, "seed": 11}
         assert run_cli(tmp_path, "identities", payload, out="batch") == cli.EXIT_OK
+        stream = np.random.default_rng(11)
 
-        def per_seed(seeds, pluriclosed=False):
-            refs = [_random_jet_reference(s, pluriclosed) for s in seeds]
+        def jet_after_jet(rng, count, pluriclosed=False):
+            refs = [_random_jet_reference(stream, pluriclosed) for _ in range(count)]
             g, d1, d2m, d2h = (np.stack(parts) for parts in zip(*refs))
             return cli.hm.HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h)
 
-        monkeypatch.setattr(cli.hm, "random_jet_batch", per_seed)
-        assert run_cli(tmp_path, "identities", payload, out="per_seed") == cli.EXIT_OK
+        monkeypatch.setattr(cli.hm, "random_jet_batch", jet_after_jet)
+        monkeypatch.setattr(cli, "IDENTITY_CHUNK", 4)
+        assert run_cli(tmp_path, "identities", payload, out="reference") == cli.EXIT_OK
         batch = (tmp_path / "batch/identities_report.json").read_bytes()
-        assert (tmp_path / "per_seed/identities_report.json").read_bytes() == batch
+        assert (tmp_path / "reference/identities_report.json").read_bytes() == batch
 
 
 class TestFlowCommand:

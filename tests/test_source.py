@@ -23,17 +23,66 @@ def _private_definitions(tree):
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
+def _imports(tree):
+    """What one module imports from the package: ``{alias: module}`` for
+    ``from . import module`` and ``{alias: (module, name)}`` for
+    ``from .module import name``, function-local imports included."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if node.module is None:
+                    modules[bound] = alias.name
+                else:
+                    names[bound] = (node.module, alias.name)
+    return modules, names
+
+
+def _unread(sources):
+    """``module.py:name`` for each module-level private name of ``sources``
+    (``{module: source text}``) that no module reads.  A name counts as read
+    where its own module reads it, or where a module that imports it, or
+    imports its module, reads it: a like-named private of another module
+    does not count."""
+    trees = {stem: ast.parse(text) for stem, text in sources.items()}
+    read = {stem: set() for stem in trees}
+    for stem, tree in trees.items():
+        modules, names = _imports(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read[stem].add(node.id)
+                if node.id in names and names[node.id][0] in read:
+                    module, name = names[node.id]
+                    read[module].add(name)
+            elif isinstance(node, ast.Attribute):
+                read[stem].add(node.attr)
+                owner = getattr(node.value, "id", None)
+                if modules.get(owner) in read:
+                    read[modules[owner]].add(node.attr)
+    return sorted(
+        f"{stem}.py:{name}"
+        for stem, tree in trees.items()
+        for name in _private_definitions(tree) - read[stem]
+    )
+
+
 def test_every_private_name_is_read():
     # a private helper or constant that no code reads is left over from a
     # rewrite: delete it rather than keep it in step with the code it served
-    defined, read = set(), set()
-    for path in SOURCES:
-        tree = ast.parse(path.read_text())
-        defined.update((path.name, name) for name in _private_definitions(tree))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    unread = sorted(f"{path}:{name}" for path, name in defined if name not in read)
+    unread = _unread({path.stem: path.read_text() for path in SOURCES})
     assert not unread, f"private names never read in the package: {unread}"
+
+
+def test_a_like_named_private_elsewhere_does_not_count():
+    helper = "def _rel(x):\n    return x\n"
+    assert _unread({"a": helper, "b": helper + "y = _rel(1)\n"}) == ["a.py:_rel"]
+
+
+def test_reads_through_an_import_count():
+    sources = {
+        "a": "_K = 1\n\ndef _f():\n    pass\n\ndef _g():\n    pass\n",
+        "b": "from . import a as m\nfrom .a import _f, _g\nx = m._K\n_f()\n",
+    }
+    # b binds _g by its import, and neither module reads it
+    assert _unread(sources) == ["a.py:_g", "b.py:_g"]

@@ -7,6 +7,8 @@ the einsum kernels (``gflow_rhs``, ``chern_curvature``,
 are pinned to ``dz``/``dzbar`` compositions in ``test_grid.py``.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -30,12 +32,12 @@ def _family_jets():
     }
 
 
-def conditioned_jets(kappa: float, seeds, seed: int) -> hm.HermitianJet:
+def conditioned_jets(kappa: float, count: int, seed: int) -> hm.HermitianJet:
     """Random jets whose metric has condition number ``kappa``: eigenvalues 1
     and 1/kappa, eigenvectors from a seeded random unitary per jet."""
-    jet = hm.random_jet_batch(seeds)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((len(seeds), 2, 2)) + 1j * rng.standard_normal((len(seeds), 2, 2))
+    jet = hm.random_jet_batch(rng, count)
+    z = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
     q, _ = np.linalg.qr(z)
     g = np.einsum("nij,j,nkj->nik", q, np.array([1.0, 1.0 / kappa]), np.conj(q))
     g = 0.5 * (g + np.conj(g.swapaxes(-1, -2)))
@@ -47,11 +49,10 @@ def _kernel_and_oracle_jets():
     kernel reads the flow's one stencil pass and the oracles the ``dz``/``dzbar``
     compositions, so a wrong sign in any row of the pass shows here."""
     jets = {
-        "random_free": hm.random_jet_batch(range(2000)),
-        "random_pluriclosed": hm.random_jet_batch(range(2000, 4000), pluriclosed=True),
+        "random_free": hm.random_jet_batch(np.random.default_rng(0), 2000),
+        "random_pluriclosed": hm.random_jet_batch(np.random.default_rng(1), 2000, pluriclosed=True),
         **_family_jets(),
-        **{f"kappa_{k:.0e}": conditioned_jets(k, range(4000 + i * 2000, 6000 + i * 2000), i)
-           for i, k in enumerate(KAPPAS)},
+        **{f"kappa_{k:.0e}": conditioned_jets(k, 2000, 2 + i) for i, k in enumerate(KAPPAS)},
     }
     pairs = {name: (hm.SurfaceJet.from_jet(jet), jet) for name, jet in jets.items()}
     cross = cross_field()
@@ -59,16 +60,18 @@ def _kernel_and_oracle_jets():
     return pairs
 
 
-# The einsum oracles lose digits like kappa(g) eps, so on the conditioned
-# sets the kernel is held to KAPPA_TOL * kappa (largest error / kappa
-# measured over the three sets: 1.6e-15)
+# On the conditioned sets g^-1 itself is only good to about kappa(g) eps (its
+# determinant cancels), and the kernel and the einsum oracles take it from
+# one inverse_metric, so both err alike; a result that cancels is no scale
+# for that error.  There the kernel is held to its value on the jet in
+# long double, within KAPPA_TOL * kappa * eps times the size of the terms
+# each quantity sums (_term_sizes).  Largest error / (kappa eps size)
+# measured over 40 fresh 2000-jet sets per kappa: 9.8, for the kernel and
+# the float64 oracles alike (scal and |Omega|; rhs 3.3), so the bound has a
+# margin of 3.3
 KAPPAS = (1e2, 1e4, 1e6)
-KAPPA_TOL = 1e-14
+KAPPA_TOL = 32.0
 JETS = _kernel_and_oracle_jets()
-
-
-def _tol(name: str) -> float:
-    return KAPPA_TOL * float(name[len("kappa_"):]) if name.startswith("kappa_") else TOL
 
 
 def _rel(value, oracle) -> float:
@@ -77,22 +80,75 @@ def _rel(value, oracle) -> float:
     return float((np.abs(value - oracle) / np.maximum(1.0, np.abs(oracle))).max())
 
 
-@pytest.mark.parametrize("name", sorted(JETS))
-def test_kernel_matches_oracles(name):
-    surface, jet = JETS[name]
-    tol = _tol(name)
-    out = hm.surface_flow(surface, curvature=True)
+def _oracles(jet: hm.HermitianJet) -> dict:
+    """The einsum oracles of each ``surface_flow`` output, in the jet's dtype."""
     _, _, _, scal = hm.chern_curvature(jet)
     _, _, tnorm_sq = hm.torsion_quadratics(jet)
     _, w = hm.torsion(jet)
     gup = hm.inverse_metric(jet.g)
-    w_sq = np.einsum("...ij,...i,...j->...", gup, w, np.conj(w)).real
-    assert _rel(out.rhs, hm.gflow_rhs(jet)) <= tol
-    assert _rel(out.scal, scal) <= tol
-    assert _rel(out.tnorm_sq, tnorm_sq) <= tol
-    assert _rel(out.w_sq, w_sq) <= tol
-    assert _rel(np.sqrt(out.curv_sq), hm.curvature_norm(jet)) <= tol
-    assert _rel(out.pluriclosed, hm.pluriclosed_residual(jet)) <= tol
+    return {
+        "rhs": hm.gflow_rhs(jet),
+        "scal": scal,
+        "tnorm_sq": tnorm_sq,
+        "w_sq": np.einsum("...ij,...i,...j->...", gup, w, np.conj(w)).real,
+        "curv": hm.curvature_norm(jet),
+        "pluriclosed": hm.pluriclosed_residual(jet),
+    }
+
+
+def _term_sizes(jet: hm.HermitianJet) -> dict:
+    """Per jet, the size of the terms each quantity sums, from the largest
+    entries G of g^-1, M of d2m and D of d1: the velocity is g^-1 d2m plus
+    g^-1 g^-1 d1 d1, and scal and |Omega| carry one more g^-1."""
+    def largest(x, rank):
+        return np.abs(x).reshape(x.shape[: x.ndim - rank] + (-1,)).max(axis=-1)
+
+    big_g = largest(hm.inverse_metric(jet.g), 2)
+    big_m, big_d = largest(jet.d2m, 4), largest(jet.d1, 3)
+    rhs = big_g * big_m + big_g**2 * big_d**2
+    torsion_sq = big_g**3 * big_d**2
+    return {"rhs": rhs, "scal": big_g * rhs, "tnorm_sq": torsion_sq, "w_sq": torsion_sq,
+            "curv": big_g * rhs, "pluriclosed": big_m}
+
+
+def _long_double(jet: hm.HermitianJet) -> hm.HermitianJet:
+    return hm.HermitianJet(
+        *(getattr(jet, name).astype(np.clongdouble) for name in ("g", "d1", "d2m", "d2h"))
+    )
+
+
+@functools.cache
+def _long_double_reference(name: str) -> tuple[dict, dict]:
+    jet = JETS[name][1]
+    return _oracles(_long_double(jet)), _term_sizes(jet)
+
+
+def _assert_within_kappa_bound(name: str, values: dict) -> None:
+    bound = KAPPA_TOL * float(name[len("kappa_"):]) * np.finfo(float).eps
+    reference, sizes = _long_double_reference(name)
+    for key, value in values.items():
+        err = np.abs(value - reference[key]).reshape(len(value), -1).max(axis=-1)
+        assert (err <= bound * sizes[key]).all(), (key, float((err / sizes[key]).max()))
+
+
+@pytest.mark.parametrize("name", sorted(JETS))
+def test_kernel_matches_oracles(name):
+    surface, jet = JETS[name]
+    out = hm.surface_flow(surface, curvature=True)
+    kernel = {"rhs": out.rhs, "scal": out.scal, "tnorm_sq": out.tnorm_sq, "w_sq": out.w_sq,
+              "curv": np.sqrt(out.curv_sq), "pluriclosed": out.pluriclosed}
+    if name.startswith("kappa_"):
+        _assert_within_kappa_bound(name, kernel)
+        return
+    oracle = _oracles(jet)
+    for key, value in kernel.items():
+        assert _rel(value, oracle[key]) <= TOL, key
+
+
+@pytest.mark.parametrize("name", [f"kappa_{k:.0e}" for k in KAPPAS])
+def test_oracles_meet_the_kappa_bound(name):
+    # the float64 oracles err like the kernel: the bound is g^-1's, not the kernel's
+    _assert_within_kappa_bound(name, _oracles(JETS[name][1]))
 
 
 def test_conditioned_jets_have_their_condition_number():
