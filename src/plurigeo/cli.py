@@ -7,7 +7,9 @@ Usage::
 Commands: ``identities``, ``flow``, ``static``, ``hopf``.  Configuration
 is strict JSON: unknown keys are rejected, all outputs are written
 atomically, and identical configs with identical seeds produce
-byte-identical files regardless of PLURIGEO_THREADS.
+byte-identical files.  ``PLURIGEO_THREADS`` caps the threads of the
+stencil pass (an integer >= 1; unset means the CPUs this process may run
+on; never more than 2); the files are byte-identical for every value.
 
 Exit codes: 0 success, 1 identity/tolerance failure, 2 usage or config
 error (no output is written; also a request too large for memory or an
@@ -31,7 +33,7 @@ from . import flow as fl
 from . import hermitian as hm
 from . import statics as st
 from .families import MetricFamily, jet_at
-from .grid import MetricField, load_field, sample, sampling_grid
+from .grid import MetricField, load_field, sample, sampling_grid, stencil_threads
 from .flow import _atomic_write_text
 
 EXIT_OK = 0
@@ -404,17 +406,13 @@ def cmd_hopf(scenario: Scenario) -> int:
 
 
 def _check_threads_env() -> None:
-    val = os.environ.get("PLURIGEO_THREADS")
-    if val is None:
-        return
+    # PLURIGEO_THREADS caps the threads of the stencil pass (at most 2, and
+    # no more than the CPUs this process may run on); outputs are
+    # byte-identical for every value, so only a malformed one is an error
     try:
-        n = int(val)
+        stencil_threads()
     except ValueError as exc:
-        raise ConfigError(f"PLURIGEO_THREADS must be an integer, got {val!r}") from exc
-    if n < 1:
-        raise ConfigError("PLURIGEO_THREADS must be >= 1")
-    # All kernels are vectorized single-process numpy; the cap is accepted
-    # for interface compatibility and has no numerical effect.
+        raise ConfigError(str(exc)) from exc
 
 
 def main(argv=None) -> int:

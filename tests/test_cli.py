@@ -109,10 +109,14 @@ class TestConfigValidation:
         })
         assert code == cli.EXIT_CONFIG
 
-    def test_threads_env_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PLURIGEO_THREADS", "zero")
-        code = run_cli(tmp_path, "hopf", {"command": "hopf", "samples": 2})
-        assert code == cli.EXIT_CONFIG
+    def test_threads_env_validated(self, tmp_path, monkeypatch, capsys):
+        for val in ("zero", "0"):
+            monkeypatch.setenv("PLURIGEO_THREADS", val)
+            code = run_cli(tmp_path, "hopf", {"command": "hopf", "samples": 2})
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: PLURIGEO_THREADS")
+            assert not (tmp_path / "out").exists()
 
     def test_tnorm_check_needs_gflow(self, tmp_path, capsys):
         code = run_cli(tmp_path, "flow", {
