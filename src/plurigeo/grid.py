@@ -113,13 +113,13 @@ def _periodic_diff(
     return out
 
 
-def _stencil_rows(f: np.ndarray, h: tuple, holomorphic: bool = False):
+def _stencil_rows(f: np.ndarray, h: tuple):
     """The derivative pass over real fields ``f`` (the last axis, after the
     four grid axes, so every stencil slice is a contiguous run), all fields
-    in each numpy call; :func:`_stencil_half` is its split form.  Yields
-    one row group at a time, row axis first: ``del_{z^k} f`` for k = 0, 1;
-    ``del_{z^k} del_{zbar^l} f`` for ``(k, l) = (0, 0), (1, 1), (0, 1)``;
-    with ``holomorphic``, ``del_{z^k} del_{z^l} f`` for the same pairs."""
+    in each numpy call: ``surface_jet`` on grids below ``_SPLIT_NODES``
+    nodes and ``complex_hessian`` take it.  Yields one row group at a time,
+    row axis first: ``del_{z^k} f`` for k = 0, 1; then ``del_{z^k}
+    del_{zbar^l} f`` for ``(k, l) = (0, 0), (1, 1), (0, 1)``."""
 
     def diff(u, a, out=None):  # del_{x_a}
         return _periodic_diff(u, u.ndim - 5 + a, h[a], out)
@@ -146,17 +146,6 @@ def _stencil_rows(f: np.ndarray, h: tuple, holomorphic: bool = False):
     np.subtract(d0[2], d1[0], out=z.imag[2])  # f_03 - f_12
     z *= 0.25
     yield z
-    if holomorphic:
-        del z
-        z = np.empty((3,) + f.shape, dtype=complex)
-        np.subtract(d0[0], d1[2], out=z.real[0])  # f_00 - f_11
-        np.multiply(diff(d[3], 0), -2.0, out=z.imag[0])  # -2 f_01
-        np.subtract(f22, f33, out=z.real[1])  # f_22 - f_33
-        np.multiply(diff(d[1], 3), -2.0, out=z.imag[1])  # -2 f_23
-        np.subtract(d0[1], d1[1], out=z.real[2])  # f_02 - f_13
-        np.negative(d0[2] + d1[0], out=z.imag[2])  # -(f_03 + f_12)
-        z *= 0.25
-        yield z
 
 
 def _metric_fields(v: np.ndarray) -> np.ndarray:
@@ -164,13 +153,11 @@ def _metric_fields(v: np.ndarray) -> np.ndarray:
     return np.stack([v[..., 0, 0].real, v[..., 1, 1].real, v[..., 0, 1].real, v[..., 0, 1].imag], axis=-1)
 
 
-def _metric_entries(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _metric_entries(z: np.ndarray) -> np.ndarray:
     """Component-leading ``D g_{i jbar}`` from ``D`` of the four real fields
     ``g11, g22, Re g12, Im g12`` (the last axis of ``z``), for a derivative
-    ``D`` that is linear over the reals: shape ``(L, 2, 2) + grid dims``,
-    into ``out`` if given."""
-    if out is None:
-        out = np.empty(z.shape[:1] + (2, 2) + z.shape[1:-1], dtype=complex)
+    ``D`` that is linear over the reals: shape ``(L, 2, 2) + grid dims``."""
+    out = np.empty(z.shape[:1] + (2, 2) + z.shape[1:-1], dtype=complex)
     out[:, 0, 0] = z[..., 0]
     out[:, 1, 1] = z[..., 1]
     iq = 1j * z[..., 3]
@@ -179,19 +166,20 @@ def _metric_entries(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-# Grids of at least _SPLIT_NODES nodes take their metric jets from a second
-# form of the pass, in two halves: (g11, g22), written to the entries
-# (0, 0) and (1, 1) of the jet, and (Re g12, Im g12), written to (0, 1) and
-# (1, 0) and then mixed into D g12 and D g21.  No halo joins the halves,
-# so with two threads allowed the second half runs in one worker thread
-# while the calling thread runs the first.  Every node gets the operations
-# of _stencil_rows and _metric_entries, so the jets are bit-identical for
-# every thread count.  The split form holds less memory at a time but
-# makes twice as many numpy calls, so small grids keep _stencil_rows.
-# Split surface_jet time over _stencil_rows's on a 2-vCPU x86_64 VM
-# (alternating calls): 3.04 at 1,024 nodes, 1.47 at 2,048, 0.99 at 4,096,
-# 0.78 at 6,144, 0.65 at 8,192, 0.50 at 16,384 (jets: 1.04 at 4,096,
-# 0.94 at 6,144).
+# The split form of the pass works in two halves: (g11, g22), written to
+# the entries (0, 0) and (1, 1) of the jet, and (Re g12, Im g12), written
+# to (0, 1) and (1, 0) and then mixed into D g12 and D g21.  No halo joins
+# the halves, so on grids of at least _SPLIT_NODES nodes, with two threads
+# allowed, the second half runs in one worker thread; smaller grids start
+# no thread.  Every node gets the operations of _stencil_rows and
+# _metric_entries, so the jets are bit-identical for every thread count
+# and either form.  jets takes the split form, the one with holomorphic
+# rows, at every size; no workload takes jets below _SPLIT_NODES nodes,
+# where a grouped pass would be up to ~1.3x faster.  surface_jet takes
+# it from _SPLIT_NODES nodes on, as it makes twice as many numpy calls as
+# _stencil_rows: split surface_jet time over _stencil_rows's on a 2-vCPU
+# x86_64 VM (alternating calls) is 3.04 at 1,024 nodes, 1.47 at 2,048,
+# 0.99 at 4,096, 0.78 at 6,144, 0.65 at 8,192, 0.50 at 16,384.
 _SPLIT_NODES = 6144
 # per half: its two real fields among the 8 of ``g.view(float)`` per node,
 # the two of the 4 flattened entries (i, j) they go to, and whether they
@@ -265,8 +253,9 @@ def _stencil_half(f: np.ndarray, h: tuple, rows: np.ndarray, work: _StencilWork)
     """The rows of :func:`_stencil_rows` for real fields ``f`` (a leading
     axis before the four grid axes), written straight into the complex
     ``rows`` (shape ``(L,) + f.shape``): first derivatives in rows 0 and 1,
-    mixed ones in rows 2 to 4 and, if L is 8, holomorphic ones in rows 5 to
-    7.  Every row takes the operations of ``_stencil_rows`` in the same
+    mixed ones in rows 2 to 4 and, if L is 8 (``jets``), holomorphic ones
+    ``del_{z^k} del_{z^l} f`` in rows 5 to 7, for the ``(k, l)`` of rows 2
+    to 4.  Rows 0 to 4 take the operations of ``_stencil_rows`` in the same
     order; two first derivatives are held at a time, and each second-order
     row is formed from its two terms in ``work.terms``."""
 
@@ -328,8 +317,11 @@ def _mix_g12(rows: np.ndarray, tmp: np.ndarray) -> None:
 def _split_pass(g: np.ndarray, h: tuple, rows: np.ndarray) -> None:
     """The jet of metric values ``g`` (shape ``dims + (2, 2)``) into
     ``rows``, of shape ``(L, 2, 2) + dims`` with the rows of
-    :func:`_stencil_half`.  The second half runs in the worker thread if
-    two threads are allowed."""
+    :func:`_stencil_half`: every ``jets`` call, and ``surface_jet`` from
+    ``_SPLIT_NODES`` nodes on.  The second half runs in the worker thread,
+    under the caller's numpy error state, on grids of at least
+    ``_SPLIT_NODES`` nodes if two threads are allowed; otherwise both
+    halves run in the calling thread."""
     dims = g.shape[:-2]
     reals = np.ascontiguousarray(g, dtype=complex).view(float).reshape(dims + (8,))
     entries = rows.reshape(rows.shape[:1] + (4,) + dims)
@@ -343,15 +335,24 @@ def _split_pass(g: np.ndarray, h: tuple, rows: np.ndarray) -> None:
         if g12:
             _mix_g12(rows, work.tmp.view(complex))
 
-    try:
-        threads = stencil_threads()
-    except ValueError:  # malformed: the CLI rejects it; library calls never raise on it, at any grid size
-        threads = 1
+    threads = 1
+    if math.prod(dims) >= _SPLIT_NODES:
+        try:
+            threads = stencil_threads()
+        except ValueError:  # malformed: the CLI rejects it; library calls never raise on it
+            pass
     if threads < 2:
         run(0)
         run(1)
         return
-    done = _stencil_worker().submit(run, 1)
+    # numpy's error state is context-local: the worker would start from the defaults
+    err = dict(np.geterr(), call=np.geterrcall())
+
+    def worker_half() -> None:
+        with np.errstate(**err):
+            run(1)
+
+    done = _stencil_worker().submit(worker_half)
     try:
         run(0)
     finally:
@@ -458,35 +459,24 @@ class MetricField:
         return float(self.grid.integrate(self.det()))
 
     def jets(self) -> tuple[HermitianJet, dict[str, float]]:
-        """Full jets at every node: the stencil pass of :meth:`surface_jet`
-        plus its holomorphic rows, each row group written straight into the
-        jet (on split grids, into one component-leading block that is copied
-        into the jet once).  The ``(k, l) = (1, 0)`` rows are copied from ``(0, 1)``, so
-        ``d2h`` is symmetric and ``d2m`` real by construction and both
-        reported deviations are 0."""
+        """Full jets at every node from the split pass (:func:`_split_pass`):
+        the rows of :meth:`surface_jet` plus the holomorphic ones, written
+        into one component-leading block that is copied into the jet once.
+        The ``(k, l) = (1, 0)`` rows are copied from ``(0, 1)``, so ``d2h``
+        is symmetric and ``d2m`` real by construction and both reported
+        deviations are 0."""
         g, dims = self.values, self.grid.dims
+        # the pass's many writes straight into the node-interleaved jet
+        # took twice as long as these writes plus one copy at 16x8x16x8
+        z = np.empty((8, 2, 2) + dims, complex)
+        _split_pass(g, self.grid.spacing, z)
         d1 = np.empty(dims + (2, 2, 2), dtype=complex)
         d2m, d2h = (np.empty(dims + (2, 2, 2, 2), dtype=complex) for _ in range(2))
-        first = np.moveaxis(d1, (0, 1, 2, 3), (3, 4, 5, 6))
+        np.moveaxis(d1, (0, 1, 2, 3), (3, 4, 5, 6))[...] = z[:2]
         # (k, l, i, j) + dims
         lead_m, lead_h = (np.moveaxis(d2, (0, 1, 2, 3), (4, 5, 6, 7)) for d2 in (d2m, d2h))
-        pairs = ((0, 0), (1, 1), (0, 1))
-        if self.grid.nodes >= _SPLIT_NODES:
-            # the pass's many writes straight into the node-interleaved jet
-            # took twice as long as these writes plus one copy at 16x8x16x8
-            z = np.empty((8, 2, 2) + dims, complex)
-            _split_pass(g, self.grid.spacing, z)
-            first[...] = z[:2]
-            for r, p in enumerate(pairs):
-                lead_m[p][...], lead_h[p][...] = z[2 + r], z[5 + r]
-        else:
-            rows = _stencil_rows(_metric_fields(g), self.grid.spacing, holomorphic=True)
-            _metric_entries(next(rows), out=first)
-            for lead in (lead_m, lead_h):
-                z = next(rows)
-                for r, p in enumerate(pairs):
-                    _metric_entries(z[r : r + 1], out=lead[p][None])
-                del z
+        for r, p in enumerate(((0, 0), (1, 1), (0, 1))):
+            lead_m[p][...], lead_h[p][...] = z[2 + r], z[5 + r]
         np.conjugate(d2m[..., 0, 1, :, :].swapaxes(-1, -2), out=d2m[..., 1, 0, :, :])
         d2h[..., 1, 0, :, :] = d2h[..., 0, 1, :, :]
         return HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h), {"d2h_symmetry": 0.0, "d2m_reality": 0.0}

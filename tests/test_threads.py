@@ -1,10 +1,11 @@
 """The split stencil pass: bit-identical for every ``PLURIGEO_THREADS``.
 
-Grids of at least ``grid._SPLIT_NODES`` nodes take their jets in two
-halves; with two threads allowed the second half runs in a worker thread.
-Each test that needs the worker asserts that it really ran, and skips when
-this process may run on fewer than 2 CPUs, so no test starts more threads
-than there are cores.
+``MetricField.jets`` takes its jets in two halves at every grid size, and
+``surface_jet`` does from ``grid._SPLIT_NODES`` nodes on.  Only on grids
+of at least ``grid._SPLIT_NODES`` nodes, with two threads allowed, does
+the second half run in a worker thread.  Each test that needs the worker
+asserts that it really ran, and skips when this process may run on fewer
+than 2 CPUs, so no test starts more threads than there are cores.
 """
 
 import json
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ import pytest
 import plurigeo
 from plurigeo import cli, grid
 from plurigeo import flow as fl
+from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily
 from plurigeo.grid import perturb_with_potential, sample, save_field, stencil_threads
 
@@ -75,14 +78,40 @@ def test_jets_bit_identical_across_threads(large_field, halves, monkeypatch):
 
 
 def test_split_pass_matches_the_one_pass_form(large_field, monkeypatch):
-    # _stencil_rows, which small grids use, is the reference of the split pass
-    split = (large_field.surface_jet(), large_field.jets()[0])
+    # _stencil_rows (surface_jet below _SPLIT_NODES nodes) is the reference of the split pass
+    split = (large_field.surface_jet(), hm.SurfaceJet.from_jet(large_field.jets()[0]))
     monkeypatch.setattr(grid, "_SPLIT_NODES", 10**9)
-    whole = (large_field.surface_jet(), large_field.jets()[0])
-    for name in ("d1", "d2m"):
-        assert getattr(split[0], name).tobytes() == getattr(whole[0], name).tobytes()
-    for name in ("d1", "d2m", "d2h"):
-        assert getattr(split[1], name).tobytes() == getattr(whole[1], name).tobytes()
+    whole = large_field.surface_jet()
+    for jet in split:
+        for name in ("d1", "d2m"):
+            assert getattr(jet, name).tobytes() == getattr(whole, name).tobytes()
+
+
+def test_small_jets_split_in_the_calling_thread(halves, monkeypatch):
+    monkeypatch.setenv("PLURIGEO_THREADS", "2")
+    sample(MetricFamily("torus_pluriclosed", 0.5), (4, 4, 16, 4)).jets()
+    assert halves == [threading.current_thread().name] * 2
+
+
+@two_cpus
+def test_worker_half_keeps_the_callers_error_state(large_field, halves, monkeypatch):
+    values = large_field.values.copy()
+    values[3, 2, 5, 1, 0, 1] = np.inf  # Re g12: the worker's half
+    field = grid.MetricField(large_field.grid, values)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PLURIGEO_THREADS", threads)
+        for take in (field.surface_jet, field.jets):
+            with np.errstate(invalid="raise", over="raise"), pytest.raises(FloatingPointError):
+                take()
+            with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+                warnings.simplefilter("always")
+                take()
+            assert not caught, (threads, take.__name__)
+            called = []
+            with np.errstate(all="ignore", invalid="call", call=lambda kind, flag: called.append(kind)):
+                take()
+            assert called and set(called) == {"invalid value"}, (threads, take.__name__)
+    assert _ran_in_worker(halves)
 
 
 @two_cpus
