@@ -6,7 +6,10 @@ differences with periodic wraparound,
 
     f'_i ~ (-f_{i+2} + 8 f_{i+1} - 8 f_{i-1} + f_{i-2}) / (12 h),
 
-second derivatives from the same stencils in one pass.  Integrals are
+second derivatives from the same stencils in one pass.  On axes of at
+most 16 points the two differences are mostly products with cached
+circulant matrices (BLAS calls that release the GIL), otherwise slices of
+a padded copy; both give the same bits on finite input.  Integrals are
 periodic Riemann sums times the cell volume, reduced with a fixed
 pairwise tree so results are bit-reproducible.
 
@@ -18,6 +21,7 @@ dz^1 ^ dz^2 and dzbar^1 ^ dzbar^2).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -83,23 +87,102 @@ def pairwise_sum(values: np.ndarray):
     return a[0]
 
 
+# Which form differentiates an axis of n points with ``run`` reals after
+# it (complex values count twice): products with difference matrices on
+# axes of at most _PRODUCT_MAX points, as their n multiply-adds per entry
+# outgrow the slices' five passes on longer ones.  A block of at most
+# _RIGHT_MAX reals (n * run) is flattened and multiplied from the right in
+# one call; runs of _LEFT_RUNS[0] reals and more take one product from the
+# left per block, on axes of more than 8 points only runs shorter than
+# _LEFT_RUNS[1].  Everything else takes slices of a padded copy.  Product
+# time over slice time on a 2-vCPU x86_64 VM (one BLAS thread, alternating
+# calls) was 0.3-0.9 at n <= 16 where products are taken (table in
+# CHANGES.md); where they are not, up to 1.8 at n = 32, 1.1-1.5 at n = 16
+# with runs of 3 or 4 reals, and 1.0-1.2 at n = 16 with runs of 512 or more.
+_PRODUCT_MAX = 16
+_RIGHT_MAX = 32
+_LEFT_RUNS = (8, 512)
+
+
+def _sliced(n: int, run: int) -> bool:
+    """Whether :func:`_periodic_diff` takes slices, not products, along an
+    axis of ``n`` points with ``run`` reals after it."""
+    if n > _PRODUCT_MAX:
+        return True
+    if n * run <= _RIGHT_MAX:
+        return False
+    return run < _LEFT_RUNS[0] or (n > 8 and run >= _LEFT_RUNS[1])
+
+
+@functools.lru_cache(maxsize=None)
+def _difference_matrices(n: int, run: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(8 (S - S^-1), S^2 - S^-2)`` for the cyclic shift ``S`` of
+    ``n`` points (``S^2 - S^-2`` is 0 at n = 4); for ``run`` > 0, ``(M x
+    I_run)^T`` of each, the same difference applied from the right to a
+    flattened ``(n, run)`` block."""
+    i = np.arange(n)
+    m1, m2 = np.zeros((n, n)), np.zeros((n, n))
+    m1[i, (i + 1) % n] += 8.0
+    m1[i, (i - 1) % n] -= 8.0
+    m2[i, (i + 2) % n] += 1.0
+    m2[i, (i - 2) % n] -= 1.0
+    if run:
+        m1, m2 = (np.ascontiguousarray(np.kron(m, np.eye(run)).T) for m in (m1, m2))
+    m1.flags.writeable = m2.flags.writeable = False
+    return m1, m2
+
+
 def _periodic_diff(
     u: np.ndarray,
     axis: int,
     h: float,
     out: np.ndarray | None = None,
-    pad: np.ndarray | None = None,
     tmp: np.ndarray | None = None,
+    pad: np.ndarray | None = None,
 ) -> np.ndarray:
-    """4th-order periodic first derivative along ``axis`` (into ``out`` if given).
+    """4th-order periodic first derivative along ``axis`` (into ``out`` if given),
+    ``(8 (u[i+1] - u[i-1]) - (u[i+2] - u[i-2])) / (12 h)``.
 
-    Every shifted operand is a slice of one copy of ``u`` padded by two
-    wrapped cells at each end of the axis; the differences are grouped in
-    pairs so constants differentiate to exact zero.  ``pad`` (the shape of
-    ``u`` with 4 more cells along ``axis``) and ``tmp`` (the shape of
-    ``u``), if given, take the padded copy and the outer difference.
+    On a float64 or complex128 ``u``, along the axes and runs chosen above,
+    the two differences are matrix products along the axis (complex
+    entries as two real ones), into ``out`` and ``tmp``: no padded copy.
+    Every row of either matrix has exactly two nonzero entries, +-8 or
+    +-1, so each result is the sum of two exact products,
+    rounded once in any summation order (BLAS blocking, FMA and threads
+    included), and fl(8a - 8b) = 8 fl(a - b).  Finite input below 2**1020
+    in magnitude therefore gives the bits of the sliced form below, up to
+    the sign of an exact-zero result where the input holds both -0 and +0;
+    a non-finite entry makes its whole line along ``axis`` NaN (0 * inf).
+    Otherwise every shifted operand is a slice of one copy of ``u``, padded
+    by two wrapped cells at each end of the axis (into ``pad``, the shape
+    of ``u`` with 4 more cells along ``axis``, if given).  Either way the
+    differences are grouped in pairs, so constants differentiate to exact
+    zero.  ``out`` and ``tmp`` (the shape and dtype of ``u``) must be
+    C-contiguous: a product into a strided array's reshaped copy would be
+    lost.
     """
+    for a in (out, tmp):
+        if a is not None and not a.flags.c_contiguous:
+            raise ValueError("_periodic_diff writes only into C-contiguous arrays")
     n = u.shape[axis]
+    run = math.prod(u.shape[axis + 1 :]) * (2 if u.dtype.char == "D" else 1)
+    if u.dtype.char in "dD" and not _sliced(n, run):
+        u = np.ascontiguousarray(u)
+        out = np.empty_like(u) if out is None else out
+        tmp = np.empty_like(u) if tmp is None else tmp
+        reals, out_r, tmp_r = (a.view(float) for a in (u, out, tmp))
+        lead = math.prod(u.shape[:axis])
+        if n * run <= _RIGHT_MAX:
+            shape, (m1, m2) = (lead, n * run), _difference_matrices(n, run)
+            np.matmul(reals.reshape(shape), m1, out=out_r.reshape(shape))
+            np.matmul(reals.reshape(shape), m2, out=tmp_r.reshape(shape))
+        else:
+            shape, (m1, m2) = (lead, n, run), _difference_matrices(n, 0)
+            np.matmul(m1, reals.reshape(shape), out=out_r.reshape(shape))
+            np.matmul(m2, reals.reshape(shape), out=tmp_r.reshape(shape))
+        out_r -= tmp_r
+        out /= 12.0 * h  # in u's dtype: a complex division is not a real one
+        return out
     lead = (slice(None),) * axis
     pad = np.concatenate((u[lead + (slice(n - 2, n),)], u, u[lead + (slice(0, 2),)]), axis=axis, out=pad)
 
@@ -166,25 +249,29 @@ def _metric_entries(z: np.ndarray) -> np.ndarray:
     return out
 
 
-# The split form of the pass works in two halves: (g11, g22), written to
-# the entries (0, 0) and (1, 1) of the jet, and (Re g12, Im g12), written
-# to (0, 1) and (1, 0) and then mixed into D g12 and D g21.  No halo joins
-# the halves, so on grids of at least _SPLIT_NODES nodes, with two threads
-# allowed, the second half runs in one worker thread; smaller grids start
-# no thread.  Every node gets the operations of _stencil_rows and
-# _metric_entries, so the jets are bit-identical for every thread count
-# and either form.  jets takes the split form, the one with holomorphic
+# The split form of the pass works in two halves: (Re g12, Im g12),
+# written to the entries (0, 1) and (1, 0) of the jet and then mixed into
+# D g12 and D g21, and (g11, g22), written to (0, 0) and (1, 1).  No halo
+# joins the halves, so on grids of at least _SPLIT_NODES nodes, with two
+# threads allowed, the second half runs in one worker thread; smaller grids
+# start no thread.  The calling thread takes the half with the mix, as the
+# worker starts later: at 16x8x16x8, with the mix in the worker, the
+# caller waited 0.35-0.38 ms median (p95 0.72-0.81) in done.result(); with
+# it in the caller, 0.007 ms (p95 0.31-0.40).  Every node gets the
+# operations of _stencil_rows and _metric_entries, so the jets are
+# bit-identical for every thread count and either form.  jets takes the split form, the one with holomorphic
 # rows, at every size; no workload takes jets below _SPLIT_NODES nodes,
 # where a grouped pass would be up to ~1.3x faster.  surface_jet takes
 # it from _SPLIT_NODES nodes on, as it makes twice as many numpy calls as
 # _stencil_rows: split surface_jet time over _stencil_rows's on a 2-vCPU
-# x86_64 VM (alternating calls) is 3.04 at 1,024 nodes, 1.47 at 2,048,
-# 0.99 at 4,096, 0.78 at 6,144, 0.65 at 8,192, 0.50 at 16,384.
+# x86_64 VM (alternating calls, one BLAS thread) is 3.21 at 1,024 nodes,
+# 1.33 at 2,048, 0.75 at 4,096, 0.54 at 6,144, 0.38 at 8,192, 0.29 at
+# 16,384.
 _SPLIT_NODES = 6144
 # per half: its two real fields among the 8 of ``g.view(float)`` per node,
 # the two of the 4 flattened entries (i, j) they go to, and whether they
 # are the fields of g12
-_HALVES = ((slice(0, 8, 6), slice(0, 4, 3), False), (slice(2, 4), slice(1, 3), True))
+_HALVES = ((slice(2, 4), slice(1, 3), True), (slice(0, 8, 6), slice(0, 4, 3), False))
 
 _pool = None  # (pid, executor) of the worker thread, made by the first split pass
 _pool_lock = threading.Lock()
@@ -226,15 +313,21 @@ def _stencil_worker():
 
 class _StencilWork:
     """Views of one flat ``block`` for every array one half of the split
-    pass writes besides the jet, the padded copy and outer difference of
-    :func:`_periodic_diff` along each axis included.  The calling thread
-    allocates the block: memory a worker thread allocates goes to that
-    thread's own malloc arena, which keeps it after it is freed."""
+    pass writes besides the jet: six pieces the size of the half's two
+    fields, and a padded copy for :func:`_periodic_diff` along each axis
+    it takes slices on.  The calling thread allocates the block: memory a
+    worker thread allocates goes to that thread's own malloc arena, which
+    keeps it after it is freed."""
+
+    @staticmethod
+    def _sliced_axes(dims: tuple) -> list:
+        return [a for a, n in enumerate(dims) if _sliced(n, math.prod(dims[a + 1 :]))]
 
     @staticmethod
     def size(dims: tuple) -> int:
         half = 2 * math.prod(dims)  # two fields
-        return 7 * half + 4 * half // min(dims)
+        pads = [half // dims[a] * (dims[a] + 4) for a in _StencilWork._sliced_axes(dims)]
+        return 6 * half + max(pads, default=0)
 
     def __init__(self, block: np.ndarray, dims: tuple):
         shape = (2,) + dims
@@ -242,11 +335,11 @@ class _StencilWork:
         self.f = block[:size].reshape(shape)  # the half's two fields
         self.fx = block[size : 3 * size].reshape((2,) + shape)  # two first derivatives at a time
         self.terms = block[3 * size : 5 * size].reshape((2,) + shape)  # two terms of a second-order row
-        self.tmp = block[5 * size :]  # the padded copy and outer difference, or _mix_g12's product
-        self.views = []
-        for axis, n in enumerate(dims, start=1):
-            pad = self.tmp[: size // n * (n + 4)].reshape(shape[:axis] + (n + 4,) + shape[axis + 1 :])
-            self.views.append((pad, self.tmp[pad.size : pad.size + size].reshape(shape)))
+        self.tmp = block[5 * size : 6 * size].reshape(shape)  # the outer difference, or _mix_g12's product
+        self.pads = [None] * 4
+        for a in self._sliced_axes(dims):
+            n = dims[a]
+            self.pads[a] = block[6 * size : 6 * size + size // n * (n + 4)].reshape(shape[: a + 1] + (n + 4,) + shape[a + 2 :])
 
 
 def _stencil_half(f: np.ndarray, h: tuple, rows: np.ndarray, work: _StencilWork) -> None:
@@ -260,7 +353,7 @@ def _stencil_half(f: np.ndarray, h: tuple, rows: np.ndarray, work: _StencilWork)
     row is formed from its two terms in ``work.terms``."""
 
     def diff(u, a, out):  # del_{x_a}
-        return _periodic_diff(u, a + 1, h[a], out, *work.views[a])
+        return _periodic_diff(u, a + 1, h[a], out, work.tmp, work.pads[a])
 
     first, (m00, m11, m01), holomorphic = rows[:2], rows[2:5], rows[5:]
     h00, h11, h01 = holomorphic if len(holomorphic) else (None,) * 3
@@ -333,7 +426,7 @@ def _split_pass(g: np.ndarray, h: tuple, rows: np.ndarray) -> None:
         np.copyto(work.f, np.moveaxis(reals[..., fields], -1, 0))
         _stencil_half(work.f, h, entries[:, cols], work)
         if g12:
-            _mix_g12(rows, work.tmp.view(complex))
+            _mix_g12(rows, work.tmp.reshape(-1).view(complex))
 
     threads = 1
     if math.prod(dims) >= _SPLIT_NODES:
@@ -390,7 +483,17 @@ class TorusGrid:
         return np.meshgrid(*axes, indexing="ij")
 
     def dx(self, u: np.ndarray, axis: int) -> np.ndarray:
-        """4th-order periodic derivative along a real axis."""
+        """4th-order periodic derivative along a real axis.
+
+        Where the derivative is a matrix product (on axes of at most 16
+        points; see :func:`_periodic_diff`), a non-finite value of ``u`` makes
+        the derivative NaN along its whole grid line, not only at the four
+        nodes its stencil reaches (the difference matrices' zeros times
+        inf); where the axes from ``axis`` on hold at most 32 reals (a
+        complex value counts twice), as the last two of a real 4x4x4x4
+        grid do, over that whole block.  For a complex ``u`` both parts
+        turn NaN.  Finite input gives the same bits as the sliced stencil
+        (see :func:`_periodic_diff`)."""
         if axis not in (0, 1, 2, 3):
             raise ValueError("axis must be 0..3")
         u = np.asarray(u)

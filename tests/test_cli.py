@@ -417,6 +417,35 @@ class TestOverflowingStage:
         assert summary["status"] == "blowup_suspected" and summary["steps"] == 0
         assert (out / "diagnostics.csv").exists()
 
+    def test_overflow_at_one_node_exits_three(self, tmp_path, monkeypatch):
+        # a spike of 1e40 at one node: an RK4 stage overflows there alone, and
+        # its derivatives turn whole grid lines NaN (grid.TorusGrid.dx)
+        spike = (1, 2, 5, 1)
+
+        def spiked(family, dims):
+            field = sample(family, dims)
+            values = field.values.copy()
+            values[spike] *= 1e40
+            return MetricField(field.grid, values)
+
+        stages = []
+        rhs = cli.fl._rhs
+
+        def counted(field, *args):
+            stages.append(int((~np.isfinite(field.values)).any(axis=(-2, -1)).sum()))
+            return rhs(field, *args)
+
+        monkeypatch.setattr(cli, "sample", spiked)
+        monkeypatch.setattr(cli.fl, "_rhs", counted)
+        with np.errstate(all="ignore"):
+            code = run_cli(tmp_path, "flow", {
+                "command": "flow", "family": TORUS, "dims": [4, 4, 16, 4], "dt": 1e-2, "t_end": 0.1,
+            })
+        assert 1 in stages  # a stage with exactly one non-finite node reached the velocity
+        assert code == cli.EXIT_NUMERICAL
+        summary = json.loads((tmp_path / "out/summary.json").read_text())
+        assert summary["status"] == "blowup_suspected" and summary["steps"] == 0
+
 
 class TestTnormAuditFailure:
     def test_run_files_kept(self, tmp_path):

@@ -96,7 +96,7 @@ def test_small_jets_split_in_the_calling_thread(halves, monkeypatch):
 @two_cpus
 def test_worker_half_keeps_the_callers_error_state(large_field, halves, monkeypatch):
     values = large_field.values.copy()
-    values[3, 2, 5, 1, 0, 1] = np.inf  # Re g12: the worker's half
+    values[3, 2, 5, 1, 0, 0] = np.inf  # g11: the worker's half
     field = grid.MetricField(large_field.grid, values)
     for threads in ("1", "2"):
         monkeypatch.setenv("PLURIGEO_THREADS", threads)
@@ -227,3 +227,44 @@ def test_forked_child_computes_a_split_jet(large_field, halves, monkeypatch):
             pytest.fail("the forked child hung computing a split jet")
         time.sleep(0.02)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+_DX_HASHES = (
+    "import hashlib\n"
+    "import numpy as np\n"
+    "from plurigeo.grid import TorusGrid\n"
+    "grid = TorusGrid((16, 16, 16, 16))\n"
+    "rng = np.random.default_rng(3)\n"
+    "u = rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)\n"
+    "print(' '.join(hashlib.sha256(grid.dx(u, a).tobytes()).hexdigest() for a in range(4)))\n"
+)
+
+
+@two_cpus
+def test_outputs_byte_identical_across_blas_threads(tmp_path):
+    """The difference-matrix products give the same bits for every BLAS
+    thread count: a 16x8x16x8 flow's diagnostics.csv, and complex
+    derivatives at 16^4, whose products exceed OpenBLAS's threading
+    threshold.  The stencil pass stays on one thread, so no run starts
+    more threads than there are cores."""
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({
+        "command": "flow", "family": {"kind": "torus_pluriclosed", "eps": 0.5},
+        "dims": [16, 8, 16, 8], "dt": 1.5e-3, "t_end": 4.5e-3, "cadence": 1,
+    }))
+    env = dict(os.environ, PLURIGEO_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(plurigeo.__file__)), env.get("PYTHONPATH", "")])
+    outputs = {}
+    for blas in ("1", str(min(2, _cpus()))):
+        env["OPENBLAS_NUM_THREADS"] = blas
+        out = tmp_path / f"out{blas}"
+        flow = subprocess.run(
+            [sys.executable, "-m", "plurigeo", "flow", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert flow.returncode == 0, flow.stderr
+        dx = subprocess.run([sys.executable, "-c", _DX_HASHES], capture_output=True, text=True, env=env, timeout=120)
+        assert dx.returncode == 0, dx.stderr
+        outputs[blas] = ((out / "diagnostics.csv").read_bytes(), dx.stdout)
+    assert len(outputs["1"][0].splitlines()) == 5  # header and steps 0 to 3
+    assert outputs["1"] == outputs["2"]
