@@ -1,0 +1,151 @@
+"""The one worker thread of the stencil pass and the surface kernel.
+
+:func:`plurigeo.grid._split_pass` and :func:`plurigeo.hermitian.surface_flow`
+split their whole-grid work between the calling thread and this worker
+on grids of at least ``SPLIT_NODES`` nodes, when two threads are allowed;
+smaller grids run all of it in the calling thread and start no thread.
+Each part keeps its operations, operands and order, so every result is
+bit-identical for every thread count.  The worker runs under the
+caller's numpy error state and calls no public plurigeo function.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+
+import numpy as np
+
+# Nodes from which work is split, one threshold for the stencil pass and
+# the surface kernel.  On a 2-vCPU x86_64 VM (alternating calls, one BLAS
+# thread), split surface_jet plus surface_flow time over one thread's is
+# 1.44-1.45 at 2,048 nodes (8x4x8x8), 0.97-1.04 at 4,096 (8^4 and
+# 16x4x16x4), 0.75-0.83 at 6,144 (12x8x8x8 and 16x6x8x8), 0.67-0.70 at
+# 8,192 and 0.52 at 16,384, with and without |Omega|^2.  At 4,096 nodes
+# the worker buys nothing, so the threshold stays at the first size
+# measured where it wins.  For surface_jet alone, split time over
+# _stencil_rows's was 3.21 at 1,024 nodes, 1.33 at 2,048, 0.75 at 4,096,
+# 0.54 at 6,144, 0.38 at 8,192 and 0.29 at 16,384.
+SPLIT_NODES = 6144
+
+_pool = None  # (pid, executor) of the worker thread, made by the first split
+_pool_lock = threading.Lock()
+
+
+def stencil_threads() -> int:
+    """Threads the stencil pass and the surface kernel may use:
+    ``PLURIGEO_THREADS`` if set, else the CPUs of this process's affinity
+    mask, and never more than 2.  Every result is bit-identical for every
+    value.  Raises ValueError if the variable is not an integer >= 1; the
+    CLI reports that as a config error, and library calls then run on one
+    thread."""
+    val = os.environ.get("PLURIGEO_THREADS")
+    cap = 2
+    if val is not None:
+        try:
+            cap = int(val)
+        except ValueError as exc:
+            raise ValueError(f"PLURIGEO_THREADS must be an integer, got {val!r}") from exc
+        if cap < 1:
+            raise ValueError("PLURIGEO_THREADS must be >= 1")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cap, cpus, 2)
+
+
+def _worker():
+    """The one worker thread, made on first use and again in a forked child,
+    which inherits the executor but not its thread."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="plurigeo-stencil"))
+        return _pool[1]
+
+
+def split(nodes: int):
+    """The parts of one computation on ``nodes`` nodes, as a context manager:
+    run in the worker thread on grids of at least ``SPLIT_NODES`` nodes
+    when two threads are allowed, else in the calling thread.
+
+    ``run(fn, *args)`` hands over ``fn(*args)``.  Split, the worker starts
+    it at once, under the caller's numpy error state, and ``run`` returns
+    its future; an argument that is the future of an earlier part is
+    replaced by that part's value.  Otherwise ``run`` computes the value at
+    once and returns it.  ``get`` gives a part's value either way, waiting
+    for it and raising its exception.  Parts run in the order they were
+    handed over.  Leaving the ``with`` block waits for every part, so an
+    exception leaves no part running.  If the caller fails, the first part
+    that failed raises instead, as it would have on one thread, where it
+    runs before the caller goes on: every exception, like every value, is
+    the same for every thread count."""
+    if nodes >= SPLIT_NODES:
+        try:
+            threads = stencil_threads()
+        except ValueError:  # malformed: the CLI rejects it; library calls never raise on it
+            threads = 1
+        if threads >= 2:
+            return _TwoThreads()
+    return _ONE_THREAD
+
+
+class _OneThread:
+    """:func:`split` in the calling thread alone: one shared instance, so the
+    small grids of the call-bound workloads pay for no object per call."""
+
+    threaded = False
+
+    @staticmethod
+    def run(fn, *args):
+        return fn(*args)
+
+    @staticmethod
+    def get(part):
+        return part
+
+    def __enter__(self) -> "_OneThread":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        pass
+
+
+_ONE_THREAD = _OneThread()
+
+
+class _TwoThreads:
+    """:func:`split` with the worker thread."""
+
+    threaded = True
+
+    def __init__(self):
+        from concurrent.futures import Future
+
+        self._pool, self._future, self._futures = _worker(), Future, []
+        # numpy's error state is context-local: the worker would start from the defaults
+        self._err = dict(np.geterr(), call=np.geterrcall())
+
+    def run(self, fn, *args):
+        def part():
+            with np.errstate(**self._err):
+                return fn(*map(self.get, args))
+
+        done = self._pool.submit(part)
+        self._futures.append(done)
+        return done
+
+    def get(self, part):
+        return part.result() if isinstance(part, self._future) else part
+
+    def __enter__(self) -> "_TwoThreads":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        for done in self._futures:
+            failed = done.exception()  # waits
+            if failed is not None and isinstance(exc, Exception):
+                raise failed

@@ -8,8 +8,9 @@ Commands: ``identities``, ``flow``, ``static``, ``hopf``.  Configuration
 is strict JSON: unknown keys are rejected, all outputs are written
 atomically, and identical configs with identical seeds produce
 byte-identical files.  ``PLURIGEO_THREADS`` caps the threads of the
-stencil pass (an integer >= 1; unset means the CPUs this process may run
-on; never more than 2); the files are byte-identical for every value.
+stencil pass and the surface kernel (an integer >= 1; unset means the
+CPUs this process may run on; never more than 2); the files are
+byte-identical for every value.
 
 Exit codes: 0 success, 1 identity/tolerance failure, 2 usage or config
 error (no output is written; also a request too large for memory or an
@@ -406,9 +407,10 @@ def cmd_hopf(scenario: Scenario) -> int:
 
 
 def _check_threads_env() -> None:
-    # PLURIGEO_THREADS caps the threads of the stencil pass (at most 2, and
-    # no more than the CPUs this process may run on); outputs are
-    # byte-identical for every value, so only a malformed one is an error
+    # PLURIGEO_THREADS caps the threads of the stencil pass and the surface
+    # kernel (at most 2, and no more than the CPUs this process may run on);
+    # outputs are byte-identical for every value, so only a malformed one is
+    # an error
     try:
         stencil_threads()
     except ValueError as exc:

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import SPLIT_NODES as _SPLIT_NODES
+from ._threads import split, stencil_threads
 from .families import MetricFamily
 from .hermitian import HermitianJet, SurfaceJet, surface_flow
 
@@ -253,62 +253,22 @@ def _metric_entries(z: np.ndarray) -> np.ndarray:
 # written to the entries (0, 1) and (1, 0) of the jet and then mixed into
 # D g12 and D g21, and (g11, g22), written to (0, 0) and (1, 1).  No halo
 # joins the halves, so on grids of at least _SPLIT_NODES nodes, with two
-# threads allowed, the second half runs in one worker thread; smaller grids
-# start no thread.  The calling thread takes the half with the mix, as the
-# worker starts later: at 16x8x16x8, with the mix in the worker, the
-# caller waited 0.35-0.38 ms median (p95 0.72-0.81) in done.result(); with
-# it in the caller, 0.007 ms (p95 0.31-0.40).  Every node gets the
-# operations of _stencil_rows and _metric_entries, so the jets are
-# bit-identical for every thread count and either form.  jets takes the split form, the one with holomorphic
+# threads allowed, the second half runs in the worker thread of
+# plurigeo._threads; smaller grids start no thread.  The calling thread
+# takes the half with the mix, as the worker starts later: at 16x8x16x8,
+# with the mix in the worker, the caller waited 0.35-0.38 ms median (p95
+# 0.72-0.81) in done.result(); with it in the caller, 0.007 ms (p95
+# 0.31-0.40).  Every node gets the operations of _stencil_rows and
+# _metric_entries, so the jets are bit-identical for every thread count
+# and either form.  jets takes the split form, the one with holomorphic
 # rows, at every size; no workload takes jets below _SPLIT_NODES nodes,
-# where a grouped pass would be up to ~1.3x faster.  surface_jet takes
-# it from _SPLIT_NODES nodes on, as it makes twice as many numpy calls as
-# _stencil_rows: split surface_jet time over _stencil_rows's on a 2-vCPU
-# x86_64 VM (alternating calls, one BLAS thread) is 3.21 at 1,024 nodes,
-# 1.33 at 2,048, 0.75 at 4,096, 0.54 at 6,144, 0.38 at 8,192, 0.29 at
-# 16,384.
-_SPLIT_NODES = 6144
+# where a grouped pass would be up to ~1.3x faster.  surface_jet takes it
+# from _SPLIT_NODES nodes on, as it makes twice as many numpy calls as
+# _stencil_rows (the crossover table is at _threads.SPLIT_NODES).
 # per half: its two real fields among the 8 of ``g.view(float)`` per node,
 # the two of the 4 flattened entries (i, j) they go to, and whether they
 # are the fields of g12
 _HALVES = ((slice(2, 4), slice(1, 3), True), (slice(0, 8, 6), slice(0, 4, 3), False))
-
-_pool = None  # (pid, executor) of the worker thread, made by the first split pass
-_pool_lock = threading.Lock()
-
-
-def stencil_threads() -> int:
-    """Threads the stencil pass may use: ``PLURIGEO_THREADS`` if set, else
-    the CPUs of this process's affinity mask, and never more than 2.  The
-    derivatives are bit-identical for every value.  Raises ValueError if
-    the variable is not an integer >= 1; the CLI reports that as a config
-    error, and the stencil pass itself then runs on one thread."""
-    val = os.environ.get("PLURIGEO_THREADS")
-    cap = 2
-    if val is not None:
-        try:
-            cap = int(val)
-        except ValueError as exc:
-            raise ValueError(f"PLURIGEO_THREADS must be an integer, got {val!r}") from exc
-        if cap < 1:
-            raise ValueError("PLURIGEO_THREADS must be >= 1")
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    return min(cap, cpus, 2)
-
-
-def _stencil_worker():
-    """The one worker thread, made on first use and again in a forked child,
-    which inherits the executor but not its thread."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="plurigeo-stencil"))
-        return _pool[1]
 
 
 class _StencilWork:
@@ -428,28 +388,10 @@ def _split_pass(g: np.ndarray, h: tuple, rows: np.ndarray) -> None:
         if g12:
             _mix_g12(rows, work.tmp.reshape(-1).view(complex))
 
-    threads = 1
-    if math.prod(dims) >= _SPLIT_NODES:
-        try:
-            threads = stencil_threads()
-        except ValueError:  # malformed: the CLI rejects it; library calls never raise on it
-            pass
-    if threads < 2:
+    with split(math.prod(dims)) as parts:
+        second = parts.run(run, 1)
         run(0)
-        run(1)
-        return
-    # numpy's error state is context-local: the worker would start from the defaults
-    err = dict(np.geterr(), call=np.geterrcall())
-
-    def worker_half() -> None:
-        with np.errstate(**err):
-            run(1)
-
-    done = _stencil_worker().submit(worker_half)
-    try:
-        run(0)
-    finally:
-        done.result()
+        parts.get(second)
 
 
 @dataclass(frozen=True)

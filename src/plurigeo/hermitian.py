@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
+
 __all__ = [
     "SingularMetricError",
     "HermitianJet",
@@ -427,8 +429,33 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
       the quadratic term as a weighted sum of squares in the Cholesky frame
       ``g^{-1} = L diag(g^{1 1bar}, 1 / g_{2 2bar}) L^H``,
       ``L = [[1, 0], [mu, 1]]``, ``mu = -g_{2 1bar} / g_{2 2bar}``;
-    - with ``curvature``, ``|Omega|^2`` in the same frame
-      (:func:`_curvature_norm_sq`).
+    - with ``curvature``, ``|Omega|^2`` in the same frame, summed over the
+      inner entries ``(0, 0)``, ``(1, 1)``, ``(0, 1)`` (:func:`_inner_term`).
+
+    On grids of at least ``_threads.SPLIT_NODES`` nodes, with two threads
+    allowed (``PLURIGEO_THREADS``), the work is split by kind, not by
+    slab, between the calling thread and the worker thread of
+    :mod:`plurigeo._threads`.  The worker takes the frame, which needs no
+    ``g^{-1}``: ``mu``, ``del g`` in it and the pluriclosed residual
+    (:func:`_frame`).  Once the caller has ``g^{-1}``, it takes the
+    weights and the quadratic term (:func:`_quadratic`) and, with
+    ``curvature``, the frame of ``|Omega|^2`` (:func:`_unit_frame`) and the
+    terms of its inner entries ``(0, 0)`` and ``(1, 1)``.  The calling
+    thread takes :func:`inverse_metric`, ``det g``, ``|w|^2`` and the
+    traces while the worker runs, then forms the velocity, ``scal`` and
+    the term of ``(0, 1)``, and sums ``|Omega|^2`` in the order above.
+    Below the threshold the calling thread runs every part when it is
+    handed over.  Each part computes its expressions on the whole grid
+    with their operands, order and temporaries unchanged: numpy computes
+    ``x * f(y)`` of arrays of 256 KiB and more in place as ``f(y) *= x``,
+    and its complex multiply does not commute bitwise, so an operand that
+    stopped being a temporary would move bits.  So every output, and every
+    exception, is the same for every thread count
+    (``tests/test_surface_split.py`` pins the bytes against the kernel
+    before the split).  The frame reads ``g`` before :func:`inverse_metric`
+    checks it, so a node where ``g_{2 2bar}`` and ``g_{1 2bar}`` are 0
+    meets numpy's invalid-value handling in ``mu`` before the
+    :class:`SingularMetricError`.
 
     Agrees with :func:`gflow_rhs`, :func:`chern_curvature`,
     :func:`torsion_quadratics`, :func:`torsion` and, with ``curvature``,
@@ -437,33 +464,93 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
     within ``1e-14 * kappa(g)`` for condition numbers up to 1e6, where the
     einsum oracles themselves lose digits (``tests/test_surface_kernel.py``).
     """
-    g = jet.g
-    gup = inverse_metric(g)
-    # contiguous copies: strided views of the (..., 2, 2) arrays slow every
-    # operation that reads them
-    a, d, b = g[..., 0, 0].real.copy(), g[..., 1, 1].real.copy(), g[..., 0, 1].copy()
-    G00, G11, G01 = gup[..., 0, 0].real.copy(), gup[..., 1, 1].real.copy(), gup[..., 0, 1].copy()
-    det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
-    d1, r = jet.d1, jet.d2m
+    g, d1, r = jet.g, jet.d1, jet.d2m
+    with _threads.split(np.size(g) // 4) as split:
+        frame = split.run(_frame, g, d1, r)
+        gup = inverse_metric(g)
+        # contiguous copies: strided views of the (..., 2, 2) arrays slow every
+        # operation that reads them
+        G00, G11, G01 = gup[..., 0, 0].real.copy(), gup[..., 1, 1].real.copy(), gup[..., 0, 1].copy()
+        quadratic = split.run(_quadratic, G00, frame, split.threaded)
+        if curvature:
+            unit = split.run(_unit_frame, quadratic, frame, split.threaded)
+            term0 = split.run(_inner_term, 0, quadratic, frame, unit, r)
+            term1 = split.run(_inner_term, 1, quadratic, frame, unit, r)
+        a = g[..., 0, 0].real.copy()
+        det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
 
-    tau0 = d1[0, 1, 0] - d1[1, 0, 0]
-    tau1 = d1[0, 1, 1] - d1[1, 0, 1]
-    w_sq = (G00 * _abs2(tau0) + G11 * _abs2(tau1) + 2.0 * (G01 * tau1 * np.conj(tau0)).real) / det
+        tau0 = d1[0, 1, 0] - d1[1, 0, 0]
+        tau1 = d1[0, 1, 1] - d1[1, 0, 1]
+        w_sq = (G00 * _abs2(tau0) + G11 * _abs2(tau1) + 2.0 * (G01 * tau1 * np.conj(tau0)).real) / det
 
-    # The Cholesky frame g^{-1} = L diag(lsq) L^H, L = [[1, 0], [mu, 1]], of
-    # the quadratic term and of |Omega|^2: y[i][k][q] = sum_n L[n, q] del_i g_{k nbar}
-    # and Y[p][k][q] = sum_i conj(L[i, p]) y[i][k][q].  These temporaries stay
-    # alive until the outputs are allocated: freed earlier, they leave the top
-    # of the heap free, glibc returns it to the OS, and the next stencil pass
-    # page-faults it back (21k instead of 6k minor faults in a two-step
-    # 16x8x16x8 run with diagnostics every step).
-    lsq = (G00, 1.0 / d)
+        # -ric1 = g^{i jbar} d2m[i, j] - quad; its diagonal is real
+        n00 = G00 * r[0, 0, 0].real + G11 * r[1, 0, 0].real + 2.0 * (G01 * r[2, 0, 0]).real
+        n11 = G00 * r[0, 1, 1].real + G11 * r[1, 1, 1].real + 2.0 * (G01 * r[2, 1, 1]).real
+        n01 = G00 * r[0, 0, 1] + G11 * r[1, 0, 1] + G01 * r[2, 0, 1] + np.conj(G01 * r[2, 1, 0])
+        lsq, _, quad = split.get(quadratic)
+        n00 -= quad[0]
+        n11 -= quad[1]
+        n01 -= quad[2]
+        frame = split.get(frame)
+        d, b, pluriclosed = frame["d"], frame["b"], frame["pluriclosed"]
+        rhs = np.empty(np.shape(g), dtype=complex)
+        rhs[..., 0, 0] = n00 + w_sq * a
+        rhs[..., 1, 1] = n11 + w_sq * d
+        rhs[..., 0, 1] = v01 = n01 + w_sq * b
+        np.conj(v01, out=rhs[..., 1, 0])
+        scal = -(G00 * n00 + G11 * n11 + 2.0 * (G01 * n01).real)
+        curv_sq = None
+        if curvature:
+            # |Omega|^2 summed over the inner entries (0, 0), (1, 1), (0, 1) in this order
+            curv_sq = np.zeros_like(lsq[1])
+            quadratic, unit = split.get(quadratic), split.get(unit)
+            term2 = _inner_term(2, quadratic, frame, unit, r)
+            curv_sq += split.get(term0)
+            curv_sq += split.get(term1)
+            curv_sq += term2
+    return SurfaceFlow(
+        rhs=rhs,
+        scal=scal,
+        tnorm_sq=2.0 * w_sq,
+        w_sq=w_sq,
+        pluriclosed=pluriclosed,
+        curv_sq=curv_sq,
+    )
+
+
+def _frame(g: np.ndarray, d1: np.ndarray, r: np.ndarray) -> dict:
+    """The parts of :func:`surface_flow` that read no ``g^{-1}``: the
+    contiguous ``d`` and ``b``, ``mu``, ``y`` and ``Y`` below, and the
+    pluriclosed residual.  In the worker thread, the parts after it pop the arrays
+    they read last: the thread's malloc arena keeps its high-water mark,
+    so they would add to the peak RSS through every record.  In the calling
+    thread the arrays stay to the end of the call, as dropping them early
+    lets glibc return the top of the heap to the OS and the next stencil
+    pass fault it back in (10k instead of 3.3k minor faults in a two-step
+    16x8x16x8 run with a record per step on one thread).
+
+    In the Cholesky frame ``g^{-1} = L diag(lsq) L^H``, ``L = [[1, 0], [mu, 1]]``,
+    of the quadratic term and of ``|Omega|^2``, ``y[i][k][q] = sum_n L[n, q]
+    del_i g_{k nbar}`` and ``Y[p][k][q] = sum_i conj(L[i, p]) y[i][k][q]``."""
+    d, b = g[..., 1, 1].real.copy(), g[..., 0, 1].copy()
     mu = np.conj(b) / -d
     y = [[(d1[i, k, 0] + mu * d1[i, k, 1], d1[i, k, 1]) for k in (0, 1)] for i in (0, 1)]
     Y = ([[y[0][k][q] + np.conj(mu) * y[1][k][q] for q in (0, 1)] for k in (0, 1)], y[1])
+    pluriclosed = np.abs(r[1, 0, 0] + r[0, 1, 1] - 2.0 * r[2, 1, 0].real)
+    return {"d": d, "b": b, "mu": mu, "y": y, "Y": Y, "pluriclosed": pluriclosed}
+
+
+def _quadratic(G00: np.ndarray, frame: dict, release: bool) -> tuple:
+    """``lsq``, the weights ``(lsq[0]^2, lsq[0] lsq[1], lsq[1]^2)`` and the
+    quadratic term ``g^{i jbar} g^{m nbar} del_i g_{k nbar} conj(del_j
+    g_{l mbar})`` of ``-ric1`` for ``(k, l) = (0, 0), (1, 1), (0, 1)``, as
+    weighted sums of squares of ``Y`` (:func:`_frame`); ``release``: pop
+    ``Y`` from the frame."""
+    Y = (frame.pop if release else frame.get)("Y")
+    lsq = (G00, 1.0 / frame["d"])
     wts = (lsq[0] * lsq[0], lsq[0] * lsq[1], lsq[1] * lsq[1])
 
-    def quad(k: int, l: int) -> np.ndarray:  # g^{i jbar} g^{m nbar} del_i g_{k nbar} conj(del_j g_{l mbar})
+    def quad(k: int, l: int) -> np.ndarray:
         if k == l:
             q = wts[0] * _abs2(Y[0][k][0])
             q += wts[1] * (_abs2(Y[0][k][1]) + _abs2(Y[1][k][0]))
@@ -474,46 +561,14 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
         q += wts[2] * (Y[1][k][1] * np.conj(Y[1][l][1]))
         return q
 
-    # -ric1 = g^{i jbar} d2m[i, j] - quad; its diagonal is real
-    n00 = G00 * r[0, 0, 0].real + G11 * r[1, 0, 0].real + 2.0 * (G01 * r[2, 0, 0]).real - quad(0, 0)
-    n11 = G00 * r[0, 1, 1].real + G11 * r[1, 1, 1].real + 2.0 * (G01 * r[2, 1, 1]).real - quad(1, 1)
-    n01 = (G00 * r[0, 0, 1] + G11 * r[1, 0, 1] + G01 * r[2, 0, 1]
-           + np.conj(G01 * r[2, 1, 0]) - quad(0, 1))
-    rhs = np.empty(np.shape(g), dtype=complex)
-    rhs[..., 0, 0] = n00 + w_sq * a
-    rhs[..., 1, 1] = n11 + w_sq * d
-    rhs[..., 0, 1] = n01 + w_sq * b
-    rhs[..., 1, 0] = np.conj(rhs[..., 0, 1])
-    scal = -(G00 * n00 + G11 * n11 + 2.0 * (G01 * n01).real)
-    pluriclosed = np.abs(r[1, 0, 0] + r[0, 1, 1] - 2.0 * r[2, 1, 0].real)
-    return SurfaceFlow(
-        rhs=rhs,
-        scal=scal,
-        tnorm_sq=2.0 * w_sq,
-        w_sq=w_sq,
-        pluriclosed=pluriclosed,
-        curv_sq=_curvature_norm_sq(lsq, mu, y, r) if curvature else None,
-    )
+    return lsq, wts, (quad(0, 0), quad(1, 1), quad(0, 1))
 
 
-def _curvature_norm_sq(lsq, mu, y, r) -> np.ndarray:
-    """``|Omega|^2`` as the Frobenius norm of the curvature in a Cholesky frame.
-
-    ``g^{-1} = l l^H`` with ``l00 = sqrt(g^{1 1bar})``, ``l10 = -g21 / sqrt(g22 det)``,
-    ``l11 = 1 / sqrt(g22)``; ``lsq = (l00^2, l11^2)``, and ``y`` is the
-    kernel's ``del g`` in the unit frame ``L`` below.  Then
-    ``|Omega|^2 = sum |Z|^2`` over ``Z[p, q, s, t] = sum conj(l[i, p]) l[j, q]
-    conj(l[k, s]) l[l, t] Omega_{i jbar k lbar}``.  Writing ``l = L diag(l00, l11)``
-    with ``L = [[1, 0], [mu, 1]]``, ``mu = l10 / l00 = -g21 / g22``, the unit frame
-    ``L`` acts in two stages, first on the inner pair ``(k, l)``, then on the
-    outer pair ``(i, j)``, and the diagonal enters as the weight
-    ``l_p^2 l_q^2 l_s^2 l_t^2`` of ``|Zhat|^2``.  The inner stage is applied to the
-    factors of ``Omega = sum_n v_n conj(v_n) - del del-bar g``
-    (``v[i][k][n] = sum_m l[m, n] del_i g_{k mbar} = l_n y[i][k][n]``) and to ``d2m``.  By the
-    Hermitian symmetry ``Z[q, p, t, s] = conj Z[p, q, s, t]``, each inner entry
-    ``(s, s)`` needs only the outer blocks ``(0, 0), (1, 1), (0, 1)``, and the
-    inner entry ``(1, 0)`` is the conjugate of ``(0, 1)``.
-    """
+def _unit_frame(quadratic: tuple, frame: dict, release: bool) -> tuple:
+    """``conj(mu)``, ``|mu|^2`` and ``x``, the factors ``v`` of ``|Omega|^2``
+    in the unit frame of its inner pair (:func:`_inner_term`); ``release``:
+    pop ``y`` from the frame."""
+    lsq, mu, y = quadratic[0], frame["mu"], (frame.pop if release else frame.get)("y")
     muc = np.conj(mu)
     l00, l11 = np.sqrt(lsq[0]), np.sqrt(lsq[1])
     # x[i][s][n] = sum_k conj(L[k, s]) v[i][k][n], v[i][k][n] = l_n y[i][k][n]
@@ -522,6 +577,33 @@ def _curvature_norm_sq(lsq, mu, y, r) -> np.ndarray:
         v0 = [l00 * y[i][k][0] for k in (0, 1)]
         v1 = [l11 * y[i][k][1] for k in (0, 1)]
         x.append(((v0[0] + muc * v0[1], v1[0] + muc * v1[1]), (v0[1], v1[1])))
+    return muc, _abs2(mu), x
+
+
+def _inner_term(e: int, quadratic: tuple, frame: dict, unit: tuple, r: np.ndarray) -> np.ndarray:
+    """The terms of ``|Omega|^2`` of the inner entry ``(0, 0)``, ``(1, 1)`` or,
+    counted twice for ``(1, 0)``, ``(0, 1)``, for ``e`` = 0, 1, 2.
+
+    ``|Omega|^2`` is the Frobenius norm of the curvature in a Cholesky frame.
+    ``g^{-1} = l l^H`` with ``l00 = sqrt(g^{1 1bar})``, ``l10 = -g21 / sqrt(g22 det)``,
+    ``l11 = 1 / sqrt(g22)``; ``lsq = (l00^2, l11^2)``, and ``y`` is the
+    kernel's ``del g`` in the unit frame ``L`` below (:func:`_frame`).  Then
+    ``|Omega|^2 = sum |Z|^2`` over ``Z[p, q, s, t] = sum conj(l[i, p]) l[j, q]
+    conj(l[k, s]) l[l, t] Omega_{i jbar k lbar}``.  Writing ``l = L diag(l00, l11)``
+    with ``L = [[1, 0], [mu, 1]]``, ``mu = l10 / l00 = -g21 / g22``, the unit frame
+    ``L`` acts in two stages, first on the inner pair ``(k, l)``, then on the
+    outer pair ``(i, j)``, and the diagonal enters as the weight
+    ``l_p^2 l_q^2 l_s^2 l_t^2`` of ``|Zhat|^2``.  The inner stage is applied to the
+    factors of ``Omega = sum_n v_n conj(v_n) - del del-bar g``
+    (``v[i][k][n] = sum_m l[m, n] del_i g_{k mbar} = l_n y[i][k][n]``,
+    :func:`_unit_frame`) and to ``d2m``.  By the
+    Hermitian symmetry ``Z[q, p, t, s] = conj Z[p, q, s, t]``, each inner entry
+    ``(s, s)`` needs only the outer blocks ``(0, 0), (1, 1), (0, 1)``, and the
+    inner entry ``(1, 0)`` is the conjugate of ``(0, 1)``.
+    """
+    lsq, wts, _ = quadratic  # wts: lsq[0]^2, lsq[0] lsq[1], lsq[1]^2
+    mu = frame["mu"]
+    muc, mu_sq, x = unit
 
     def d2m(i: int, j: int, k: int, l: int) -> np.ndarray:  # del_i del_jbar g_{k lbar}
         if i == j:
@@ -537,24 +619,17 @@ def _curvature_norm_sq(lsq, mu, y, r) -> np.ndarray:
         out -= right(0) + muc * right(1) if s == 0 else right(1)
         return out
 
-    total = np.zeros_like(lsq[1])
-    for s in (0, 1):  # inner entry (s, s): outer block (1, 0) = conj (0, 1), diagonal ones real
+    if e < 2:  # inner entry (s, s): outer block (1, 0) = conj (0, 1), diagonal ones real
+        s = e
         b00, b11, b01 = inner(0, 0, s, s).real, inner(1, 1, s, s).real, inner(0, 1, s, s)
         z01 = b01 + muc * b11
-        z00 = b00 + 2.0 * (mu * b01).real + _abs2(mu) * b11
-        total += (lsq[s] * lsq[s]) * (
-            lsq[0] * lsq[0] * z00 * z00 + lsq[1] * lsq[1] * b11 * b11 + 2.0 * lsq[0] * lsq[1] * _abs2(z01)
-        )
-    # inner entry (0, 1), counted twice for (1, 0)
+        z00 = b00 + 2.0 * (mu * b01).real + mu_sq * b11
+        return wts[2 * s] * (wts[0] * z00 * z00 + wts[2] * b11 * b11 + 2.0 * lsq[0] * lsq[1] * _abs2(z01))
     b00, b11, b01, b10 = inner(0, 0, 0, 1), inner(1, 1, 0, 1), inner(0, 1, 0, 1), inner(1, 0, 0, 1)
     z10 = b10 + mu * b11
     z01 = b01 + muc * b11
     z00 = b00 + mu * b01 + muc * z10
-    total += (2.0 * lsq[0] * lsq[1]) * (
-        lsq[0] * lsq[0] * _abs2(z00) + lsq[1] * lsq[1] * _abs2(b11)
-        + lsq[0] * lsq[1] * (_abs2(z01) + _abs2(z10))
-    )
-    return total
+    return (2.0 * lsq[0] * lsq[1]) * (wts[0] * _abs2(z00) + wts[2] * _abs2(b11) + wts[1] * (_abs2(z01) + _abs2(z10)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -84,3 +87,32 @@ def random_trig(grid: TorusGrid, seed: int, modes: int = 2, amp: float = 1.0):
             a, b = rng.uniform(-1, 1, 2)
             out += amp * (a * np.cos(k * x[axis]) + b * np.sin(k * x[axis]))
     return out
+
+
+def cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+# every test that needs the worker thread skips below 2 CPUs, so no test
+# starts more threads than there are cores
+two_cpus = pytest.mark.skipif(cpus() < 2, reason="the split work needs 2 CPUs")
+
+
+def worker_ran(names) -> bool:
+    """Whether any of the thread ``names`` is the worker thread's."""
+    return any(n.startswith("plurigeo-stencil") for n in names)
+
+
+@pytest.fixture
+def kernel_threads(monkeypatch):
+    """Names of the threads that ran the surface kernel's frame (``hermitian._frame``)."""
+    names = []
+    real = hm._frame
+
+    def spy(*args):
+        names.append(threading.current_thread().name)
+        return real(*args)
+
+    monkeypatch.setattr(hm, "_frame", spy)
+    return names

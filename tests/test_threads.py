@@ -1,9 +1,11 @@
-"""The split stencil pass: bit-identical for every ``PLURIGEO_THREADS``.
+"""The split stencil pass and the split surface kernel: bit-identical for
+every ``PLURIGEO_THREADS``.
 
 ``MetricField.jets`` takes its jets in two halves at every grid size, and
 ``surface_jet`` does from ``grid._SPLIT_NODES`` nodes on.  Only on grids
 of at least ``grid._SPLIT_NODES`` nodes, with two threads allowed, does
-the second half run in a worker thread.  Each test that needs the worker
+the second half run in a worker thread, and does ``surface_flow`` hand
+part of its work to the same thread.  Each test that needs the worker
 asserts that it really ran, and skips when this process may run on fewer
 than 2 CPUs, so no test starts more threads than there are cores.
 """
@@ -27,16 +29,9 @@ from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily
 from plurigeo.grid import perturb_with_potential, sample, save_field, stencil_threads
 
-from conftest import random_trig
+from conftest import cpus, random_trig, two_cpus, worker_ran
 
 DIMS = (16, 8, 16, 8)  # the headline grid, above the split threshold
-
-
-def _cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-two_cpus = pytest.mark.skipif(_cpus() < 2, reason="the split pass needs 2 CPUs")
 
 
 @pytest.fixture(scope="module")
@@ -59,18 +54,14 @@ def halves(monkeypatch):
     return names
 
 
-def _ran_in_worker(names):
-    return any(n.startswith("plurigeo-stencil") for n in names)
-
-
 @two_cpus
 def test_jets_bit_identical_across_threads(large_field, halves, monkeypatch):
     monkeypatch.setenv("PLURIGEO_THREADS", "1")
     one = (large_field.surface_jet(), large_field.jets()[0])
-    assert halves and not _ran_in_worker(halves)
+    assert halves and not worker_ran(halves)
     monkeypatch.setenv("PLURIGEO_THREADS", "2")
     two = (large_field.surface_jet(), large_field.jets()[0])
-    assert _ran_in_worker(halves)
+    assert worker_ran(halves)
     for name in ("d1", "d2m"):
         assert np.array_equal(getattr(one[0], name), getattr(two[0], name))
     for name in ("d1", "d2m", "d2h"):
@@ -111,7 +102,7 @@ def test_worker_half_keeps_the_callers_error_state(large_field, halves, monkeypa
             with np.errstate(all="ignore", invalid="call", call=lambda kind, flag: called.append(kind)):
                 take()
             assert called and set(called) == {"invalid value"}, (threads, take.__name__)
-    assert _ran_in_worker(halves)
+    assert worker_ran(halves)
 
 
 @two_cpus
@@ -124,7 +115,7 @@ def test_gflow_bit_identical_across_threads(large_field, halves, tmp_path, monke
         fl.write_diagnostics_csv(tmp_path / f"diagnostics{threads}.csv", result.records)
         fl.write_summary_json(tmp_path / f"summary{threads}.json", result.summary)
         outputs[threads] = result.final_state.field.values
-    assert _ran_in_worker(halves)
+    assert worker_ran(halves)
     assert np.array_equal(outputs["1"], outputs["2"])
     for name in ("diagnostics", "summary"):
         suffix = ".csv" if name == "diagnostics" else ".json"
@@ -143,19 +134,106 @@ def test_static_report_byte_identical_across_threads(large_field, halves, tmp_pa
         out = tmp_path / f"out{threads}"
         assert cli.main(["static", "--config", str(cfg), "--out", str(out)]) == 0
         reports[threads] = (out / "static_report.json").read_bytes()
-    assert _ran_in_worker(halves)
+    assert worker_ran(halves)
     assert reports["1"] == reports["2"]
 
+
+OUTPUTS = ("rhs", "scal", "tnorm_sq", "w_sq", "pluriclosed", "curv_sq")
+
+
+def _same_outputs(a: hm.SurfaceFlow, b: hm.SurfaceFlow) -> bool:
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name)) and getattr(a, name).dtype == getattr(b, name).dtype
+        for name in OUTPUTS
+    )
+
+
+@pytest.fixture(scope="module")
+def kernel_inputs(large_field):
+    """The kernel's input as the flow gives it and as the strided views that
+    ``static_report`` passes (``SurfaceJet.from_jet``)."""
+    return {"surface_jet": large_field.surface_jet(), "from_jet": hm.SurfaceJet.from_jet(large_field.jets()[0])}
+
+
+@two_cpus
+def test_kernel_runs_partly_in_the_worker(kernel_inputs, kernel_threads, monkeypatch):
+    main = threading.current_thread().name
+    monkeypatch.setenv("PLURIGEO_THREADS", "1")
+    hm.surface_flow(kernel_inputs["surface_jet"], curvature=True)
+    assert kernel_threads == [main]
+    kernel_threads.clear()
+    monkeypatch.setenv("PLURIGEO_THREADS", "2")
+    hm.surface_flow(kernel_inputs["surface_jet"], curvature=True)
+    assert len(kernel_threads) == 1 and worker_ran(kernel_threads)
+
+
+@two_cpus
+def test_kernel_bit_identical_across_threads(kernel_inputs, kernel_threads, monkeypatch):
+    for name, jet in kernel_inputs.items():
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PLURIGEO_THREADS", threads)
+            outputs[threads] = hm.surface_flow(jet, curvature=True)
+        assert _same_outputs(outputs["1"], outputs["2"]), name
+    assert worker_ran(kernel_threads)
+
+
+@two_cpus
+def test_kernel_worker_keeps_the_callers_error_state(kernel_inputs, kernel_threads, monkeypatch):
+    jet = kernel_inputs["surface_jet"]
+    d1 = jet.d1.copy()
+    # read only by the worker's part (mu * d1[i, k, 1]), where inf * mu is an invalid value
+    d1[0, 0, 1][3, 2, 5, 1] = complex(np.inf, np.inf)
+    bad = hm.SurfaceJet(jet.g, d1, jet.d2m)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PLURIGEO_THREADS", threads)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            hm.surface_flow(bad, curvature=True)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            hm.surface_flow(bad, curvature=True)
+        assert not caught, threads
+    assert worker_ran(kernel_threads)
+
+
+@two_cpus
+def test_singular_field_raises_and_the_next_call_succeeds(large_field, kernel_inputs, kernel_threads, monkeypatch):
+    jet = kernel_inputs["surface_jet"]
+    expect = hm.surface_flow(jet, curvature=True)
+    for node in ([[1.0, 1.0], [1.0, 1.0]], 0.0):  # det 0; and g 0, where mu is 0 / 0
+        values = large_field.values.copy()
+        values[5, 1, 9, 3] = node
+        singular = hm.SurfaceJet(values, jet.d1, jet.d2m)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PLURIGEO_THREADS", threads)
+            with np.errstate(all="ignore"), pytest.raises(hm.SingularMetricError):
+                hm.surface_flow(singular, curvature=True)
+            assert _same_outputs(hm.surface_flow(jet, curvature=True), expect), threads
+    assert worker_ran(kernel_threads)
+
+
+@two_cpus
+def test_kernel_raises_the_same_exception_for_every_thread_count(large_field, kernel_inputs, monkeypatch):
+    # g 0 at a node: the frame's mu is 0 / 0 before inverse_metric finds det 0; on
+    # one thread the frame fails first, so it does on two
+    jet = kernel_inputs["surface_jet"]
+    values = large_field.values.copy()
+    values[5, 1, 9, 3] = 0.0
+    singular = hm.SurfaceJet(values, jet.d1, jet.d2m)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PLURIGEO_THREADS", threads)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="invalid value"):
+            hm.surface_flow(singular)
 
 class TestThreadCap:
     def test_unset_is_the_affinity_mask_at_most_two(self, monkeypatch):
         monkeypatch.delenv("PLURIGEO_THREADS", raising=False)
-        assert stencil_threads() == min(2, _cpus())
+        assert stencil_threads() == min(2, cpus())
 
     @pytest.mark.parametrize("val", ["1", "2", "7", " 8 "])
     def test_a_large_value_is_capped(self, monkeypatch, val):
         monkeypatch.setenv("PLURIGEO_THREADS", val)
-        assert stencil_threads() == min(int(val), 2, _cpus())
+        assert stencil_threads() == min(int(val), 2, cpus())
 
     @pytest.mark.parametrize("val", ["zero", "0", "-1", "1.5", ""])
     def test_malformed_value_raises(self, monkeypatch, val):
@@ -174,7 +252,7 @@ def test_library_runs_serially_on_a_malformed_value(large_field, halves, monkeyp
     halves.clear()
     jet = large_field.surface_jet()
     large_field.jets()
-    assert len(halves) == 4 and not _ran_in_worker(halves)
+    assert len(halves) == 4 and not worker_ran(halves)
     assert np.array_equal(jet.d1, expect.d1) and np.array_equal(jet.d2m, expect.d2m)
 
 
@@ -202,18 +280,14 @@ def test_import_and_small_grids_start_no_thread():
     assert proc.returncode == 0, proc.stderr
 
 
-@two_cpus
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX fork")
-def test_forked_child_computes_a_split_jet(large_field, halves, monkeypatch):
-    monkeypatch.setenv("PLURIGEO_THREADS", "2")
-    expect = large_field.surface_jet()
-    assert _ran_in_worker(halves)  # the parent has its worker thread now
+def _in_forked_child(check) -> None:
+    """Run ``check()`` in a forked child, which inherits the executor but
+    not its worker thread; fail unless it returns true within 30 s."""
     pid = os.fork()
-    if pid == 0:  # child: the inherited executor has no thread
+    if pid == 0:
         code = 1
         try:
-            jet = large_field.surface_jet()
-            code = 0 if np.array_equal(jet.d2m, expect.d2m) and np.array_equal(jet.d1, expect.d1) else 1
+            code = 0 if check() else 1
         finally:
             os._exit(code)
     deadline = time.monotonic() + 30.0
@@ -224,9 +298,33 @@ def test_forked_child_computes_a_split_jet(large_field, halves, monkeypatch):
         if time.monotonic() > deadline:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pytest.fail("the forked child hung computing a split jet")
+            pytest.fail("the forked child hung")
         time.sleep(0.02)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+@two_cpus
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX fork")
+def test_forked_child_computes_a_split_jet(large_field, halves, monkeypatch):
+    monkeypatch.setenv("PLURIGEO_THREADS", "2")
+    expect = large_field.surface_jet()
+    assert worker_ran(halves)  # the parent has its worker thread now
+
+    def check():
+        jet = large_field.surface_jet()
+        return np.array_equal(jet.d2m, expect.d2m) and np.array_equal(jet.d1, expect.d1)
+
+    _in_forked_child(check)
+
+
+@two_cpus
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX fork")
+def test_forked_child_computes_the_kernel(kernel_inputs, kernel_threads, monkeypatch):
+    monkeypatch.setenv("PLURIGEO_THREADS", "2")
+    jet = kernel_inputs["surface_jet"]
+    expect = hm.surface_flow(jet, curvature=True)
+    assert worker_ran(kernel_threads)
+    _in_forked_child(lambda: _same_outputs(hm.surface_flow(jet, curvature=True), expect))
 
 
 _DX_HASHES = (
@@ -255,7 +353,7 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path):
     env = dict(os.environ, PLURIGEO_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(plurigeo.__file__)), env.get("PYTHONPATH", "")])
     outputs = {}
-    for blas in ("1", str(min(2, _cpus()))):
+    for blas in ("1", str(min(2, cpus()))):
         env["OPENBLAS_NUM_THREADS"] = blas
         out = tmp_path / f"out{blas}"
         flow = subprocess.run(
