@@ -14,7 +14,8 @@ Three right-hand sides are supported for the metric coefficient field:
 The ``gflow`` and ``normalized`` velocities come from one stencil pass
 (:meth:`MetricField.surface_jet`) and the fused surface kernel
 (:func:`plurigeo.hermitian.surface_flow`); ``omega_form`` evaluates the
-static operator on full jets.  Stepping is classical RK4 with the velocity
+static operator of :func:`plurigeo.hermitian.surface_hodge` on the same
+surface jet.  Stepping is classical RK4 with the velocity
 recomputed at every stage; the output is checked for positivity.  Every
 velocity is exactly Hermitian on exactly Hermitian data, so no step
 projects: ``run`` takes the Hermitian part of its initial field once.
@@ -170,10 +171,10 @@ def _rhs(field: MetricField, variant: str, surf: hm.SurfaceFlow | None = None) -
     field whose pluriclosed defect has drifted past 1e-6 raises
     :class:`FlowDegenerateError`."""
     if variant == "omega_form":
-        jet, _ = field.jets()
+        jet = field.surface_jet()
         # the inverse first: a non-finite stage then fails as a blowup, not a drift
-        ops = hm.hodge_operators(jet)
-        defect = hm.pluriclosed_residual(jet).max()
+        ops = hm.surface_hodge(jet)
+        defect = jet.pluriclosed_residual().max()
         if defect > _PLURICLOSED_TOL:
             raise FlowDegenerateError(f"omega_form: pluriclosed defect drifted to {defect:.3e}")
         return -ops.static_op

@@ -46,17 +46,15 @@ def lambda_estimate(
     """L2-projected static constant and the discarded imaginary residue.
 
     ``lambda* = int <Phi, omega> dV / int <omega, omega> dV`` in the
-    (i/2)-coefficient pairing; the denominator is 2 Vol.  ``hodge`` is the
-    field's :func:`~plurigeo.hermitian.hodge_operators` when the caller has
-    them.
+    (i/2)-coefficient pairing; the denominator is 2 Vol.  ``<Phi, omega>``
+    is the g-trace ``g^{i jbar} Phi_{i jbar}``, so ``<Phi, omega> dV`` is the
+    wedge density of ``Phi`` and ``omega``.  ``hodge`` is the field's
+    :func:`~plurigeo.hermitian.surface_hodge` when the caller has it.
     """
     if hodge is None:
-        jet, _ = field.jets()
-        hodge = hm.hodge_operators(jet)
-    phi = hodge.static_op
-    det = field.det()
-    num = field.grid.integrate(hm.metric_pairing(field.values, phi, field.values) * det)
-    den = 2.0 * field.grid.integrate(det)
+        hodge = hm.surface_hodge(field.surface_jet())
+    num = field.grid.integrate(wedge_pair(hodge.static_op, field.values))
+    den = 2.0 * field.grid.integrate(field.det())
     lam = num / den
     return float(lam.real), float(abs(lam.imag))
 
@@ -88,21 +86,22 @@ def static_report(field: MetricField, c1_bundle: np.ndarray) -> StaticReport:
     c1_bundle = np.asarray(c1_bundle, dtype=complex)
     if c1_bundle.shape != (2, 2):
         raise ValueError("bundle class must be a 2x2 coefficient matrix")
+    if not np.isfinite(c1_bundle).all():
+        raise ValueError("bundle class must be finite")
     if np.abs(c1_bundle - c1_bundle.conj().T).max() > 1e-12:
         raise ValueError("bundle class must be Hermitian (real form)")
 
     grid = field.grid
-    # one jet pass and one evaluation of each kernel per report
-    jet, _ = field.jets()
-    hodge = hm.hodge_operators(jet)
-    surf = hm.surface_flow(hm.SurfaceJet.from_jet(jet))
+    # one stencil pass and one evaluation of each kernel per report
+    jet = field.surface_jet()
+    hodge = hm.surface_hodge(jet)
+    surf = hm.surface_flow(jet)
     g = field.values
     det = field.det()
     vol = float(grid.integrate(det))
     lam, lam_imag = lambda_estimate(field, hodge)
 
-    resid = hodge.static_op - lam * g
-    sq = hm.metric_pairing(g, resid, resid).real
+    sq = hm.hermitian_norm_sq(g, hodge.static_op - lam * g)
     residual_l2 = float(np.sqrt(max(grid.integrate(sq * det), 0.0)))
     residual_max = float(np.sqrt(max(sq.max(), 0.0)))
 
@@ -198,11 +197,12 @@ def hermitian_symplectic(field: MetricField, lam: float) -> HermitianSymplecticR
     continuum.  That universal residual is returned along with
     ``int omega_tilde ^ omega_tilde`` (strictly positive).
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"construction needs a finite lambda, got {lam!r}")
     if lam == 0:
         raise ValueError("construction undefined at lambda = 0")
     grid = field.grid
-    jet, _ = field.jets()
-    hodge = hm.hodge_operators(jet)
+    hodge = hm.surface_hodge(field.surface_jet())
 
     # (2,0) block: -(1/lam) del(dbar* omega); (0,2) block: -(1/lam) dbar(del* omega)
     beta = hodge.dbar_star  # (1,0)-form components

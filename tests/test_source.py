@@ -86,3 +86,53 @@ def test_reads_through_an_import_count():
     }
     # b binds _g by its import, and neither module reads it
     assert _unread(sources) == ["a.py:_g", "b.py:_g"]
+
+
+def _callers(tree, name):
+    """The definitions of one parsed module that call ``name``, as a plain
+    function (``name(...)``) or an attribute (``x.name(...)``): each by its
+    outermost definition, a method as ``Class.method``, a class body as
+    ``Class`` and module level as ``<module>``."""
+    found = set()
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(node, owner, in_class):
+        for child in ast.iter_child_nodes(node):
+            here, klass = owner, False
+            if owner == "<module>" and isinstance(child, defs + (ast.ClassDef,)):
+                here, klass = child.name, isinstance(child, ast.ClassDef)
+            elif in_class and isinstance(child, defs):
+                here = f"{owner}.{child.name}"
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    found.add(here)
+            visit(child, here, klass)
+
+    visit(tree, "<module>", False)
+    return found
+
+
+def _package_callers(name):
+    return {f"{path.stem}.{caller}" for path in SOURCES for caller in _callers(ast.parse(path.read_text()), name)}
+
+
+def test_callers_are_named_by_their_outermost_definition():
+    source = (
+        "def f():\n    def g():\n        h()\n    return g\n\n"
+        "class C:\n    def m(self):\n        self.h()\n    k = h()\n\n"
+        "h()\n"
+    )
+    assert _callers(ast.parse(source), "h") == {"f", "C.m", "C", "<module>"}
+
+
+def test_einsum_hodge_kernel_and_full_jets_stay_off_the_static_and_flow_paths():
+    # the static report, the Hermitian-symplectic extension and the
+    # omega_form flow take surface_hodge on surface_jet(); the einsum
+    # hodge_operators, its oracle, serves only the identity suite, which
+    # stays independent of the kernels it checks, and kahler_ricci, and the
+    # full jet only the torsion-norm audit
+    hodge = _package_callers("hodge_operators")
+    assert hodge <= {"hermitian.identity_suite", "hermitian.kahler_ricci"}, hodge
+    jets = _package_callers("jets")
+    assert jets <= {"flow.tnorm_evolution_check"}, jets

@@ -1,10 +1,13 @@
-"""The fused surface kernel and the one-pass stencil jets against the oracles.
+"""The surface kernels and the one-pass stencil jets against the oracles.
 
 The flow hot path evaluates ``surface_flow`` on ``MetricField.surface_jet``;
 the einsum kernels (``gflow_rhs``, ``chern_curvature``,
 ``torsion_quadratics``, ``torsion``, ``curvature_norm``) on the full
-``MetricField.jets`` are the oracles it is pinned to.  The jets themselves
-are pinned to ``dz``/``dzbar`` compositions in ``test_grid.py``.
+``MetricField.jets`` are the oracles it is pinned to.  The static report,
+the Hermitian-symplectic extension and the ``omega_form`` flow evaluate
+``surface_hodge`` on the same jet; the einsum ``hodge_operators`` is its
+oracle.  The jets themselves are pinned to ``dz``/``dzbar`` compositions in
+``test_grid.py``.
 """
 
 import functools
@@ -68,10 +71,17 @@ def _kernel_and_oracle_jets():
 # each quantity sums (_term_sizes).  Largest error / (kappa eps size)
 # measured over 40 fresh 2000-jet sets per kappa: 9.8, for the kernel and
 # the float64 oracles alike (scal and |Omega|; rhs 3.3), so the bound has a
-# margin of 3.3
+# margin of 3.3; for surface_hodge and hodge_operators alike 3.6 (chern_ricci)
 KAPPAS = (1e2, 1e4, 1e6)
 KAPPA_TOL = 32.0
 JETS = _kernel_and_oracle_jets()
+
+
+HODGE_BLOCKS = ("static_op", "chern_ricci", "del_star", "dbar_star", "del_del_star", "dbar_dbar_star")
+
+
+def _hodge_blocks(ops: hm.HodgeOperators) -> dict:
+    return {name: getattr(ops, name) for name in HODGE_BLOCKS}
 
 
 def _rel(value, oracle) -> float:
@@ -107,8 +117,12 @@ def _term_sizes(jet: hm.HermitianJet) -> dict:
     big_m, big_d = largest(jet.d2m, 4), largest(jet.d1, 3)
     rhs = big_g * big_m + big_g**2 * big_d**2
     torsion_sq = big_g**3 * big_d**2
+    # the (1,1)-blocks of the Hodge operators sum terms like the velocity's,
+    # the codifferentials g^-1 d1
+    hodge = {name: rhs for name in HODGE_BLOCKS}
+    hodge["del_star"] = hodge["dbar_star"] = big_g * big_d
     return {"rhs": rhs, "scal": big_g * rhs, "tnorm_sq": torsion_sq, "w_sq": torsion_sq,
-            "curv": big_g * rhs, "pluriclosed": big_m}
+            "curv": big_g * rhs, "pluriclosed": big_m, **hodge}
 
 
 def _long_double(jet: hm.HermitianJet) -> hm.HermitianJet:
@@ -120,7 +134,8 @@ def _long_double(jet: hm.HermitianJet) -> hm.HermitianJet:
 @functools.cache
 def _long_double_reference(name: str) -> tuple[dict, dict]:
     jet = JETS[name][1]
-    return _oracles(_long_double(jet)), _term_sizes(jet)
+    exact = _long_double(jet)
+    return {**_oracles(exact), **_hodge_blocks(hm.hodge_operators(exact))}, _term_sizes(jet)
 
 
 def _assert_within_kappa_bound(name: str, values: dict) -> None:
@@ -200,3 +215,71 @@ def test_degree_is_integrated_chern_scalar(generic_fields):
         rep = -hm.hodge_operators(jet).chern_ricci
         oracle = float(field.grid.integrate(wedge_pair(rep, field.values).real))
         assert abs(degree(field) - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+# ---------------------------------------------------------------------------
+# surface_hodge against hodge_operators
+
+
+@pytest.mark.parametrize("name", sorted(JETS))
+def test_surface_hodge_matches_hodge_operators(name):
+    surface, jet = JETS[name]
+    kernel = _hodge_blocks(hm.surface_hodge(surface))
+    if name.startswith("kappa_"):
+        _assert_within_kappa_bound(name, kernel)
+        return
+    oracle = _hodge_blocks(hm.hodge_operators(jet))
+    for key, value in kernel.items():
+        assert _rel(value, oracle[key]) <= TOL, key
+
+
+@pytest.mark.parametrize("name", ["random_free", "random_pluriclosed", "cross", "kappa_1e+06"])
+def test_surface_hodge_static_op_is_exactly_hermitian(name):
+    ops = hm.surface_hodge(JETS[name][0])
+    assert np.array_equal(ops.static_op, np.conj(ops.static_op.swapaxes(-1, -2)))
+    assert np.array_equal(ops.chern_ricci, np.conj(ops.chern_ricci.swapaxes(-1, -2)))
+    assert np.array_equal(ops.dbar_dbar_star, np.conj(ops.del_del_star.swapaxes(-1, -2)))
+    assert np.array_equal(ops.del_star, np.conj(ops.dbar_star))
+
+
+@pytest.mark.parametrize("node", [[[1.0, 1.0], [1.0, 1.0]], 0.0])
+def test_surface_hodge_singular_metric_raises(node):
+    # det 0, and g 0, where mu is 0 / 0: inverse_metric runs first, so
+    # nothing before it meets an invalid value
+    jet = JETS["random_free"][0]
+    g = jet.g.copy()
+    g[7] = node
+    with np.errstate(all="raise"), pytest.raises(hm.SingularMetricError):
+        hm.surface_hodge(hm.SurfaceJet(g, jet.d1, jet.d2m))
+
+
+def test_surface_hodge_on_grid_jets(generic_fields):
+    """On grid fields ``surface_jet()`` and the views of the full jet give the
+    same blocks, and the einsum oracle on the full jet agrees."""
+    for field in generic_fields:
+        full, _ = field.jets()
+        ops = hm.surface_hodge(field.surface_jet())
+        views = _hodge_blocks(hm.surface_hodge(hm.SurfaceJet.from_jet(full)))
+        oracle = _hodge_blocks(hm.hodge_operators(full))
+        for key, value in _hodge_blocks(ops).items():
+            assert np.array_equal(value, views[key]), key
+            assert _rel(value, oracle[key]) <= TOL, key
+
+
+def test_surface_jet_pluriclosed_residual(generic_fields):
+    for field in generic_fields:
+        full, _ = field.jets()
+        surface = field.surface_jet()
+        assert np.array_equal(surface.pluriclosed_residual(), hm.surface_flow(surface).pluriclosed)
+        assert np.abs(surface.pluriclosed_residual() - hm.pluriclosed_residual(full)).max() <= 1e-15
+
+
+def test_hermitian_norm_sq_is_the_metric_pairing():
+    rng = np.random.default_rng(4)
+    for name in ("random_free", "random_pluriclosed", "kahler_potential", "torus_pluriclosed"):
+        g = JETS[name][1].g
+        a = rng.uniform(-1, 1, g.shape) + 1j * rng.uniform(-1, 1, g.shape)
+        a = a + np.conj(a.swapaxes(-1, -2))
+        norm = hm.hermitian_norm_sq(g, a)
+        assert _rel(norm, hm.metric_pairing(g, a, a).real) <= TOL, name
+        assert (norm >= 0).all()

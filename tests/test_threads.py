@@ -150,8 +150,9 @@ def _same_outputs(a: hm.SurfaceFlow, b: hm.SurfaceFlow) -> bool:
 
 @pytest.fixture(scope="module")
 def kernel_inputs(large_field):
-    """The kernel's input as the flow gives it and as the strided views that
-    ``static_report`` passes (``SurfaceJet.from_jet``)."""
+    """The kernel's input as the flow and ``static_report`` give it
+    (``surface_jet``), and as the strided views of a full jet
+    (``SurfaceJet.from_jet``) that the oracle tests pass."""
     return {"surface_jet": large_field.surface_jet(), "from_jet": hm.SurfaceJet.from_jet(large_field.jets()[0])}
 
 
