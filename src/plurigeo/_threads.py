@@ -1,12 +1,18 @@
-"""The one worker thread of the stencil pass and the surface kernel.
+"""The one worker thread of the stencil pass, the surface kernel and the
+identity suite.
 
 :func:`plurigeo.grid._split_pass` and :func:`plurigeo.hermitian.surface_flow`
 split their whole-grid work between the calling thread and this worker
-on grids of at least ``SPLIT_NODES`` nodes, when two threads are allowed;
-smaller grids run all of it in the calling thread and start no thread.
-Each part keeps its operations, operands and order, so every result is
+on grids of at least ``SPLIT_NODES`` nodes, and
+:func:`plurigeo.hermitian.identity_suite` its batches of at least
+``hermitian._SPLIT_JETS`` jets, when two threads are allowed; smaller
+work runs all of it in the calling thread and starts no thread.  Each
+part keeps its operations, operands and order, so every result is
 bit-identical for every thread count.  The worker runs under the
-caller's numpy error state and calls no public plurigeo function.
+caller's numpy error state.  Its parts call the public kernels of
+:mod:`plurigeo.hermitian` (the identity suite's half does), so a
+:func:`split` entered in the worker runs all its parts there, in order:
+handing them to itself would wait on itself forever.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ SPLIT_NODES = 6144
 
 _pool = None  # (pid, executor) of the worker thread, made by the first split
 _pool_lock = threading.Lock()
+_local = threading.local()  # .worker is set in the worker thread
 
 
 def stencil_threads() -> int:
@@ -63,14 +70,22 @@ def _worker():
         if _pool is None or _pool[0] != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="plurigeo-stencil"))
+            _pool = (
+                os.getpid(),
+                ThreadPoolExecutor(max_workers=1, thread_name_prefix="plurigeo-stencil", initializer=_mark_worker),
+            )
         return _pool[1]
 
 
-def split(nodes: int):
+def _mark_worker():
+    _local.worker = True
+
+
+def split(nodes: int, least: int = SPLIT_NODES):
     """The parts of one computation on ``nodes`` nodes, as a context manager:
-    run in the worker thread on grids of at least ``SPLIT_NODES`` nodes
-    when two threads are allowed, else in the calling thread.
+    run in the worker thread from ``least`` nodes on when two threads are
+    allowed, else in the calling thread.  Entered in the worker thread
+    itself, the parts run there.
 
     ``run(fn, *args)`` hands over ``fn(*args)``.  Split, the worker starts
     it at once, under the caller's numpy error state, and ``run`` returns
@@ -83,7 +98,7 @@ def split(nodes: int):
     that failed raises instead, as it would have on one thread, where it
     runs before the caller goes on: every exception, like every value, is
     the same for every thread count."""
-    if nodes >= SPLIT_NODES:
+    if nodes >= least and not getattr(_local, "worker", False):
         try:
             threads = stencil_threads()
         except ValueError:  # malformed: the CLI rejects it; library calls never raise on it

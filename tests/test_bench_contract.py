@@ -6,7 +6,10 @@ A refactor that renames a wrapped function or slims the full jet would
 break the traced run; these tests catch that in the package's own suite.
 The tracer keeps one span stack, which is not thread-safe, so no wrapped
 function may run in the worker thread of the split stencil pass and
-surface kernel.
+surface kernel.  The split identity suite is the one exception: the
+worker checks the first half of a large batch with the wrapped kernels
+(``chern_curvature`` and the like), so the traced ``checks`` run can
+attribute their spans across the two threads.
 """
 
 import functools

@@ -21,6 +21,7 @@ from plurigeo import cli
 from plurigeo.families import MetricFamily
 from plurigeo.grid import MetricField, TorusGrid, sample, save_field
 
+from conftest import two_cpus, worker_ran
 from test_hermitian import _random_jet_reference
 
 
@@ -195,6 +196,27 @@ class TestIdentities:
         whole = (tmp_path / "whole/identities_report.json").read_bytes()
         assert (tmp_path / "chunked/identities_report.json").read_bytes() == whole
 
+    def test_probe_batch_matches_one_suite_per_family(self, tmp_path, monkeypatch):
+        # identities checks the family probes as one batch; each probe's
+        # residuals, so each identity's worst value, are those of one suite
+        # per family
+        calls = []
+        suite = cli.hm.identity_suite
+
+        def record(jet, pluriclosed=False):
+            calls.append((jet, pluriclosed, suite(jet, pluriclosed)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(cli.hm, "identity_suite", record)
+        assert run_cli(tmp_path, "identities", {"command": "identities", "count": 3}) == cli.EXIT_OK
+        jet, pluriclosed, batch = calls[-1]
+        probes = cli._family_sample_jets()
+        assert pluriclosed and len(calls) == 3 and len(jet.g) == 7 * len(probes)
+        separate = [suite(probe, pluriclosed=True) for probe in probes.values()]
+        assert batch.keys() == separate[0].keys()
+        for name, vals in batch.items():
+            assert np.array_equal(vals, np.concatenate([res[name] for res in separate])), name
+
     def test_report_is_one_stream_of_reference_jets(self, tmp_path, monkeypatch):
         # the oracle draws jet after jet from its own generator of the config
         # seed: count unconstrained jets, then count pluriclosed ones
@@ -283,21 +305,35 @@ class TestHopfCommand:
 
 
 class TestDeterminism:
-    def test_identities_byte_identical_across_threads(self, tmp_path, monkeypatch):
-        payload = {"command": "identities", "count": 30, "seed": 11}
-        monkeypatch.setenv("PLURIGEO_THREADS", "1")
-        run_cli(tmp_path, "identities", payload, out="t1")
-        monkeypatch.setenv("PLURIGEO_THREADS", "8")
-        run_cli(tmp_path, "identities", payload, out="t8")
-        a = (tmp_path / "t1/identities_report.json").read_bytes()
-        b = (tmp_path / "t8/identities_report.json").read_bytes()
-        assert a == b
+    @two_cpus
+    def test_identities_byte_identical_across_threads(self, tmp_path, identity_threads, monkeypatch):
+        # batches that split, against the report of whole batches: an odd
+        # count just over the threshold, and, at a lowered threshold, a count
+        # over three chunks whose probe batch of 28 jets splits too
+        for count, chunk, least in ((cli.hm._SPLIT_JETS + 1, cli.IDENTITY_CHUNK, cli.hm._SPLIT_JETS), (31, 12, 8)):
+            payload = {"command": "identities", "count": count, "seed": 11}
+            monkeypatch.setattr(cli, "IDENTITY_CHUNK", chunk)
+            monkeypatch.setattr(cli.hm, "_SPLIT_JETS", 10**9)
+            assert run_cli(tmp_path, "identities", payload, out=f"whole{count}") == cli.EXIT_OK
+            whole = (tmp_path / f"whole{count}/identities_report.json").read_bytes()
+            monkeypatch.setattr(cli.hm, "_SPLIT_JETS", least)
+            for threads in ("1", "8"):
+                identity_threads.clear()
+                monkeypatch.setenv("PLURIGEO_THREADS", threads)
+                assert run_cli(tmp_path, "identities", payload, out=f"t{threads}_{count}") == cli.EXIT_OK
+                assert worker_ran(identity_threads) == (threads == "8"), (count, threads)
+                assert (tmp_path / f"t{threads}_{count}/identities_report.json").read_bytes() == whole
 
     def test_seed_override(self, tmp_path):
         payload = {"command": "identities", "count": 10, "seed": 1}
         run_cli(tmp_path, "identities", payload, out="a", seed=99)
         report = json.loads((tmp_path / "a/identities_report.json").read_text())
         assert report["seed"] == 99
+
+    def test_seed_may_exceed_64_bits(self, tmp_path):
+        payload = {"command": "identities", "count": 2}
+        assert run_cli(tmp_path, "identities", payload, seed=2**64) == cli.EXIT_OK
+        assert json.loads((tmp_path / "out/identities_report.json").read_text())["seed"] == 2**64
 
 
 def run_process(tmp_path, command, payload):

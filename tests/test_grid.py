@@ -28,7 +28,7 @@ from plurigeo.grid import (
     wedge_pair,
 )
 
-from conftest import composed_jets, cross_field, random_trig
+from conftest import composed_jets, cross_field, random_trig, surface_jet_of
 
 
 class TestDerivatives:
@@ -324,7 +324,7 @@ class TestOnePass:
 
     def test_full_jet_contains_the_surface_jet(self, fields):
         for field in fields:
-            full = hm.SurfaceJet.from_jet(field.jets()[0])
+            full = surface_jet_of(field.jets()[0])
             one_pass = field.surface_jet()
             assert np.array_equal(full.d1, one_pass.d1)
             assert np.array_equal(full.d2m, one_pass.d2m)

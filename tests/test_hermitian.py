@@ -224,7 +224,7 @@ def _hodge_jets():
         "random_free": hm.random_jet_batch(np.random.default_rng(0), 1000),
         "random_pluriclosed": hm.random_jet_batch(np.random.default_rng(1), 1000, pluriclosed=True),
         "all_axis_grid": field.jets()[0],
-        **{name: jet for name, jet, _ in cli._family_sample_jets()},
+        **cli._family_sample_jets(),
     }
 
 

@@ -11,7 +11,7 @@ from plurigeo import statics as st
 from plurigeo.families import MetricFamily
 from plurigeo.grid import FormField, MetricField, degree, perturb_with_potential, sample, wedge_pair
 
-from conftest import random_trig
+from conftest import random_trig, surface_jet_of
 
 
 class TestLambdaEstimate:
@@ -93,7 +93,7 @@ def _einsum_static_report(field: MetricField, c1_bundle) -> st.StaticReport:
     grid = field.grid
     jet, _ = field.jets()
     hodge = hm.hodge_operators(jet)
-    surf = hm.surface_flow(hm.SurfaceJet.from_jet(jet))
+    surf = hm.surface_flow(surface_jet_of(jet))
     g = field.values
     det = field.det()
     vol = float(grid.integrate(det))

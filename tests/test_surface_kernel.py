@@ -19,7 +19,7 @@ from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily, jet_at
 from plurigeo.grid import degree, wedge_pair
 
-from conftest import composed_jets, cross_field
+from conftest import composed_jets, cross_field, surface_jet_of
 
 TOL = 1e-13
 
@@ -57,7 +57,7 @@ def _kernel_and_oracle_jets():
         **_family_jets(),
         **{f"kappa_{k:.0e}": conditioned_jets(k, 2000, 2 + i) for i, k in enumerate(KAPPAS)},
     }
-    pairs = {name: (hm.SurfaceJet.from_jet(jet), jet) for name, jet in jets.items()}
+    pairs = {name: (surface_jet_of(jet), jet) for name, jet in jets.items()}
     cross = cross_field()
     pairs["cross"] = (cross.surface_jet(), composed_jets(cross))
     return pairs
@@ -189,7 +189,7 @@ def test_singular_metric_raises():
     g = jet.g.copy()
     g[1] = 0.0
     with pytest.raises(hm.SingularMetricError):
-        hm.surface_flow(hm.SurfaceJet.from_jet(hm.HermitianJet(g, jet.d1, jet.d2m, jet.d2h)))
+        hm.surface_flow(surface_jet_of(hm.HermitianJet(g, jet.d1, jet.d2m, jet.d2h)))
 
 
 def test_surface_jet_matches_full_jets(generic_fields):
@@ -259,7 +259,7 @@ def test_surface_hodge_on_grid_jets(generic_fields):
     for field in generic_fields:
         full, _ = field.jets()
         ops = hm.surface_hodge(field.surface_jet())
-        views = _hodge_blocks(hm.surface_hodge(hm.SurfaceJet.from_jet(full)))
+        views = _hodge_blocks(hm.surface_hodge(surface_jet_of(full)))
         oracle = _hodge_blocks(hm.hodge_operators(full))
         for key, value in _hodge_blocks(ops).items():
             assert np.array_equal(value, views[key]), key

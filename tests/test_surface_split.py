@@ -20,7 +20,7 @@ from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily
 from plurigeo.grid import perturb_with_potential, sample
 
-from conftest import random_trig, two_cpus, worker_ran
+from conftest import random_trig, surface_jet_of, two_cpus, worker_ran
 
 OUTPUTS = ("rhs", "scal", "tnorm_sq", "w_sq", "pluriclosed", "curv_sq")
 
@@ -139,13 +139,13 @@ def frozen_curvature_norm_sq(lsq, mu, y, r):
 def jets(request):
     """Kernel inputs on one grid: the sampled family (exact zeros along its
     constant axes), and all-axis data both as ``surface_jet`` gives it and
-    as the strided views of ``SurfaceJet.from_jet``."""
+    as the strided views of ``surface_jet_of``."""
     base = sample(MetricFamily("torus_pluriclosed", 0.5), request.param)
     field = perturb_with_potential(base, 0.05 * random_trig(base.grid, 13))
     return {
         "family": base.surface_jet(),
         "all_axis": field.surface_jet(),
-        "from_jet": hm.SurfaceJet.from_jet(field.jets()[0]),
+        "views": surface_jet_of(field.jets()[0]),
     }
 
 

@@ -1,13 +1,16 @@
-"""The split stencil pass and the split surface kernel: bit-identical for
-every ``PLURIGEO_THREADS``.
+"""The split stencil pass, the split surface kernel and the split
+identity suite: bit-identical for every ``PLURIGEO_THREADS``.
 
 ``MetricField.jets`` takes its jets in two halves at every grid size, and
 ``surface_jet`` does from ``grid._SPLIT_NODES`` nodes on.  Only on grids
 of at least ``grid._SPLIT_NODES`` nodes, with two threads allowed, does
 the second half run in a worker thread, and does ``surface_flow`` hand
-part of its work to the same thread.  Each test that needs the worker
-asserts that it really ran, and skips when this process may run on fewer
-than 2 CPUs, so no test starts more threads than there are cores.
+part of its work to the same thread.  ``identity_suite`` checks batches
+of at least ``hermitian._SPLIT_JETS`` jets in two halves, the first in
+the same worker when two threads are allowed.  Each test that needs the
+worker asserts that it really ran, and skips when this process may run
+on fewer than 2 CPUs, so no test starts more threads than there are
+cores.
 """
 
 import json
@@ -23,13 +26,13 @@ import numpy as np
 import pytest
 
 import plurigeo
-from plurigeo import cli, grid
+from plurigeo import _threads, cli, grid
 from plurigeo import flow as fl
 from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily
 from plurigeo.grid import perturb_with_potential, sample, save_field, stencil_threads
 
-from conftest import cpus, random_trig, two_cpus, worker_ran
+from conftest import cpus, random_trig, surface_jet_of, two_cpus, worker_ran
 
 DIMS = (16, 8, 16, 8)  # the headline grid, above the split threshold
 
@@ -70,7 +73,7 @@ def test_jets_bit_identical_across_threads(large_field, halves, monkeypatch):
 
 def test_split_pass_matches_the_one_pass_form(large_field, monkeypatch):
     # _stencil_rows (surface_jet below _SPLIT_NODES nodes) is the reference of the split pass
-    split = (large_field.surface_jet(), hm.SurfaceJet.from_jet(large_field.jets()[0]))
+    split = (large_field.surface_jet(), surface_jet_of(large_field.jets()[0]))
     monkeypatch.setattr(grid, "_SPLIT_NODES", 10**9)
     whole = large_field.surface_jet()
     for jet in split:
@@ -152,8 +155,8 @@ def _same_outputs(a: hm.SurfaceFlow, b: hm.SurfaceFlow) -> bool:
 def kernel_inputs(large_field):
     """The kernel's input as the flow and ``static_report`` give it
     (``surface_jet``), and as the strided views of a full jet
-    (``SurfaceJet.from_jet``) that the oracle tests pass."""
-    return {"surface_jet": large_field.surface_jet(), "from_jet": hm.SurfaceJet.from_jet(large_field.jets()[0])}
+    (``surface_jet_of``) that the oracle tests pass."""
+    return {"surface_jet": large_field.surface_jet(), "views": surface_jet_of(large_field.jets()[0])}
 
 
 @two_cpus
@@ -211,6 +214,82 @@ def test_singular_field_raises_and_the_next_call_succeeds(large_field, kernel_in
                 hm.surface_flow(singular, curvature=True)
             assert _same_outputs(hm.surface_flow(jet, curvature=True), expect), threads
     assert worker_ran(kernel_threads)
+
+
+@two_cpus
+def test_a_split_entered_in_the_worker_runs_there(monkeypatch):
+    monkeypatch.setenv("PLURIGEO_THREADS", "2")
+    with _threads.split(_threads.SPLIT_NODES) as outer:
+        assert outer.threaded
+        inner = outer.get(outer.run(_threads.split, _threads.SPLIT_NODES))
+    assert inner is _threads._ONE_THREAD
+
+
+@two_cpus
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX fork")
+def test_kernel_handed_to_the_worker_returns(kernel_inputs, kernel_threads, monkeypatch):
+    # surface_flow splits again in the worker: handing its frame to the
+    # worker there would wait on itself forever, so the child has a deadline
+    monkeypatch.setenv("PLURIGEO_THREADS", "2")
+    jet = kernel_inputs["surface_jet"]
+    expect = hm.surface_flow(jet, curvature=True)
+    kernel_threads.clear()
+
+    def check():
+        with _threads.split(_threads.SPLIT_NODES) as split:
+            part = split.run(hm.surface_flow, jet, True)
+        return _same_outputs(split.get(part), expect) and len(kernel_threads) == 1 and worker_ran(kernel_threads)
+
+    _in_forked_child(check)
+
+
+def _identity_batches(large_field):
+    """An odd count of random pluriclosed jets just over the split threshold,
+    and a grid's jets, split along its first axis."""
+    return {
+        "random": hm.random_jet_batch(np.random.default_rng(5), hm._SPLIT_JETS + 1, pluriclosed=True),
+        "grid": large_field.jets()[0],
+    }
+
+
+@two_cpus
+def test_identity_suite_bit_identical_across_threads(large_field, identity_threads, monkeypatch):
+    least = hm._SPLIT_JETS
+    for name, jets in _identity_batches(large_field).items():
+        monkeypatch.setattr(hm, "_SPLIT_JETS", 10**9)
+        whole = hm.identity_suite(jets, pluriclosed=True)
+        monkeypatch.setattr(hm, "_SPLIT_JETS", least)
+        for threads in ("1", "2"):
+            identity_threads.clear()
+            monkeypatch.setenv("PLURIGEO_THREADS", threads)
+            split = hm.identity_suite(jets, pluriclosed=True)
+            assert len(identity_threads) == 2 and worker_ran(identity_threads) == (threads == "2"), name
+            assert split.keys() == whole.keys()
+            for key, value in whole.items():
+                assert split[key].shape == value.shape and split[key].tobytes() == value.tobytes(), (name, key)
+
+
+@two_cpus
+def test_identity_halves_fail_as_on_one_thread(identity_threads, monkeypatch):
+    jets = hm.random_jet_batch(np.random.default_rng(5), hm._SPLIT_JETS + 1)
+    for row in (3, -3):  # in the worker's half, in the caller's
+        g = jets.g.copy()
+        g[row] = 0.0
+        singular = hm.HermitianJet(g, jets.d1, jets.d2m, jets.d2h)
+        d2h = jets.d2h.copy()
+        d2h[row, 0, 0, 0, 0] = np.inf  # inf - inf in the torsion's derivative
+        bad = hm.HermitianJet(jets.g, jets.d1, jets.d2m, d2h)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PLURIGEO_THREADS", threads)
+            with pytest.raises(hm.SingularMetricError):
+                hm.identity_suite(singular)
+            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="invalid value"):
+                hm.identity_suite(bad)
+            with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+                warnings.simplefilter("always")
+                hm.identity_suite(bad)
+            assert not caught, (row, threads)
+    assert worker_ran(identity_threads)
 
 
 @two_cpus
