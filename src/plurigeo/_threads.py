@@ -1,7 +1,7 @@
 """The one worker thread of the stencil pass, the surface kernel and the
 identity suite.
 
-:func:`plurigeo.grid._split_pass` and :func:`plurigeo.hermitian.surface_flow`
+:func:`plurigeo.grid._jet_pass` and :func:`plurigeo.hermitian.surface_flow`
 split their whole-grid work between the calling thread and this worker
 on grids of at least ``SPLIT_NODES`` nodes, and
 :func:`plurigeo.hermitian.identity_suite` its batches of at least
@@ -23,16 +23,18 @@ import threading
 import numpy as np
 
 # Nodes from which work is split, one threshold for the stencil pass and
-# the surface kernel.  On a 2-vCPU x86_64 VM (alternating calls, one BLAS
-# thread), split surface_jet plus surface_flow time over one thread's is
-# 1.44-1.45 at 2,048 nodes (8x4x8x8), 0.97-1.04 at 4,096 (8^4 and
-# 16x4x16x4), 0.75-0.83 at 6,144 (12x8x8x8 and 16x6x8x8), 0.67-0.70 at
-# 8,192 and 0.52 at 16,384, with and without |Omega|^2.  At 4,096 nodes
-# the worker buys nothing, so the threshold stays at the first size
-# measured where it wins.  For surface_jet alone, split time over
-# _stencil_rows's was 3.21 at 1,024 nodes, 1.33 at 2,048, 0.75 at 4,096,
-# 0.54 at 6,144, 0.38 at 8,192 and 0.29 at 16,384.
-SPLIT_NODES = 6144
+# the surface kernel.  On a 2-vCPU x86_64 VM (alternating rounds of 10
+# calls, one BLAS thread, the jet in a run's workspace), split time over
+# one thread's, median of 30 rounds, for surface_jet plus surface_flow as
+# a flow stage calls them: 1.93 at 2,048 nodes (8x4x8x8), 1.01 and 1.40
+# at 4,096 (8^4, 16x4x16x4), 1.13 and 1.09 at 6,144 (12x8x8x8,
+# 16x6x8x8), 0.96 at 8,192 (16x8x8x8) and 0.68 at 16,384; as a record
+# calls them (with |Omega|^2), 0.96 at 4,096, 0.77 and 0.81 at 6,144, 0.73
+# at 8,192 and 0.50 at 16,384.  For surface_jet alone it was 2.32,
+# 1.48-1.56, 1.14-1.23, 0.96-0.97 and 0.66-0.67.  Stages outnumber
+# records, so the threshold is the first size where the split wins as a
+# stage.
+SPLIT_NODES = 8192
 
 _pool = None  # (pid, executor) of the worker thread, made by the first split
 _pool_lock = threading.Lock()

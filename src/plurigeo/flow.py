@@ -15,10 +15,13 @@ The ``gflow`` and ``normalized`` velocities come from one stencil pass
 (:meth:`MetricField.surface_jet`) and the fused surface kernel
 (:func:`plurigeo.hermitian.surface_flow`); ``omega_form`` evaluates the
 static operator of :func:`plurigeo.hermitian.surface_hodge` on the same
-surface jet.  Stepping is classical RK4 with the velocity
-recomputed at every stage; the output is checked for positivity.  Every
-velocity is exactly Hermitian on exactly Hermitian data, so no step
-projects: ``run`` takes the Hermitian part of its initial field once.
+surface jet.  ``run`` takes every jet of the run, for a stage or a
+record, in one workspace it allocates once; ``step`` and ``diagnostics``
+called on their own take new arrays.  Stepping is classical RK4 with the
+velocity recomputed at every stage; the output is checked for
+positivity.  Every velocity is exactly Hermitian on exactly Hermitian
+data, so no step projects: ``run`` takes the Hermitian part of its
+initial field once.
 The run loop records integral diagnostics, reuses the velocity the
 diagnostics evaluated as the first stage of the next step, and applies
 the curvature blow-up stop rule.
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermitian as hm
-from .grid import FormField, MetricField, divisor_area, degree, wedge_pair
+from .grid import FormField, MetricField, _jet_workspace, divisor_area, degree, wedge_pair
 
 __all__ = [
     "FlowError",
@@ -321,38 +324,40 @@ def run(
         records.append(dataclasses.replace(rec, velocity=None))
         return rec.velocity
 
-    k1 = record(diagnostics(state, variant))
-    omega0 = records[0].max_omega
-    # slack for rounding in the accumulated time; relative below t_end = 1,
-    # so a run to a tiny t_end takes its steps
-    t_stop = t_end - 1e-14 * min(t_end, 1.0)
-    status = "completed"
-    reason = ""
-    while state.t < t_stop and state.step < max_steps:
-        h = cfl_dt(state.field, safety) if dt is None else dt
-        h = min(h, t_end - state.t)
-        try:
-            state = step(state, h, variant, k1)
-            k1 = None
-            at_record = state.step % cadence == 0 or state.t >= t_stop
-            if at_record:
-                # an omega_form velocity here can find the pluriclosed drift
-                k1 = record(diagnostics(state, variant))
-        except FlowDegenerateError as exc:
-            status, reason = "degenerate", str(exc)
-            break
-        except FlowBlowupError as exc:
-            status, reason = "blowup_suspected", str(exc)
-            break
-        if at_record and omega0 > 0 and records[-1].max_omega > blowup_factor * omega0:
-            status, reason = "blowup_suspected", "curvature blow-up threshold"
-            break
-    else:
-        if state.t < t_stop:
-            status = "max_steps_reached"
-            reason = f"stopped after {state.step} steps at t={state.t!r} < t_end={t_end!r}"
-            if records[-1].step != state.step:
-                record(diagnostics(state, variant))
+    # every jet of the run, for a stage or a record, in one workspace
+    with _jet_workspace(field.grid.dims):
+        k1 = record(diagnostics(state, variant))
+        omega0 = records[0].max_omega
+        # slack for rounding in the accumulated time; relative below t_end = 1,
+        # so a run to a tiny t_end takes its steps
+        t_stop = t_end - 1e-14 * min(t_end, 1.0)
+        status = "completed"
+        reason = ""
+        while state.t < t_stop and state.step < max_steps:
+            h = cfl_dt(state.field, safety) if dt is None else dt
+            h = min(h, t_end - state.t)
+            try:
+                state = step(state, h, variant, k1)
+                k1 = None
+                at_record = state.step % cadence == 0 or state.t >= t_stop
+                if at_record:
+                    # an omega_form velocity here can find the pluriclosed drift
+                    k1 = record(diagnostics(state, variant))
+            except FlowDegenerateError as exc:
+                status, reason = "degenerate", str(exc)
+                break
+            except FlowBlowupError as exc:
+                status, reason = "blowup_suspected", str(exc)
+                break
+            if at_record and omega0 > 0 and records[-1].max_omega > blowup_factor * omega0:
+                status, reason = "blowup_suspected", "curvature blow-up threshold"
+                break
+        else:
+            if state.t < t_stop:
+                status = "max_steps_reached"
+                reason = f"stopped after {state.step} steps at t={state.t!r} < t_end={t_end!r}"
+                if records[-1].step != state.step:
+                    record(diagnostics(state, variant))
     first, last = records[0], records[-1]
     summary = {
         "status": status,

@@ -6,7 +6,10 @@ differences with periodic wraparound,
 
     f'_i ~ (-f_{i+2} + 8 f_{i+1} - 8 f_{i-1} + f_{i-2}) / (12 h),
 
-second derivatives from the same stencils in one pass.  On axes of at
+second derivatives from the same stencils in one pass
+(:func:`_stencil_half`), whose every numpy call takes all the real fields
+it is given: the four of the metric at once, or, on large grids with two
+threads allowed, two of them in each thread.  On axes of at
 most 16 points the two differences are mostly products with cached
 circulant matrices (BLAS calls that release the GIL), otherwise slices of
 a padded copy; both give the same bits on finite input.  Integrals are
@@ -21,6 +24,8 @@ dz^1 ^ dz^2 and dzbar^1 ^ dzbar^2).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 import struct
@@ -28,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import SPLIT_NODES as _SPLIT_NODES
 from ._threads import split, stencil_threads
 from .families import MetricFamily
 from .hermitian import HermitianJet, SurfaceJet, surface_flow
@@ -132,6 +136,23 @@ def _difference_matrices(n: int, run: int) -> tuple[np.ndarray, np.ndarray]:
     return m1, m2
 
 
+@functools.lru_cache(maxsize=None)
+def _products(shape: tuple, char: str, axis: int) -> tuple | None:
+    """How :func:`_periodic_diff` takes the two differences along ``axis`` of
+    an array of ``shape`` and dtype ``char`` as matrix products: the shape
+    its reals are viewed in, the two matrices and whether they multiply
+    from the right; None where it takes slices.  Cached, as the pass on a
+    small grid is bound by calls: the plan of a call is a dict lookup."""
+    n = shape[axis]
+    run = math.prod(shape[axis + 1 :]) * (2 if char == "D" else 1)
+    if char not in "dD" or _sliced(n, run):
+        return None
+    lead = math.prod(shape[:axis])
+    if n * run <= _RIGHT_MAX:
+        return ((lead, n * run), *_difference_matrices(n, run), True)
+    return ((lead, n, run), *_difference_matrices(n, 0), False)
+
+
 def _periodic_diff(
     u: np.ndarray,
     axis: int,
@@ -164,25 +185,23 @@ def _periodic_diff(
     for a in (out, tmp):
         if a is not None and not a.flags.c_contiguous:
             raise ValueError("_periodic_diff writes only into C-contiguous arrays")
-    n = u.shape[axis]
-    run = math.prod(u.shape[axis + 1 :]) * (2 if u.dtype.char == "D" else 1)
-    if u.dtype.char in "dD" and not _sliced(n, run):
+    products = _products(u.shape, u.dtype.char, axis)
+    if products is not None:
+        shape, m1, m2, right = products
         u = np.ascontiguousarray(u)
         out = np.empty_like(u) if out is None else out
         tmp = np.empty_like(u) if tmp is None else tmp
-        reals, out_r, tmp_r = (a.view(float) for a in (u, out, tmp))
-        lead = math.prod(u.shape[:axis])
-        if n * run <= _RIGHT_MAX:
-            shape, (m1, m2) = (lead, n * run), _difference_matrices(n, run)
-            np.matmul(reals.reshape(shape), m1, out=out_r.reshape(shape))
-            np.matmul(reals.reshape(shape), m2, out=tmp_r.reshape(shape))
+        reals, out_r, tmp_r = u.view(float).reshape(shape), out.view(float).reshape(shape), tmp.view(float).reshape(shape)
+        if right:
+            np.matmul(reals, m1, out=out_r)
+            np.matmul(reals, m2, out=tmp_r)
         else:
-            shape, (m1, m2) = (lead, n, run), _difference_matrices(n, 0)
-            np.matmul(m1, reals.reshape(shape), out=out_r.reshape(shape))
-            np.matmul(m2, reals.reshape(shape), out=tmp_r.reshape(shape))
+            np.matmul(m1, reals, out=out_r)
+            np.matmul(m2, reals, out=tmp_r)
         out_r -= tmp_r
         out /= 12.0 * h  # in u's dtype: a complex division is not a real one
         return out
+    n = u.shape[axis]
     lead = (slice(None),) * axis
     pad = np.concatenate((u[lead + (slice(n - 2, n),)], u, u[lead + (slice(0, 2),)]), axis=axis, out=pad)
 
@@ -196,103 +215,47 @@ def _periodic_diff(
     return out
 
 
-def _stencil_rows(f: np.ndarray, h: tuple):
-    """The derivative pass over real fields ``f`` (the last axis, after the
-    four grid axes, so every stencil slice is a contiguous run), all fields
-    in each numpy call: ``surface_jet`` on grids below ``_SPLIT_NODES``
-    nodes and ``complex_hessian`` take it.  Yields one row group at a time,
-    row axis first: ``del_{z^k} f`` for k = 0, 1; then ``del_{z^k}
-    del_{zbar^l} f`` for ``(k, l) = (0, 0), (1, 1), (0, 1)``."""
-
-    def diff(u, a, out=None):  # del_{x_a}
-        return _periodic_diff(u, u.ndim - 5 + a, h[a], out)
-
-    # first derivatives in axis order 0, 2, 3, 1, so that each group of
-    # second derivatives below differentiates a slice, not a copy
-    d = np.empty((4,) + f.shape)
-    for slot, a in enumerate((0, 2, 3, 1)):
-        diff(f, a, out=d[slot])
-    # del_{z^k} f = (f_x - i f_y) / 2 with (x, y) = axes (2k, 2k + 1)
-    z = np.empty((2,) + f.shape, dtype=complex)
-    np.multiply(d[0:2], 0.5, out=z.real)
-    np.multiply(d[3:1:-1], -0.5, out=z.imag)
-    yield z
-    del z
-
-    d0 = diff(d[0:3], 0)  # f_00, f_02, f_03
-    d1 = diff(d[1:4], 1)  # f_12, f_13, f_11
-    f22, f33 = diff(d[1], 2), diff(d[2], 3)
-    z = np.zeros((3,) + f.shape, dtype=complex)
-    np.add(d0[0], d1[2], out=z.real[0])  # f_00 + f_11
-    np.add(f22, f33, out=z.real[1])  # f_22 + f_33
-    np.add(d0[1], d1[1], out=z.real[2])  # f_02 + f_13
-    np.subtract(d0[2], d1[0], out=z.imag[2])  # f_03 - f_12
-    z *= 0.25
-    yield z
-
-
-def _metric_fields(v: np.ndarray) -> np.ndarray:
-    """The four real fields ``g11, g22, Re g12, Im g12`` on a trailing axis."""
-    return np.stack([v[..., 0, 0].real, v[..., 1, 1].real, v[..., 0, 1].real, v[..., 0, 1].imag], axis=-1)
-
-
-def _metric_entries(z: np.ndarray) -> np.ndarray:
-    """Component-leading ``D g_{i jbar}`` from ``D`` of the four real fields
-    ``g11, g22, Re g12, Im g12`` (the last axis of ``z``), for a derivative
-    ``D`` that is linear over the reals: shape ``(L, 2, 2) + grid dims``."""
-    out = np.empty(z.shape[:1] + (2, 2) + z.shape[1:-1], dtype=complex)
-    out[:, 0, 0] = z[..., 0]
-    out[:, 1, 1] = z[..., 1]
-    iq = 1j * z[..., 3]
-    np.add(z[..., 2], iq, out=out[:, 0, 1])  # D g12
-    np.subtract(z[..., 2], iq, out=out[:, 1, 0])  # D g21 = D conj(g12)
-    return out
-
-
-# The split form of the pass works in two halves: (Re g12, Im g12),
-# written to the entries (0, 1) and (1, 0) of the jet and then mixed into
-# D g12 and D g21, and (g11, g22), written to (0, 0) and (1, 1).  No halo
-# joins the halves, so on grids of at least _SPLIT_NODES nodes, with two
-# threads allowed, the second half runs in the worker thread of
-# plurigeo._threads; smaller grids start no thread.  The calling thread
+# The pass takes the metric's four real fields in the order of the
+# flattened entries (0, 0), (0, 1), (1, 0), (1, 1) of the jet: g11, Re g12,
+# Im g12, g22, so its rows land in the jet and D Re g12 and D Im g12 are
+# then mixed into D g12 and D g21 (_mix_g12).  Run in one thread, it is one
+# _stencil_half call over all four fields: the fewest numpy calls, which
+# is what a small grid's pass costs.  On grids of at least SPLIT_NODES
+# nodes, with two threads allowed, it splits into two halves with no halo
+# between them, and the second runs in the worker thread of
+# plurigeo._threads (the crossover table is there).  The calling thread
 # takes the half with the mix, as the worker starts later: at 16x8x16x8,
 # with the mix in the worker, the caller waited 0.35-0.38 ms median (p95
 # 0.72-0.81) in done.result(); with it in the caller, 0.007 ms (p95
-# 0.31-0.40).  Every node gets the operations of _stencil_rows and
-# _metric_entries, so the jets are bit-identical for every thread count
-# and either form.  jets takes the split form, the one with holomorphic
-# rows, at every size; no workload takes jets below _SPLIT_NODES nodes,
-# where a grouped pass would be up to ~1.3x faster.  surface_jet takes it
-# from _SPLIT_NODES nodes on, as it makes twice as many numpy calls as
-# _stencil_rows (the crossover table is at _threads.SPLIT_NODES).
-# per half: its two real fields among the 8 of ``g.view(float)`` per node,
-# the two of the 4 flattened entries (i, j) they go to, and whether they
-# are the fields of g12
+# 0.31-0.40).  Every node gets the same operations either way, so the jets
+# are bit-identical for every thread count.  Per half: its two real fields
+# among the 8 of ``g.view(float)`` per node, the two of the 4 flattened
+# entries (i, j) they go to, and whether they are the fields of g12.
 _HALVES = ((slice(2, 4), slice(1, 3), True), (slice(0, 8, 6), slice(0, 4, 3), False))
 
 
 class _StencilWork:
-    """Views of one flat ``block`` for every array one half of the split
-    pass writes besides the jet: six pieces the size of the half's two
-    fields, and a padded copy for :func:`_periodic_diff` along each axis
-    it takes slices on.  The calling thread allocates the block: memory a
-    worker thread allocates goes to that thread's own malloc arena, which
-    keeps it after it is freed."""
+    """Views of one flat ``block`` for every array :func:`_stencil_half`
+    writes besides the jet, for ``fields`` real fields: six pieces the size
+    of the fields, and a padded copy for :func:`_periodic_diff` along each
+    axis it takes slices on.  The calling thread allocates the block:
+    memory a worker thread allocates goes to that thread's own malloc
+    arena, which keeps it after it is freed."""
 
     @staticmethod
     def _sliced_axes(dims: tuple) -> list:
         return [a for a, n in enumerate(dims) if _sliced(n, math.prod(dims[a + 1 :]))]
 
     @staticmethod
-    def size(dims: tuple) -> int:
-        half = 2 * math.prod(dims)  # two fields
-        pads = [half // dims[a] * (dims[a] + 4) for a in _StencilWork._sliced_axes(dims)]
-        return 6 * half + max(pads, default=0)
+    def size(dims: tuple, fields: int) -> int:
+        size = fields * math.prod(dims)
+        pads = [size // dims[a] * (dims[a] + 4) for a in _StencilWork._sliced_axes(dims)]
+        return 6 * size + max(pads, default=0)
 
-    def __init__(self, block: np.ndarray, dims: tuple):
-        shape = (2,) + dims
+    def __init__(self, block: np.ndarray, dims: tuple, fields: int):
+        shape = (fields,) + dims
         size = math.prod(shape)
-        self.f = block[:size].reshape(shape)  # the half's two fields
+        self.f = block[:size].reshape(shape)  # the fields
         self.fx = block[size : 3 * size].reshape((2,) + shape)  # two first derivatives at a time
         self.terms = block[3 * size : 5 * size].reshape((2,) + shape)  # two terms of a second-order row
         self.tmp = block[5 * size : 6 * size].reshape(shape)  # the outer difference, or _mix_g12's product
@@ -303,14 +266,16 @@ class _StencilWork:
 
 
 def _stencil_half(f: np.ndarray, h: tuple, rows: np.ndarray, work: _StencilWork) -> None:
-    """The rows of :func:`_stencil_rows` for real fields ``f`` (a leading
-    axis before the four grid axes), written straight into the complex
-    ``rows`` (shape ``(L,) + f.shape``): first derivatives in rows 0 and 1,
-    mixed ones in rows 2 to 4 and, if L is 8 (``jets``), holomorphic ones
-    ``del_{z^k} del_{z^l} f`` in rows 5 to 7, for the ``(k, l)`` of rows 2
-    to 4.  Rows 0 to 4 take the operations of ``_stencil_rows`` in the same
-    order; two first derivatives are held at a time, and each second-order
-    row is formed from its two terms in ``work.terms``."""
+    """The derivative pass over real fields ``f`` (a leading axis before the
+    four grid axes), written straight into the complex ``rows`` (shape
+    ``(L,) + f.shape``): ``del_{z^k} f`` for k = 0, 1 in rows 0 and 1, mixed
+    ``del_{z^k} del_{zbar^l} f`` for ``(k, l) = (0, 0), (1, 1), (0, 1)`` in
+    rows 2 to 4 and, if L is 8 (``jets``), holomorphic ``del_{z^k}
+    del_{z^l} f`` in rows 5 to 7, for the ``(k, l)`` of rows 2 to 4.  Every
+    field gets the same operations, so the rows of a field do not depend on
+    which others share the call.  Two first derivatives are held at a
+    time, and each second-order row is formed from its two terms in
+    ``work.terms``."""
 
     def diff(u, a, out):  # del_{x_a}
         return _periodic_diff(u, a + 1, h[a], out, work.tmp, work.pads[a])
@@ -356,10 +321,10 @@ def _stencil_half(f: np.ndarray, h: tuple, rows: np.ndarray, work: _StencilWork)
 
 
 def _mix_g12(rows: np.ndarray, tmp: np.ndarray) -> None:
-    """:func:`_metric_entries` for ``D Re g12`` and ``D Im g12``, held in
-    entries (0, 1) and (1, 0) of ``rows`` (shape ``(L, 2, 2) + dims``): they
-    become ``D g12`` and ``D g21``, one row at a time.  ``tmp`` is a flat
-    complex array at least one entry long."""
+    """``D g12 = D Re g12 + i D Im g12`` and ``D g21 = D Re g12 - i D Im
+    g12`` from ``D Re g12`` and ``D Im g12``, held in entries (0, 1) and
+    (1, 0) of ``rows`` (shape ``(L, 2, 2) + dims``), one row at a time.
+    ``tmp`` is a flat complex array at least one entry long."""
     for row in rows:
         re, im = row[0, 1], row[1, 0]
         iq = np.multiply(1j, im, out=tmp[: im.size].reshape(im.shape))
@@ -367,31 +332,79 @@ def _mix_g12(rows: np.ndarray, tmp: np.ndarray) -> None:
         np.add(re, iq, out=re)
 
 
-def _split_pass(g: np.ndarray, h: tuple, rows: np.ndarray) -> None:
+def _jet_pass(g: np.ndarray, h: tuple, rows: np.ndarray, work: _JetWork | None = None) -> None:
     """The jet of metric values ``g`` (shape ``dims + (2, 2)``) into
     ``rows``, of shape ``(L, 2, 2) + dims`` with the rows of
-    :func:`_stencil_half`: every ``jets`` call, and ``surface_jet`` from
-    ``_SPLIT_NODES`` nodes on.  The second half runs in the worker thread,
-    under the caller's numpy error state, on grids of at least
-    ``_SPLIT_NODES`` nodes if two threads are allowed; otherwise both
-    halves run in the calling thread."""
+    :func:`_stencil_half`: one call over the four fields in the calling
+    thread, in ``work.block`` if a workspace is given; or, on grids of at
+    least ``SPLIT_NODES`` nodes if two threads are allowed, two halves in
+    blocks of their own, the second in the worker thread under the
+    caller's numpy error state."""
     dims = g.shape[:-2]
-    reals = np.ascontiguousarray(g, dtype=complex).view(float).reshape(dims + (8,))
+    # the 8 reals of each node's g, on a leading axis
+    reals = np.ascontiguousarray(g, dtype=complex).view(float).reshape(dims + (8,)).transpose(4, 0, 1, 2, 3)
     entries = rows.reshape(rows.shape[:1] + (4,) + dims)
-    blocks = [np.empty(_StencilWork.size(dims)) for _ in _HALVES]  # allocated here, in the calling thread
-
-    def run(half: int) -> None:
-        fields, cols, g12 = _HALVES[half]
-        work = _StencilWork(blocks[half], dims)
-        np.copyto(work.f, np.moveaxis(reals[..., fields], -1, 0))
-        _stencil_half(work.f, h, entries[:, cols], work)
-        if g12:
-            _mix_g12(rows, work.tmp.reshape(-1).view(complex))
-
     with split(math.prod(dims)) as parts:
+        if not parts.threaded:
+            block = np.empty(_StencilWork.size(dims, 4)) if work is None else work.block
+            one = _StencilWork(block, dims, 4)
+            for fields, cols, _ in _HALVES:
+                np.copyto(one.f[cols], reals[fields])
+            _stencil_half(one.f, h, entries, one)
+            _mix_g12(rows, one.tmp.reshape(-1).view(complex))
+            return
+        # allocated here, in the calling thread, and for this pass only: a
+        # run that held them read 1.8 MB more peak RSS at 16x8x16x8
+        blocks = [np.empty(_StencilWork.size(dims, 2)) for _ in _HALVES]
+
+        def run(half: int) -> None:
+            fields, cols, g12 = _HALVES[half]
+            work = _StencilWork(blocks[half], dims, 2)
+            np.copyto(work.f, reals[fields])
+            _stencil_half(work.f, h, entries[:, cols], work)
+            if g12:
+                _mix_g12(rows, work.tmp.reshape(-1).view(complex))
+
         second = parts.run(run, 1)
         run(0)
         parts.get(second)
+
+
+class _JetWork:
+    """A flow run's workspace for :meth:`MetricField.surface_jet`: the jet
+    block, and the block of the pass when it runs in one thread, each
+    allocated once, so the many small passes of a run fault no fresh pages
+    in.  Each jet it returns is overwritten by the next; a caller keeps
+    only what it computed from it."""
+
+    def __init__(self, dims: tuple):
+        self.dims = dims
+        self.rows = np.empty((5, 2, 2) + dims, complex)
+
+    @functools.cached_property
+    def block(self) -> np.ndarray:
+        return np.empty(_StencilWork.size(self.dims, 4))
+
+    def surface_jet(self, field: MetricField) -> SurfaceJet:
+        _jet_pass(field.values, field.grid.spacing, self.rows, self)
+        return SurfaceJet(g=field.values, d1=self.rows[:2], d2m=self.rows[2:])
+
+
+# the workspace of the flow run in progress in this context (thread or
+# task), if any: set and reset by _jet_workspace
+_RUN_JETS: contextvars.ContextVar = contextvars.ContextVar("plurigeo_run_jets", default=None)
+
+
+@contextlib.contextmanager
+def _jet_workspace(dims: tuple):
+    """Within the block, in this context, every :meth:`MetricField.surface_jet`
+    takes its jet in one :class:`_JetWork` for a grid of ``dims``: what
+    ``flow.run`` holds for one run, all on one grid."""
+    token = _RUN_JETS.set(_JetWork(dims))
+    try:
+        yield
+    finally:
+        _RUN_JETS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -456,9 +469,12 @@ class TorusGrid:
 
     def complex_hessian(self, u: np.ndarray) -> np.ndarray:
         """Matrix ``h[..., i, j] = del_{z^i} del_{zbar^j} u`` per node of a real
-        ``u`` of shape ``dims``, from one stencil pass."""
-        f = np.asarray(u).astype(float, casting="safe")  # a complex u raises TypeError
-        _, z = _stencil_rows(f.reshape(self.dims + (1,)), self.spacing)
+        ``u`` of shape ``dims``, from one call of the stencil pass
+        (:func:`_stencil_half`) on it as one field."""
+        f = np.asarray(u).astype(float, casting="safe").reshape((1,) + self.dims)  # a complex u raises TypeError
+        rows = np.empty((5,) + f.shape, complex)
+        _stencil_half(f, self.spacing, rows, _StencilWork(np.empty(_StencilWork.size(self.dims, 1)), self.dims, 1))
+        z = rows[2:, 0]
         # rows (0, 0), (0, 1), (1, 0), (1, 1); (1, 0) is conj (0, 1) on a real field
         return np.stack([z[0], z[2], np.conj(z[2]), z[1]], axis=-1).reshape(self.dims + (2, 2))
 
@@ -504,7 +520,7 @@ class MetricField:
         return float(self.grid.integrate(self.det()))
 
     def jets(self) -> tuple[HermitianJet, dict[str, float]]:
-        """Full jets at every node from the split pass (:func:`_split_pass`):
+        """Full jets at every node from the stencil pass (:func:`_jet_pass`):
         the rows of :meth:`surface_jet` plus the holomorphic ones, written
         into one component-leading block that is copied into the jet once.
         The ``(k, l) = (1, 0)`` rows are copied from ``(0, 1)``, so ``d2h``
@@ -514,7 +530,7 @@ class MetricField:
         # the pass's many writes straight into the node-interleaved jet
         # took twice as long as these writes plus one copy at 16x8x16x8
         z = np.empty((8, 2, 2) + dims, complex)
-        _split_pass(g, self.grid.spacing, z)
+        _jet_pass(g, self.grid.spacing, z)
         d1 = np.empty(dims + (2, 2, 2), dtype=complex)
         d2m, d2h = (np.empty(dims + (2, 2, 2, 2), dtype=complex) for _ in range(2))
         np.moveaxis(d1, (0, 1, 2, 3), (3, 4, 5, 6))[...] = z[:2]
@@ -527,15 +543,15 @@ class MetricField:
         return HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h), {"d2h_symmetry": 0.0, "d2m_reality": 0.0}
 
     def surface_jet(self) -> SurfaceJet:
-        """First and mixed second derivatives at every node, in one stencil
-        pass over the four real fields ``g11, g22, Re g12, Im g12`` (``g21``
-        is read as the conjugate of ``g12``), so ``d2m`` is real by construction."""
-        if self.grid.nodes < _SPLIT_NODES:
-            z1, z2 = _stencil_rows(_metric_fields(self.values), self.grid.spacing)
-            return SurfaceJet(g=self.values, d1=_metric_entries(z1), d2m=_metric_entries(z2))
-        rows = np.empty((5, 2, 2) + self.grid.dims, complex)
-        _split_pass(self.values, self.grid.spacing, rows)
-        return SurfaceJet(g=self.values, d1=rows[:2], d2m=rows[2:])
+        """First and mixed second derivatives at every node, component-leading
+        (:class:`SurfaceJet`), from one stencil pass (:func:`_jet_pass`) over
+        the four real fields ``g11, Re g12, Im g12, g22`` (``g21`` is read
+        as the conjugate of ``g12``), so ``d2m`` is real by construction.
+        Each call returns new arrays, except within a flow run
+        (``flow.run``), which takes every jet in one workspace
+        (:func:`_jet_workspace`): each jet there is overwritten by the next."""
+        work = _RUN_JETS.get() or _JetWork(self.grid.dims)
+        return work.surface_jet(self)
 
 
 def sampling_grid(family: MetricFamily, dims: tuple[int, int, int, int]) -> TorusGrid:

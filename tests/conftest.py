@@ -6,7 +6,7 @@ import pytest
 
 from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily
-from plurigeo.grid import MetricField, TorusGrid, perturb_with_potential, sample
+from plurigeo.grid import MetricField, TorusGrid, _periodic_diff, perturb_with_potential, sample
 
 
 @pytest.fixture(scope="session")
@@ -87,6 +87,66 @@ def surface_jet_of(jet: hm.HermitianJet) -> hm.SurfaceJet:
     )
 
 
+def stencil_rows(f: np.ndarray, h: tuple) -> tuple:
+    """The grouped derivative pass, frozen: the oracle of the one pass
+    (``grid._stencil_half``), which it once was for ``surface_jet`` on small
+    grids and for ``complex_hessian``.  Real fields ``f`` sit on the last
+    axis, after the four grid axes, and every numpy call takes all of
+    them.  Returns two row groups, row axis first: ``del_{z^k} f`` for k =
+    0, 1; then ``del_{z^k} del_{zbar^l} f`` for ``(k, l) = (0, 0), (1, 1),
+    (0, 1)``."""
+
+    def diff(u, a, out=None):  # del_{x_a}
+        return _periodic_diff(u, u.ndim - 5 + a, h[a], out)
+
+    # first derivatives in axis order 0, 2, 3, 1, so that each group of
+    # second derivatives below differentiates a slice, not a copy
+    d = np.empty((4,) + f.shape)
+    for slot, a in enumerate((0, 2, 3, 1)):
+        diff(f, a, out=d[slot])
+    # del_{z^k} f = (f_x - i f_y) / 2 with (x, y) = axes (2k, 2k + 1)
+    first = np.empty((2,) + f.shape, dtype=complex)
+    np.multiply(d[0:2], 0.5, out=first.real)
+    np.multiply(d[3:1:-1], -0.5, out=first.imag)
+
+    d0 = diff(d[0:3], 0)  # f_00, f_02, f_03
+    d1 = diff(d[1:4], 1)  # f_12, f_13, f_11
+    f22, f33 = diff(d[1], 2), diff(d[2], 3)
+    mixed = np.zeros((3,) + f.shape, dtype=complex)
+    np.add(d0[0], d1[2], out=mixed.real[0])  # f_00 + f_11
+    np.add(f22, f33, out=mixed.real[1])  # f_22 + f_33
+    np.add(d0[1], d1[1], out=mixed.real[2])  # f_02 + f_13
+    np.subtract(d0[2], d1[0], out=mixed.imag[2])  # f_03 - f_12
+    mixed *= 0.25
+    return first, mixed
+
+
+def grouped_surface_jet(field: MetricField) -> hm.SurfaceJet:
+    """``surface_jet`` from :func:`stencil_rows` over ``g11, g22, Re g12,
+    Im g12``, with ``D g12 = D Re g12 + i D Im g12`` and ``D g21`` its
+    conjugate form, as the grouped pass assembled it."""
+    v = field.values
+    fields = np.stack([v[..., 0, 0].real, v[..., 1, 1].real, v[..., 0, 1].real, v[..., 0, 1].imag], axis=-1)
+
+    def entries(z):
+        out = np.empty(z.shape[:1] + (2, 2) + z.shape[1:-1], dtype=complex)
+        out[:, 0, 0] = z[..., 0]
+        out[:, 1, 1] = z[..., 1]
+        iq = 1j * z[..., 3]
+        np.add(z[..., 2], iq, out=out[:, 0, 1])
+        np.subtract(z[..., 2], iq, out=out[:, 1, 0])
+        return out
+
+    first, mixed = stencil_rows(fields, field.grid.spacing)
+    return hm.SurfaceJet(g=v, d1=entries(first), d2m=entries(mixed))
+
+
+def grouped_complex_hessian(grid: TorusGrid, u: np.ndarray) -> np.ndarray:
+    """``complex_hessian`` from :func:`stencil_rows` on ``u`` as one field."""
+    _, z = stencil_rows(np.asarray(u, dtype=float).reshape(grid.dims + (1,)), grid.spacing)
+    return np.stack([z[0], z[2], np.conj(z[2]), z[1]], axis=-1).reshape(grid.dims + (2, 2))
+
+
 def random_trig(grid: TorusGrid, seed: int, modes: int = 2, amp: float = 1.0):
     """Seeded real trigonometric polynomial on the grid (all four axes)."""
     rng = np.random.default_rng(seed)
@@ -142,3 +202,25 @@ def identity_threads(monkeypatch):
 
     monkeypatch.setattr(hm, "hodge_operators", spy)
     return names
+
+
+@pytest.fixture
+def kernel_jets(monkeypatch):
+    """The jets ``hermitian.surface_flow`` and ``hermitian.surface_hodge``
+    received, in order."""
+    jets = []
+    for name in ("surface_flow", "surface_hodge"):
+        real = getattr(hm, name)
+
+        def spy(jet, *args, real=real, **kwargs):
+            jets.append(jet)
+            return real(jet, *args, **kwargs)
+
+        monkeypatch.setattr(hm, name, spy)
+    return jets
+
+
+def data_blocks(arrays) -> set:
+    """The addresses of the first elements of ``arrays``: one for arrays that
+    are the same block."""
+    return {a.__array_interface__["data"][0] for a in arrays}

@@ -8,7 +8,7 @@ from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily
 from plurigeo.grid import MetricField, perturb_with_potential, sample
 
-from conftest import random_trig
+from conftest import data_blocks, random_trig
 
 
 class TestCfl:
@@ -229,6 +229,30 @@ class TestRun:
         fine = np.abs(finals[4] - finals[8]).max()
         order = np.log2(coarse / fine)
         assert order >= 3.5, (coarse, fine, order)
+
+
+class TestWorkspace:
+    """A run takes every jet, for a stage or a record, in one workspace
+    (``grid._JetWork``); other callers get new arrays from each
+    ``surface_jet``."""
+
+    @pytest.mark.parametrize("variant", fl.VARIANTS)
+    def test_a_run_takes_every_jet_in_one_workspace(self, torus_field, kernel_jets, variant):
+        res = fl.run(torus_field, variant=variant, t_end=0.03, cadence=2, dt=0.01)
+        assert res.status == "completed" and res.summary["steps"] == 3
+        # records at steps 0, 2 and 3, and the stages not taken from a record
+        assert len(kernel_jets) >= 13
+        assert len(data_blocks(jet.d1 for jet in kernel_jets)) == 1
+        assert len(data_blocks(jet.d2m for jet in kernel_jets)) == 1
+
+    def test_each_jet_outside_a_run_is_new(self, generic_fields):
+        first = generic_fields[0].surface_jet()
+        kept = first.d1.copy(), first.d2m.copy()
+        second = generic_fields[1].surface_jet()
+        for a, b in ((first.d1, second.d1), (first.d2m, second.d2m)):
+            assert not np.shares_memory(a, b)
+        assert np.array_equal(first.d1, kept[0]) and np.array_equal(first.d2m, kept[1])
+        assert not np.array_equal(first.d2m, second.d2m)
 
 
 class TestTnormAudit:

@@ -298,11 +298,11 @@ def _rel(value, oracle) -> float:
 
 
 class TestOnePass:
-    """Every second derivative comes from the one stencil pass: ``jets``
-    from its split form at every size, ``surface_jet`` from its grouped form
-    below ``grid._SPLIT_NODES`` nodes and ``complex_hessian`` from its
-    grouped form; the fixtures are smaller than that, so the two forms meet
-    in ``test_full_jet_contains_the_surface_jet``."""
+    """Every second derivative comes from the one stencil pass
+    (``grid._stencil_half``): ``jets`` with its holomorphic rows,
+    ``surface_jet`` without, ``complex_hessian`` on one field.  The
+    fixtures are too small to split; ``tests/test_threads.py`` pins the
+    pass on both thread counts to the frozen grouped form."""
 
     @pytest.fixture(scope="class")
     def fields(self, generic_fields, torus_field, kahler_field, flat_field):

@@ -1,16 +1,15 @@
-"""The split stencil pass, the split surface kernel and the split
-identity suite: bit-identical for every ``PLURIGEO_THREADS``.
+"""The stencil pass, the split surface kernel and the split identity
+suite: bit-identical for every ``PLURIGEO_THREADS``.
 
-``MetricField.jets`` takes its jets in two halves at every grid size, and
-``surface_jet`` does from ``grid._SPLIT_NODES`` nodes on.  Only on grids
-of at least ``grid._SPLIT_NODES`` nodes, with two threads allowed, does
-the second half run in a worker thread, and does ``surface_flow`` hand
-part of its work to the same thread.  ``identity_suite`` checks batches
-of at least ``hermitian._SPLIT_JETS`` jets in two halves, the first in
-the same worker when two threads are allowed.  Each test that needs the
-worker asserts that it really ran, and skips when this process may run
-on fewer than 2 CPUs, so no test starts more threads than there are
-cores.
+The stencil pass takes the metric's four real fields in one
+``_stencil_half`` call in the calling thread, or, on grids of at least
+``_threads.SPLIT_NODES`` nodes with two threads allowed, in two halves,
+the second in a worker thread; there ``surface_flow`` hands part of its
+work to the same thread.  ``identity_suite`` checks batches of at least
+``hermitian._SPLIT_JETS`` jets in two halves, the first in the same
+worker when two threads are allowed.  Each test that needs the worker
+asserts that it really ran, and skips when this process may run on
+fewer than 2 CPUs, so no test starts more threads than there are cores.
 """
 
 import json
@@ -32,9 +31,19 @@ from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily
 from plurigeo.grid import perturb_with_potential, sample, save_field, stencil_threads
 
-from conftest import cpus, random_trig, surface_jet_of, two_cpus, worker_ran
+from conftest import (
+    cpus,
+    data_blocks,
+    grouped_complex_hessian,
+    grouped_surface_jet,
+    random_trig,
+    surface_jet_of,
+    two_cpus,
+    worker_ran,
+)
 
 DIMS = (16, 8, 16, 8)  # the headline grid, above the split threshold
+SMALL = (4, 4, 16, 4)  # the flow-torus grid, below it
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +52,16 @@ def large_field():
     return perturb_with_potential(base, 0.05 * random_trig(base.grid, 13))
 
 
+@pytest.fixture(scope="module")
+def pinned_fields(large_field):
+    small = sample(MetricFamily("torus_pluriclosed", 0.5), SMALL)
+    return {"small": perturb_with_potential(small, 0.05 * random_trig(small.grid, 13)), "large": large_field}
+
+
 @pytest.fixture
 def halves(monkeypatch):
-    """Names of the threads that ran a half of the split pass."""
+    """Names of the threads that ran a call of the stencil pass (the four
+    fields, or a half of them)."""
     names = []
     real = grid._stencil_half
 
@@ -71,20 +87,28 @@ def test_jets_bit_identical_across_threads(large_field, halves, monkeypatch):
         assert np.array_equal(getattr(one[1], name), getattr(two[1], name))
 
 
-def test_split_pass_matches_the_one_pass_form(large_field, monkeypatch):
-    # _stencil_rows (surface_jet below _SPLIT_NODES nodes) is the reference of the split pass
-    split = (large_field.surface_jet(), surface_jet_of(large_field.jets()[0]))
-    monkeypatch.setattr(grid, "_SPLIT_NODES", 10**9)
-    whole = large_field.surface_jet()
-    for jet in split:
-        for name in ("d1", "d2m"):
-            assert getattr(jet, name).tobytes() == getattr(whole, name).tobytes()
+def test_split_pass_matches_the_one_pass_form(pinned_fields, halves, monkeypatch):
+    # the grouped pass, frozen in conftest.stencil_rows, is the independent
+    # reference of the one pass and of its split form; two threads only
+    # where this process may run on two CPUs
+    counts = ("1", "2") if cpus() >= 2 else ("1",)
+    for threads in counts:
+        monkeypatch.setenv("PLURIGEO_THREADS", threads)
+        for name, field in pinned_fields.items():
+            expect = grouped_surface_jet(field)
+            for jet in (field.surface_jet(), surface_jet_of(field.jets()[0])):
+                for part in ("d1", "d2m"):
+                    assert getattr(jet, part).tobytes() == getattr(expect, part).tobytes(), (threads, name, part)
+            u = random_trig(field.grid, 3)
+            hessian = grouped_complex_hessian(field.grid, u)
+            assert field.grid.complex_hessian(u).tobytes() == hessian.tobytes(), (threads, name)
+    assert worker_ran(halves) == (len(counts) == 2)
 
 
 def test_small_jets_split_in_the_calling_thread(halves, monkeypatch):
     monkeypatch.setenv("PLURIGEO_THREADS", "2")
-    sample(MetricFamily("torus_pluriclosed", 0.5), (4, 4, 16, 4)).jets()
-    assert halves == [threading.current_thread().name] * 2
+    sample(MetricFamily("torus_pluriclosed", 0.5), SMALL).jets()
+    assert halves == [threading.current_thread().name]  # one call over the four fields
 
 
 @two_cpus
@@ -123,6 +147,15 @@ def test_gflow_bit_identical_across_threads(large_field, halves, tmp_path, monke
     for name in ("diagnostics", "summary"):
         suffix = ".csv" if name == "diagnostics" else ".json"
         assert (tmp_path / f"{name}1{suffix}").read_bytes() == (tmp_path / f"{name}2{suffix}").read_bytes()
+
+
+@two_cpus
+def test_a_run_on_two_threads_takes_every_jet_in_one_workspace(large_field, halves, kernel_jets, monkeypatch):
+    monkeypatch.setenv("PLURIGEO_THREADS", "2")
+    result = fl.run(large_field, variant="gflow", t_end=1.5e-3, cadence=1, dt=1.5e-3)
+    assert result.status == "completed" and worker_ran(halves)
+    assert len(kernel_jets) == 5  # two records and three stages
+    assert len(data_blocks(jet.d1 for jet in kernel_jets)) == 1
 
 
 @two_cpus
@@ -327,12 +360,12 @@ def test_library_runs_serially_on_a_malformed_value(large_field, halves, monkeyp
     # only the CLI rejects a malformed value; library calls at every grid size run on one thread
     expect = large_field.surface_jet()
     monkeypatch.setenv("PLURIGEO_THREADS", val)
-    small = sample(MetricFamily("torus_pluriclosed", 0.5), (4, 4, 16, 4))
+    small = sample(MetricFamily("torus_pluriclosed", 0.5), SMALL)
     small.surface_jet(), small.jets()
     halves.clear()
     jet = large_field.surface_jet()
     large_field.jets()
-    assert len(halves) == 4 and not worker_ran(halves)
+    assert len(halves) == 2 and not worker_ran(halves)  # one call each
     assert np.array_equal(jet.d1, expect.d1) and np.array_equal(jet.d2m, expect.d2m)
 
 
