@@ -11,7 +11,8 @@ second derivatives from the same stencils in one pass
 it is given: the four of the metric at once, or, on large grids with two
 threads allowed, two of them in each thread.  On axes of at
 most 16 points the two differences are mostly products with cached
-circulant matrices (BLAS calls that release the GIL), otherwise slices of
+circulant matrices (BLAS calls that release the GIL; one product on
+4-point axes, where the second difference is zero), otherwise slices of
 a padded copy; both give the same bits on finite input.  Integrals are
 periodic Riemann sums times the cell volume, reduced with a fixed
 pairwise tree so results are bit-reproducible.
@@ -94,7 +95,8 @@ def pairwise_sum(values: np.ndarray):
 # Which form differentiates an axis of n points with ``run`` reals after
 # it (complex values count twice): products with difference matrices on
 # axes of at most _PRODUCT_MAX points, as their n multiply-adds per entry
-# outgrow the slices' five passes on longer ones.  A block of at most
+# outgrow the slices' five passes on longer ones; two products, or one on
+# 4-point axes, where the second matrix is zero.  A block of at most
 # _RIGHT_MAX reals (n * run) is flattened and multiplied from the right in
 # one call; runs of _LEFT_RUNS[0] reals and more take one product from the
 # left per block, on axes of more than 8 points only runs shorter than
@@ -141,16 +143,17 @@ def _products(shape: tuple, char: str, axis: int) -> tuple | None:
     """How :func:`_periodic_diff` takes the two differences along ``axis`` of
     an array of ``shape`` and dtype ``char`` as matrix products: the shape
     its reals are viewed in, the two matrices and whether they multiply
-    from the right; None where it takes slices.  Cached, as the pass on a
+    from the right; None where it takes slices.  The second matrix is None
+    on four points, where ``S^2 - S^-2`` is zero.  Cached, as the pass on a
     small grid is bound by calls: the plan of a call is a dict lookup."""
     n = shape[axis]
     run = math.prod(shape[axis + 1 :]) * (2 if char == "D" else 1)
     if char not in "dD" or _sliced(n, run):
         return None
     lead = math.prod(shape[:axis])
-    if n * run <= _RIGHT_MAX:
-        return ((lead, n * run), *_difference_matrices(n, run), True)
-    return ((lead, n, run), *_difference_matrices(n, 0), False)
+    view, right = ((lead, n * run), True) if n * run <= _RIGHT_MAX else ((lead, n, run), False)
+    m1, m2 = _difference_matrices(n, run if right else 0)
+    return view, m1, m2 if m2.any() else None, right
 
 
 def _periodic_diff(
@@ -174,6 +177,10 @@ def _periodic_diff(
     in magnitude therefore gives the bits of the sliced form below, up to
     the sign of an exact-zero result where the input holds both -0 and +0;
     a non-finite entry makes its whole line along ``axis`` NaN (0 * inf).
+    On four points ``u[i+2]`` is ``u[i-2]``, so the outer difference is +0
+    on finite input and only the first product is taken (``x - (+0)`` is
+    ``x`` bit for bit, signed zeros included); there an infinite entry
+    leaves the sliced form's +-inf at the two nodes that weigh it by +-8.
     Otherwise every shifted operand is a slice of one copy of ``u``, padded
     by two wrapped cells at each end of the axis (into ``pad``, the shape
     of ``u`` with 4 more cells along ``axis``, if given).  Either way the
@@ -190,15 +197,19 @@ def _periodic_diff(
         shape, m1, m2, right = products
         u = np.ascontiguousarray(u)
         out = np.empty_like(u) if out is None else out
-        tmp = np.empty_like(u) if tmp is None else tmp
-        reals, out_r, tmp_r = u.view(float).reshape(shape), out.view(float).reshape(shape), tmp.view(float).reshape(shape)
+        reals, out_r = u.view(float).reshape(shape), out.view(float).reshape(shape)
         if right:
             np.matmul(reals, m1, out=out_r)
-            np.matmul(reals, m2, out=tmp_r)
         else:
             np.matmul(m1, reals, out=out_r)
-            np.matmul(m2, reals, out=tmp_r)
-        out_r -= tmp_r
+        if m2 is not None:
+            tmp = np.empty_like(u) if tmp is None else tmp
+            tmp_r = tmp.view(float).reshape(shape)
+            if right:
+                np.matmul(reals, m2, out=tmp_r)
+            else:
+                np.matmul(m2, reals, out=tmp_r)
+            out_r -= tmp_r
         out /= 12.0 * h  # in u's dtype: a complex division is not a real one
         return out
     n = u.shape[axis]
@@ -235,32 +246,24 @@ _HALVES = ((slice(2, 4), slice(1, 3), True), (slice(0, 8, 6), slice(0, 4, 3), Fa
 
 
 class _StencilWork:
-    """Views of one flat ``block`` for every array :func:`_stencil_half`
-    writes besides the jet, for ``fields`` real fields: six pieces the size
-    of the fields, and a padded copy for :func:`_periodic_diff` along each
-    axis it takes slices on.  The calling thread allocates the block:
-    memory a worker thread allocates goes to that thread's own malloc
-    arena, which keeps it after it is freed."""
+    """Views of one flat block for every array :func:`_stencil_half` writes
+    besides the jet, for ``fields`` real fields: six pieces the size of the
+    fields, and a padded copy for :func:`_periodic_diff` along each axis it
+    takes slices on.  Build it in the calling thread, which allocates the
+    block: memory a worker thread allocates goes to that thread's own
+    malloc arena, which keeps it after it is freed."""
 
-    @staticmethod
-    def _sliced_axes(dims: tuple) -> list:
-        return [a for a, n in enumerate(dims) if _sliced(n, math.prod(dims[a + 1 :]))]
-
-    @staticmethod
-    def size(dims: tuple, fields: int) -> int:
-        size = fields * math.prod(dims)
-        pads = [size // dims[a] * (dims[a] + 4) for a in _StencilWork._sliced_axes(dims)]
-        return 6 * size + max(pads, default=0)
-
-    def __init__(self, block: np.ndarray, dims: tuple, fields: int):
+    def __init__(self, dims: tuple, fields: int):
         shape = (fields,) + dims
         size = math.prod(shape)
+        sliced = [a for a, n in enumerate(dims) if _sliced(n, math.prod(dims[a + 1 :]))]
+        block = np.empty(6 * size + max((size // dims[a] * (dims[a] + 4) for a in sliced), default=0))
         self.f = block[:size].reshape(shape)  # the fields
         self.fx = block[size : 3 * size].reshape((2,) + shape)  # two first derivatives at a time
         self.terms = block[3 * size : 5 * size].reshape((2,) + shape)  # two terms of a second-order row
         self.tmp = block[5 * size : 6 * size].reshape(shape)  # the outer difference, or _mix_g12's product
         self.pads = [None] * 4
-        for a in self._sliced_axes(dims):
+        for a in sliced:
             n = dims[a]
             self.pads[a] = block[6 * size : 6 * size + size // n * (n + 4)].reshape(shape[: a + 1] + (n + 4,) + shape[a + 2 :])
 
@@ -336,7 +339,7 @@ def _jet_pass(g: np.ndarray, h: tuple, rows: np.ndarray, work: _JetWork | None =
     """The jet of metric values ``g`` (shape ``dims + (2, 2)``) into
     ``rows``, of shape ``(L, 2, 2) + dims`` with the rows of
     :func:`_stencil_half`: one call over the four fields in the calling
-    thread, in ``work.block`` if a workspace is given; or, on grids of at
+    thread, in ``work.stencil`` if a workspace is given; or, on grids of at
     least ``SPLIT_NODES`` nodes if two threads are allowed, two halves in
     blocks of their own, the second in the worker thread under the
     caller's numpy error state."""
@@ -346,8 +349,7 @@ def _jet_pass(g: np.ndarray, h: tuple, rows: np.ndarray, work: _JetWork | None =
     entries = rows.reshape(rows.shape[:1] + (4,) + dims)
     with split(math.prod(dims)) as parts:
         if not parts.threaded:
-            block = np.empty(_StencilWork.size(dims, 4)) if work is None else work.block
-            one = _StencilWork(block, dims, 4)
+            one = _StencilWork(dims, 4) if work is None else work.stencil
             for fields, cols, _ in _HALVES:
                 np.copyto(one.f[cols], reals[fields])
             _stencil_half(one.f, h, entries, one)
@@ -355,15 +357,14 @@ def _jet_pass(g: np.ndarray, h: tuple, rows: np.ndarray, work: _JetWork | None =
             return
         # allocated here, in the calling thread, and for this pass only: a
         # run that held them read 1.8 MB more peak RSS at 16x8x16x8
-        blocks = [np.empty(_StencilWork.size(dims, 2)) for _ in _HALVES]
+        works = [_StencilWork(dims, 2) for _ in _HALVES]
 
         def run(half: int) -> None:
-            fields, cols, g12 = _HALVES[half]
-            work = _StencilWork(blocks[half], dims, 2)
-            np.copyto(work.f, reals[fields])
-            _stencil_half(work.f, h, entries[:, cols], work)
+            (fields, cols, g12), own = _HALVES[half], works[half]
+            np.copyto(own.f, reals[fields])
+            _stencil_half(own.f, h, entries[:, cols], own)
             if g12:
-                _mix_g12(rows, work.tmp.reshape(-1).view(complex))
+                _mix_g12(rows, own.tmp.reshape(-1).view(complex))
 
         second = parts.run(run, 1)
         run(0)
@@ -372,18 +373,18 @@ def _jet_pass(g: np.ndarray, h: tuple, rows: np.ndarray, work: _JetWork | None =
 
 class _JetWork:
     """A flow run's workspace for :meth:`MetricField.surface_jet`: the jet
-    block, and the block of the pass when it runs in one thread, each
-    allocated once, so the many small passes of a run fault no fresh pages
-    in.  Each jet it returns is overwritten by the next; a caller keeps
-    only what it computed from it."""
+    block, and the :class:`_StencilWork` of the pass when it runs in one
+    thread, each built once, so the many small passes of a run fault no
+    fresh pages in and rebuild no views.  Each jet it returns is
+    overwritten by the next; a caller keeps only what it computed from it."""
 
     def __init__(self, dims: tuple):
         self.dims = dims
         self.rows = np.empty((5, 2, 2) + dims, complex)
 
     @functools.cached_property
-    def block(self) -> np.ndarray:
-        return np.empty(_StencilWork.size(self.dims, 4))
+    def stencil(self) -> _StencilWork:
+        return _StencilWork(self.dims, 4)
 
     def surface_jet(self, field: MetricField) -> SurfaceJet:
         _jet_pass(field.values, field.grid.spacing, self.rows, self)
@@ -444,11 +445,13 @@ class TorusGrid:
         points; see :func:`_periodic_diff`), a non-finite value of ``u`` makes
         the derivative NaN along its whole grid line, not only at the four
         nodes its stencil reaches (the difference matrices' zeros times
-        inf); where the axes from ``axis`` on hold at most 32 reals (a
+        inf); on a 4-point axis, which takes one product, the two nodes
+        that weigh an infinite value by +-8 keep the sliced stencil's
+        +-inf.  Where the axes from ``axis`` on hold at most 32 reals (a
         complex value counts twice), as the last two of a real 4x4x4x4
-        grid do, over that whole block.  For a complex ``u`` both parts
-        turn NaN.  Finite input gives the same bits as the sliced stencil
-        (see :func:`_periodic_diff`)."""
+        grid do, the rest of that whole block turns NaN too.  For a complex
+        ``u`` both parts turn non-finite.  Finite input gives the same bits
+        as the sliced stencil (see :func:`_periodic_diff`)."""
         if axis not in (0, 1, 2, 3):
             raise ValueError("axis must be 0..3")
         u = np.asarray(u)
@@ -473,7 +476,7 @@ class TorusGrid:
         (:func:`_stencil_half`) on it as one field."""
         f = np.asarray(u).astype(float, casting="safe").reshape((1,) + self.dims)  # a complex u raises TypeError
         rows = np.empty((5,) + f.shape, complex)
-        _stencil_half(f, self.spacing, rows, _StencilWork(np.empty(_StencilWork.size(self.dims, 1)), self.dims, 1))
+        _stencil_half(f, self.spacing, rows, _StencilWork(self.dims, 1))
         z = rows[2:, 0]
         # rows (0, 0), (0, 1), (1, 0), (1, 1); (1, 0) is conj (0, 1) on a real field
         return np.stack([z[0], z[2], np.conj(z[2]), z[1]], axis=-1).reshape(self.dims + (2, 2))

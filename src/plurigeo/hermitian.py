@@ -634,7 +634,8 @@ def _frame(jet: SurfaceJet) -> dict:
     d, b = g[..., 1, 1].real.copy(), g[..., 0, 1].copy()
     mu = np.conj(b) / -d
     y = [[(d1[i, k, 0] + mu * d1[i, k, 1], d1[i, k, 1]) for k in (0, 1)] for i in (0, 1)]
-    Y = ([[y[0][k][q] + np.conj(mu) * y[1][k][q] for q in (0, 1)] for k in (0, 1)], y[1])
+    muc = np.conj(mu)
+    Y = ([[y[0][k][q] + muc * y[1][k][q] for q in (0, 1)] for k in (0, 1)], y[1])
     pluriclosed = jet.pluriclosed_residual()
     return {"d": d, "b": b, "mu": mu, "y": y, "Y": Y, "pluriclosed": pluriclosed}
 

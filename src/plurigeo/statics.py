@@ -61,6 +61,16 @@ def lambda_estimate(
 
 @dataclass(frozen=True)
 class StaticReport:
+    """The static diagnostics of :func:`static_report`.
+
+    ``lambda_imag_residue`` is ``|Im lambda*|``, which :func:`lambda_estimate`
+    discards.  ``<Phi, omega> dV`` is the wedge density of the Hermitian
+    ``Phi`` and ``g``, whose imaginary part cancels exactly on an exactly
+    Hermitian ``g``, so it reads exactly 0.0 there (on every sampled family)
+    and measures only the off-Hermitian part of a loaded field, which
+    ``MetricField.check`` admits up to 1e-12.
+    """
+
     lambda_star: float
     lambda_imag_residue: float
     residual_l2: float

@@ -116,3 +116,126 @@ def test_difference_matrices():
             assert not m2.any()  # S^2 = S^-2 on four points
         k1, _ = grid._difference_matrices(n, 2)
         assert np.array_equal(k1, np.kron(m1, np.eye(2)).T)
+
+
+def _reals(x):
+    """``x`` as float64, a complex value as two reals."""
+    return np.ascontiguousarray(x).view(float)
+
+
+def two_products(u, axis, h):
+    """The product form before four-point axes took one product: both
+    differences as products, then their difference, whatever the second
+    matrix holds."""
+    n = u.shape[axis]
+    run = math.prod(u.shape[axis + 1 :]) * (2 if u.dtype == complex else 1)
+    lead = math.prod(u.shape[:axis])
+    right = n * run <= grid._RIGHT_MAX
+    m1, m2 = grid._difference_matrices(n, run if right else 0)
+    reals = _reals(u).reshape((lead, n * run) if right else (lead, n, run))
+    out, tmp = (reals @ m1, reals @ m2) if right else (m1 @ reals, m2 @ reals)
+    out -= tmp
+    out = out.reshape(-1).view(u.dtype).reshape(u.shape)
+    out /= 12.0 * h
+    return out
+
+
+def _zero_signs_cleared(x):
+    """The bytes of ``x`` with every zero real made +0."""
+    return np.where(_reals(x) == 0.0, 0.0, _reals(x)).tobytes()
+
+
+def _four_point_fields(rng, shape, dtype):
+    """Random finite values with exact repeats (no zeros), constant fields,
+    and a field of -0 and +0 with a few finite values."""
+
+    def real(kind):
+        if kind == "random":
+            x = rng.standard_normal(shape) * np.exp2(rng.integers(-1070, 1016, shape).astype(float))
+            x[rng.random(shape) < 0.2] = -1.5
+            return x
+        if kind == "signed zeros":
+            x = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+            x[rng.random(shape) < 0.1] = 2.5
+            return x
+        return np.full(shape, {"constant": -3.7, "negative zero": -0.0}[kind])
+
+    for kind in ("random", "constant", "negative zero", "signed zeros"):
+        yield kind, real(kind) if dtype is float else real(kind) + 1j * real(kind)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_four_points_take_one_product(dtype):
+    """On four points ``S^2 = S^-2``: one product gives the two products'
+    bytes, signed zeros included, and the sliced stencil's bytes, up to
+    the sign of an exact zero where the input holds both -0 and +0."""
+    rng = np.random.default_rng(44 + (dtype is complex))
+    h = grid.TWO_PI / 4
+    for shape, axis in _layouts(4):
+        for kind, u in _four_point_fields(rng, shape, dtype):
+            with np.errstate(over="raise", invalid="raise"):
+                got = grid._periodic_diff(u, axis, h)
+                expect = sliced_diff(u, axis, h)
+            assert got.tobytes() == two_products(u, axis, h).tobytes(), (kind, shape, axis)
+            if kind == "signed zeros":
+                assert np.array_equal(got, expect)
+                assert _zero_signs_cleared(got) == _zero_signs_cleared(expect), (shape, axis)
+            else:
+                assert got.tobytes() == expect.tobytes(), (kind, shape, axis)
+            if kind in ("constant", "negative zero"):
+                assert not got.any()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_four_points_non_finite_entry(dtype, bad):
+    """One non-finite entry makes its whole line non-finite, and the rest of
+    the flattened block NaN where the product is taken from the right: NaN
+    (0 * inf) except, on a real field, the sliced stencil's +-inf at the two
+    nodes that weigh an infinite entry by +-8 (a complex division mixes the
+    parts' NaN and inf).  Every other entry keeps the sliced stencil's
+    bytes."""
+    rng = np.random.default_rng(9)
+    h = grid.TWO_PI / 4
+    for shape, axis in _layouts(4):
+        u = rng.standard_normal(shape).astype(dtype)
+        at = tuple(int(rng.integers(k)) for k in shape)
+        u[at] = bad
+        with np.errstate(invalid="ignore"):
+            got = grid._periodic_diff(u, axis, h)
+            expect = sliced_diff(u, axis, h)
+        right = grid._products(shape, u.dtype.char, axis)[3]
+        line, block = np.zeros(shape, bool), np.zeros(shape, bool)
+        line[at[:axis] + (slice(None),) + at[axis + 1 :]] = True
+        block[at[:axis] if right else line] = True
+        assert not np.isfinite(_reals(got[line])).any(), (shape, axis)
+        assert np.isnan(_reals(got[block & ~line])).all(), (shape, axis)
+        if dtype is float:
+            assert np.isnan(got[line][np.isnan(expect[line])]).all(), (shape, axis)
+            infinite = np.isinf(expect[line])
+            assert np.array_equal(got[line][infinite], expect[line][infinite]), (shape, axis)
+        if np.isnan(bad):
+            assert np.isnan(_reals(got[block])).all(), (shape, axis)
+        assert got[~block].tobytes() == expect[~block].tobytes(), (shape, axis)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_matmul_calls_per_derivative(n, monkeypatch):
+    """One product per derivative on four points, two on longer axes."""
+    calls = []
+    real = np.matmul
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    rng = np.random.default_rng(n)
+    for dtype in (float, complex):
+        for shape, axis in _layouts(n):
+            run = math.prod(shape[axis + 1 :]) * (2 if dtype is complex else 1)
+            if grid._sliced(n, run):
+                continue
+            calls.clear()
+            grid._periodic_diff(rng.standard_normal(shape).astype(dtype), axis, 0.1)
+            assert len(calls) == (1 if n == 4 else 2), (dtype, shape, axis)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plurigeo import flow as fl
+from plurigeo import grid
 from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily
 from plurigeo.grid import MetricField, perturb_with_potential, sample
@@ -244,6 +245,23 @@ class TestWorkspace:
         assert len(kernel_jets) >= 13
         assert len(data_blocks(jet.d1 for jet in kernel_jets)) == 1
         assert len(data_blocks(jet.d2m for jet in kernel_jets)) == 1
+
+    @pytest.mark.parametrize("variant", fl.VARIANTS)
+    def test_every_pass_of_a_run_takes_one_stencil_workspace(self, torus_field, monkeypatch, variant):
+        works = []
+        real = grid._stencil_half
+
+        def spy(f, h, rows, work):
+            works.append(work)
+            return real(f, h, rows, work)
+
+        monkeypatch.setattr(grid, "_stencil_half", spy)
+        fl.run(torus_field, variant=variant, t_end=0.03, cadence=2, dt=0.01)
+        assert len(works) >= 13 and all(work is works[0] for work in works)
+        # outside a run, each surface_jet builds its own
+        torus_field.surface_jet()
+        torus_field.surface_jet()
+        assert works[-1] is not works[-2] and works[0] not in works[-2:]
 
     def test_each_jet_outside_a_run_is_new(self, generic_fields):
         first = generic_fields[0].surface_jet()
