@@ -76,6 +76,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(val) -> bool:
+    """Whether a config value is a JSON number: an int or a float, not a bool."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _require(cfg: dict, key: str, typ, default=None, required=False):
     if key not in cfg:
         if required:
@@ -166,12 +171,7 @@ def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
         for key, val in extra.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown identity name in tolerances: {key!r}")
-            if (
-                not isinstance(val, (int, float))
-                or isinstance(val, bool)
-                or not math.isfinite(val)
-                or val <= 0
-            ):
+            if not _number(val) or not math.isfinite(val) or val <= 0:
                 raise ConfigError(f"tolerance for {key!r} must be a positive finite number")
             tolerances[key] = float(val)
         options = {"count": count, "tolerances": tolerances}
@@ -217,11 +217,17 @@ def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
         if family is not None:
             _check_sampling(family, dims)
         bundle = cfg.get("c1_bundle", [[1.0, 0.0], [0.0, -1.0]])
+        if not (
+            isinstance(bundle, list)
+            and len(bundle) == 2
+            and all(isinstance(row, list) and len(row) == 2 and all(map(_number, row)) for row in bundle)
+        ):
+            raise ConfigError("c1_bundle must be a real 2x2 matrix")
         try:
-            bundle = np.asarray(bundle, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("c1_bundle must be a real 2x2 matrix") from exc
-        if bundle.shape != (2, 2) or not np.isfinite(bundle).all():
+            bundle = np.array(bundle, dtype=float)
+        except OverflowError as exc:  # an integer beyond the range of a float
+            raise ConfigError("c1_bundle must be a real 2x2 matrix of finite numbers") from exc
+        if not np.isfinite(bundle).all():
             raise ConfigError("c1_bundle must be a real 2x2 matrix of finite numbers")
         # static_report's test that the class is Hermitian, made before any sampling
         if np.abs(bundle - bundle.T).max() > 1e-12:

@@ -27,16 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (
-    HermitianJet,
-    gflow_rhs,
-    chern_curvature,
-    pluriclosed_residual,
-    torsion,
-    torsion_quadratics,
-)
+from .hermitian import HermitianJet
 
-__all__ = ["MetricFamily", "DomainError", "jet_at", "family_predictions", "FamilyCheck"]
+__all__ = ["MetricFamily", "DomainError", "jet_at"]
 
 KINDS = ("flat", "kahler_potential", "torus_pluriclosed", "hopf")
 
@@ -169,79 +162,3 @@ def jet_at(family: MetricFamily, point) -> HermitianJet:
         return _kahler_jet(family.eps, x1, x3)
     return _torus_pluriclosed_jet(family.eps, np.broadcast_arrays(x1, x3)[1])
 
-
-@dataclass(frozen=True)
-class FamilyCheck:
-    """A machine-checkable prediction: residual_fn(jet) -> nonnegative array."""
-
-    name: str
-    residual: callable
-    tol: float = 1e-10
-
-
-def family_predictions(family: MetricFamily) -> list[FamilyCheck]:
-    """Expected invariants of the family, as named residual checks."""
-    checks: list[FamilyCheck] = []
-
-    def torsion_residual(jet):
-        t, w = torsion(jet)
-        return np.maximum(np.abs(t).max(axis=(-1, -2, -3)), np.abs(w).max(axis=-1))
-
-    def pluriclosed(jet):
-        return pluriclosed_residual(jet)
-
-    def rhs_residual(jet):
-        return np.abs(gflow_rhs(jet)).max(axis=(-1, -2))
-
-    if family.kind == "flat":
-        checks.append(FamilyCheck("torsion_vanishes", torsion_residual, 1e-14))
-        checks.append(FamilyCheck("pluriclosed", pluriclosed, 1e-14))
-        checks.append(FamilyCheck("flow_fixed_point", rhs_residual, 1e-14))
-    elif family.kind == "kahler_potential":
-        checks.append(FamilyCheck("torsion_vanishes", torsion_residual, 1e-14))
-        checks.append(FamilyCheck("pluriclosed", pluriclosed, 1e-14))
-
-        def ricci_flow_match(jet):
-            from .hermitian import kahler_ricci
-
-            return np.abs(gflow_rhs(jet) + kahler_ricci(jet)).max(axis=(-1, -2))
-
-        checks.append(FamilyCheck("flow_is_minus_ricci", ricci_flow_match, 1e-10))
-    elif family.kind == "torus_pluriclosed":
-        checks.append(FamilyCheck("pluriclosed", pluriclosed, 1e-14))
-
-        def det_constant(jet):
-            det = np.linalg.det(jet.g).real
-            return np.abs(det - (1 - family.eps**2))
-
-        checks.append(FamilyCheck("det_constant", det_constant, 1e-13))
-
-        def torsion_component(jet):
-            t, _ = torsion(jet)
-            # T_{1 2 2bar} = -(i eps / 2) e^{i x3}; recover the phase from g_{1 2bar}
-            if family.eps == 0:
-                return np.abs(t).max(axis=(-1, -2, -3))
-            phase = jet.g[..., 0, 1] / family.eps
-            expected = -0.5j * family.eps * phase
-            dev = np.abs(t[..., 0, 1, 1] - expected) + np.abs(t[..., 0, 1, 0])
-            return dev
-
-        checks.append(FamilyCheck("torsion_component", torsion_component, 1e-13))
-    else:  # hopf
-        def static_first_trace(jet):
-            _, ric1, _, _ = chern_curvature(jet)
-            return _amax2(ric1 - jet.g) / _amax2(jet.g)
-
-        def static_quad(jet):
-            quad1, _, _ = torsion_quadratics(jet)
-            return _amax2(quad1 - jet.g) / _amax2(jet.g)
-
-        checks.append(FamilyCheck("static_curvature_trace", static_first_trace, 1e-10))
-        checks.append(FamilyCheck("static_torsion_quad", static_quad, 1e-10))
-        checks.append(FamilyCheck("flow_fixed_point", rhs_residual, 1e-10))
-        checks.append(FamilyCheck("pluriclosed", pluriclosed, 1e-12))
-    return checks
-
-
-def _amax2(x):
-    return np.abs(x).max(axis=(-1, -2))

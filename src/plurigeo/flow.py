@@ -11,17 +11,21 @@ Three right-hand sides are supported for the metric coefficient field:
     ``dg/dt`` = minus the static operator coefficients (the Kaehler-form
     flow); requires pluriclosed data and coincides with ``gflow`` on it.
 
-The ``gflow`` and ``normalized`` velocities come from one stencil pass
-(:meth:`MetricField.surface_jet`) and the fused surface kernel
-(:func:`plurigeo.hermitian.surface_flow`); ``omega_form`` evaluates the
-static operator of :func:`plurigeo.hermitian.surface_hodge` on the same
-surface jet.  ``run`` takes every jet of the run, for a stage or a
-record, in one workspace it allocates once; ``step`` and ``diagnostics``
-called on their own take new arrays.  Stepping is classical RK4 with the
-velocity recomputed at every stage; the output is checked for
-positivity.  Every velocity is exactly Hermitian on exactly Hermitian
-data, so no step projects: ``run`` takes the Hermitian part of its
-initial field once.
+Every velocity comes from one stencil pass
+(:meth:`MetricField.surface_jet`): ``gflow`` and ``normalized`` through
+the fused surface kernel (:func:`plurigeo.hermitian.surface_flow`),
+``omega_form`` through the static operator of
+:func:`plurigeo.hermitian.surface_hodge`.  A diagnostics record takes one
+pass for its velocity and its diagnostics together.  The pluriclosed
+defect ``omega_form`` checks, on its initial data and at every stage, is
+the same jet's (:meth:`plurigeo.hermitian.SurfaceJet.pluriclosed_residual`),
+the ``pluriclosed_resid`` column's kernel.  ``run`` takes every jet of the
+run, for a stage or a record, in one workspace it allocates once; ``step``
+and ``diagnostics`` called on their own take new arrays.  Stepping is
+classical RK4 with the velocity recomputed at every stage; the output is
+checked for positivity.  Every velocity is exactly Hermitian on exactly
+Hermitian data, so no step projects: ``run`` takes the Hermitian part of
+its initial field once.
 The run loop records integral diagnostics, reuses the velocity the
 diagnostics evaluated as the first stage of the next step, and applies
 the curvature blow-up stop rule.
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermitian as hm
-from .grid import FormField, MetricField, _jet_workspace, divisor_area, degree, wedge_pair
+from .grid import MetricField, _jet_workspace, divisor_area, degree, wedge_pair
 
 __all__ = [
     "FlowError",
@@ -163,28 +167,34 @@ def cfl_dt(field: MetricField, safety: float = 0.05) -> float:
 
 def _require_pluriclosed(field: MetricField) -> None:
     """``omega_form`` needs pluriclosed initial data: an argument error otherwise."""
-    defect = FormField.from_metric(field).pluriclosed_defect().max()
+    defect = field.surface_jet().pluriclosed_residual().max()
     if defect > _PLURICLOSED_TOL:
         raise ValueError(f"omega_form requires pluriclosed data (defect {defect:.3e})")
 
 
-def _rhs(field: MetricField, variant: str, surf: hm.SurfaceFlow | None = None) -> np.ndarray:
-    """Velocity of ``variant`` at ``field``; ``surf`` is the surface kernel's
-    output at ``field`` when the caller already has it.  An ``omega_form``
-    field whose pluriclosed defect has drifted past 1e-6 raises
-    :class:`FlowDegenerateError`."""
-    if variant == "omega_form":
+def _rhs(
+    field: MetricField,
+    variant: str,
+    jet: hm.SurfaceJet | None = None,
+    surf: hm.SurfaceFlow | None = None,
+) -> np.ndarray:
+    """Velocity of ``variant`` at ``field``; ``jet`` is its surface jet and
+    ``surf`` the surface kernel's output on it when the caller already has
+    them.  An ``omega_form`` field whose pluriclosed defect has drifted past
+    1e-6 raises :class:`FlowDegenerateError`."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if jet is None:
         jet = field.surface_jet()
+    if variant == "omega_form":
         # the inverse first: a non-finite stage then fails as a blowup, not a drift
         ops = hm.surface_hodge(jet)
         defect = jet.pluriclosed_residual().max()
         if defect > _PLURICLOSED_TOL:
             raise FlowDegenerateError(f"omega_form: pluriclosed defect drifted to {defect:.3e}")
         return -ops.static_op
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     if surf is None:
-        surf = hm.surface_flow(field.surface_jet())
+        surf = hm.surface_flow(jet)
     if variant == "gflow":
         return surf.rhs
     det = field.det()
@@ -253,8 +263,9 @@ def diagnostics(state: FlowState, variant: str = "gflow") -> DiagnosticsRecord:
     """
     field = state.field
     grid = field.grid
-    surf = hm.surface_flow(field.surface_jet(), curvature=True)
-    rhs = _rhs(field, variant, surf)
+    jet = field.surface_jet()
+    surf = hm.surface_flow(jet, curvature=True)
+    rhs = _rhs(field, variant, jet, surf)
     det = field.det()
     vol = float(grid.integrate(det))
     d = degree(field, surf.scal)
@@ -314,8 +325,6 @@ def run(
     herm = 0.5 * (field.values + np.conj(field.values.swapaxes(-1, -2)))
     hermitian_dev = float(np.abs(field.values - herm).max())
     field = MetricField(field.grid, herm)
-    if variant == "omega_form":
-        _require_pluriclosed(field)
     state = FlowState(t=0.0, step=0, field=field)
     records: list[DiagnosticsRecord] = []
 
@@ -326,6 +335,8 @@ def run(
 
     # every jet of the run, for a stage or a record, in one workspace
     with _jet_workspace(field.grid.dims):
+        if variant == "omega_form":
+            _require_pluriclosed(field)
         k1 = record(diagnostics(state, variant))
         omega0 = records[0].max_omega
         # slack for rounding in the accumulated time; relative below t_end = 1,
@@ -440,7 +451,7 @@ def tnorm_evolution_check(state: FlowState, dt: float | None = None) -> TnormAud
     _, ric1, _, _ = hm.chern_curvature(jet)
     quad1, quad2, tnorm_sq = hm.torsion_quadratics(jet)
     cov = hm.covariant_torsion_ops(jet)
-    n10, n01 = hm.grad_torsion_norms(jet)
+    n10, n01 = hm.grad_torsion_norms(g, cov)
 
     # scalar Laplacian and holomorphic gradient of |T|^2 via the grid
     lap = (gup * grid.complex_hessian(tnorm_sq)).sum(axis=(-2, -1))

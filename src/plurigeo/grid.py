@@ -36,7 +36,7 @@ import numpy as np
 
 from ._threads import split, stencil_threads
 from .families import MetricFamily
-from .hermitian import HermitianJet, SurfaceJet, surface_flow
+from .hermitian import HermitianJet, SurfaceJet, _real_det, surface_flow
 
 __all__ = [
     "TWO_PI",
@@ -508,8 +508,7 @@ class MetricField:
             raise ValueError("metric field not positive definite")
 
     def det(self) -> np.ndarray:
-        v = self.values
-        return (v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]).real
+        return _real_det(self.values)
 
     def eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-node ``(lambda_min, lambda_max) = (a+d)/2 -+ hypot((a-d)/2, |b|)`` of
@@ -518,9 +517,6 @@ class MetricField:
         half_a, half_d = 0.5 * v[..., 0, 0].real, 0.5 * v[..., 1, 1].real
         mid, rad = half_a + half_d, np.hypot(half_a - half_d, np.abs(v[..., 0, 1]))
         return mid - rad, mid + rad
-
-    def volume(self) -> float:
-        return float(self.grid.integrate(self.det()))
 
     def jets(self) -> tuple[HermitianJet, dict[str, float]]:
         """Full jets at every node from the stencil pass (:func:`_jet_pass`):
@@ -635,11 +631,15 @@ class FormField:
         return float(max(herm, conj))
 
     def pluriclosed_defect(self) -> np.ndarray:
-        """|del dbar beta| per node (only the (1,1) block contributes on a surface):
-        with ``D_a = dx(., a)``, ``s = b01 + b10`` and ``t = b01 - b10``,
-        ``4 del dbar beta = D_0 (D_0 b11 - D_2 s + i D_3 t) + D_1 (D_1 b11 - D_3 s
-        - i D_2 t) + D_2 D_2 b00 + D_3 D_3 b00``, each entry differentiated only
-        along the axes its term reads."""
+        """|del dbar beta| per node of any (1,1) block, Hermitian or not (only
+        the (1,1) block contributes on a surface).  A metric's own defect
+        comes from its jet instead, as
+        :meth:`plurigeo.hermitian.SurfaceJet.pluriclosed_residual` of
+        :meth:`MetricField.surface_jet`, which agrees with this one on the
+        Kaehler form to rounding.  With ``D_a = dx(., a)``, ``s = b01 + b10``
+        and ``t = b01 - b10``, ``4 del dbar beta = D_0 (D_0 b11 - D_2 s + i D_3
+        t) + D_1 (D_1 b11 - D_3 s - i D_2 t) + D_2 D_2 b00 + D_3 D_3 b00``, each
+        entry differentiated only along the axes its term reads."""
         b, dx = self.p11, self.grid.dx
         s, t = b[..., 0, 1] + b[..., 1, 0], b[..., 0, 1] - b[..., 1, 0]
         val = dx(dx(b[..., 0, 0], 2), 2) + dx(dx(b[..., 0, 0], 3), 3)

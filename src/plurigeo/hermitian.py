@@ -188,13 +188,19 @@ class HermitianJet:
 # basic tensors
 
 
+def _real_det(g: np.ndarray) -> np.ndarray:
+    """``det g`` of each 2x2 block, taken real: the complex products leave a
+    rounding-size imaginary part, and dividing by it would make the
+    inverse of an exactly Hermitian ``g`` not exactly Hermitian."""
+    return (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
+
+
 def inverse_metric(g: np.ndarray) -> np.ndarray:
     """Inverse metric ``gup[..., i, j] = g^{i jbar}`` with ``g^{i jbar} g_{k jbar} = delta_ik``.
 
-    ``det g`` is taken real, so the inverse of an exactly Hermitian ``g`` is
-    exactly Hermitian (the complex products leave ``det`` a rounding-size
-    imaginary part)."""
-    det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
+    ``det g`` is taken real (:func:`_real_det`), so the inverse of an
+    exactly Hermitian ``g`` is exactly Hermitian."""
+    det = _real_det(g)
     if not np.isfinite(det).all() or np.abs(det).min() < 1e-300:
         raise SingularMetricError("metric not invertible")
     gup = np.empty_like(g)
@@ -475,7 +481,7 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
             term0 = split.run(_inner_term, 0, quadratic, frame, unit, r)
             term1 = split.run(_inner_term, 1, quadratic, frame, unit, r)
         a = g[..., 0, 0].real.copy()
-        det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
+        det = _real_det(g)
 
         tau0 = d1[0, 1, 0] - d1[1, 0, 0]
         tau1 = d1[0, 1, 1] - d1[1, 0, 1]
@@ -554,18 +560,14 @@ def surface_hodge(jet: SurfaceJet) -> HodgeOperators:
     # the difference mostly page faults
     del gup
     G10 = np.conj(G01)
-    d = g[..., 1, 1].real.copy()
-    mu = np.conj(g[..., 0, 1]) / -d
+    d, mu, y = _cholesky(jet)
     muc = np.conj(mu)
 
-    # Q_{jk} as _quadratic's products of Y[p][j][q] = (L^H del_j g L)[p, q]
-    Y = ([], [])
-    for j in (0, 1):
-        a10 = d1[j, 1, 0] + mu * d1[j, 1, 1]
-        Y[0].append((d1[j, 0, 0] + mu * d1[j, 0, 1] + muc * a10, d1[j, 0, 1] + muc * d1[j, 1, 1]))
-        Y[1].append((a10, d1[j, 1, 1]))
+    # Q_{jk} as _quadratic's products of Y[p][j][q] = (L^H del_j g L)[p, q],
+    # with (del_j g L)[k, q] = y[j][k][q]
+    Y = ([[y[j][0][q] + muc * y[j][1][q] for q in (0, 1)] for j in (0, 1)], [y[j][1] for j in (0, 1)])
     _, _, q = _quadratic(G00, {"Y": Y, "d": d}, False)
-    del Y, a10
+    del Y, y
 
     shape = np.shape(g)
     ricci = np.empty(shape, dtype=complex)
@@ -616,12 +618,23 @@ def surface_hodge(jet: SurfaceJet) -> HodgeOperators:
     )
 
 
+def _cholesky(jet: SurfaceJet) -> tuple:
+    """The first stage of :func:`_frame`, which :func:`surface_hodge` shares:
+    the contiguous ``d = g_{2 2bar}``, ``mu`` and ``y``."""
+    g, d1 = jet.g, jet.d1
+    d = g[..., 1, 1].real.copy()
+    mu = np.conj(g[..., 0, 1]) / -d
+    y = [[(d1[i, k, 0] + mu * d1[i, k, 1], d1[i, k, 1]) for k in (0, 1)] for i in (0, 1)]
+    return d, mu, y
+
+
 def _frame(jet: SurfaceJet) -> dict:
     """The parts of :func:`surface_flow` that read no ``g^{-1}``: the
-    contiguous ``d`` and ``b``, ``mu``, ``y`` and ``Y`` below, and the
-    pluriclosed residual.  In the worker thread, the parts after it pop the arrays
-    they read last: the thread's malloc arena keeps its high-water mark,
-    so they would add to the peak RSS through every record.  In the calling
+    contiguous ``d = g_{2 2bar}`` and ``b = g_{1 2bar}``, ``mu``, ``y`` and
+    ``Y`` below, and the pluriclosed residual.  In the worker thread, the
+    parts after it pop the arrays they read last: the thread's malloc
+    arena keeps its high-water mark, so they would add to the peak RSS
+    through every record.  In the calling
     thread the arrays stay to the end of the call, as dropping them early
     lets glibc return the top of the heap to the OS and the next stencil
     pass fault it back in (10k instead of 3.3k minor faults in a two-step
@@ -630,10 +643,8 @@ def _frame(jet: SurfaceJet) -> dict:
     In the Cholesky frame ``g^{-1} = L diag(lsq) L^H``, ``L = [[1, 0], [mu, 1]]``,
     of the quadratic term and of ``|Omega|^2``, ``y[i][k][q] = sum_n L[n, q]
     del_i g_{k nbar}`` and ``Y[p][k][q] = sum_i conj(L[i, p]) y[i][k][q]``."""
-    g, d1 = jet.g, jet.d1
-    d, b = g[..., 1, 1].real.copy(), g[..., 0, 1].copy()
-    mu = np.conj(b) / -d
-    y = [[(d1[i, k, 0] + mu * d1[i, k, 1], d1[i, k, 1]) for k in (0, 1)] for i in (0, 1)]
+    d, mu, y = _cholesky(jet)
+    b = jet.g[..., 0, 1].copy()
     muc = np.conj(mu)
     Y = ([[y[0][k][q] + muc * y[1][k][q] for q in (0, 1)] for k in (0, 1)], y[1])
     pluriclosed = jet.pluriclosed_residual()
@@ -749,7 +760,7 @@ def hermitian_norm_sq(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     ``lsq = (g_{2 2bar} / det g, 1 / g_{2 2bar})``.  Reads the upper triangle of
     ``a``; non-negative on positive definite ``g``, which it does not check."""
     d, b = g[..., 1, 1].real.copy(), g[..., 0, 1].copy()
-    det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
+    det = _real_det(g)
     mu = np.conj(b) / -d
     lsq = (d / det, 1.0 / d)
     wts = (lsq[0] * lsq[0], lsq[0] * lsq[1], lsq[1] * lsq[1])
@@ -822,15 +833,15 @@ def metric_pairing(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def grad_torsion_norms(jet: HermitianJet) -> tuple[np.ndarray, np.ndarray]:
-    """Squared norms of the (1,0)- and (0,1)-type covariant torsion derivatives.
+def grad_torsion_norms(g: np.ndarray, cov: CovariantTorsion) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norms of the (1,0)- and (0,1)-type covariant torsion derivatives
+    ``cov`` (:func:`covariant_torsion_ops` of a jet of ``g``).
 
     Each slot of ``T`` and its conjugate is contracted with ``gup``: a
     holomorphic slot pairs as ``g^{a a'}``, an antiholomorphic one as
     ``g^{a' a}``.
     """
-    cov = covariant_torsion_ops(jet)
-    gup = inverse_metric(jet.g)
+    gup = inverse_metric(g)
     n10 = _contract(
         "...ax,...ib,...jc,...dk,...aijk,...xbcd->...",
         gup, gup, gup, gup, cov.grad_hol, np.conj(cov.grad_hol)

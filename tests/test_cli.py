@@ -374,6 +374,10 @@ class TestInvalidInputsExitTwo:
         {"command": "flow", "family": {"kind": "hopf"}},
         {"command": "static", "family": TORUS, "dims": [4, 4, 4, 4]},
         {"command": "static", "family": {"kind": "flat"}, "c1_bundle": [[1, 0], [0, float("nan")]]},
+        {"command": "static", "family": {"kind": "flat"}, "c1_bundle": [["1", "0"], [False, True]]},
+        {"command": "static", "family": {"kind": "flat"}, "c1_bundle": [[1, 0], [0, True]]},
+        {"command": "static", "family": {"kind": "flat"}, "c1_bundle": [[10**400, 0], [0, 1]]},
+        {"command": "static", "family": {"kind": "flat"}, "c1_bundle": [[1, 0], [0, -1], [0, 0]]},
         {"command": "static", "family": {"kind": "flat"}, "dims": [4, 4, 4, 4],
          "c1_bundle": [[1, 2], [3, 4]]},
         {"command": "identities", "count": 3, "tolerances": {"bianchi_first": float("inf")}},

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plurigeo import hermitian as hm
-from plurigeo.families import DomainError, MetricFamily, family_predictions, jet_at
+from plurigeo.families import DomainError, MetricFamily, jet_at
 
 
 def fd_jet_error(family: MetricFamily, n: int) -> float:
@@ -86,6 +86,8 @@ class TestSpecificValues:
 
 
 class TestPredictions:
+    """The invariants each family is built to have, at every sampled point."""
+
     @pytest.mark.parametrize(
         "family",
         [
@@ -97,9 +99,22 @@ class TestPredictions:
     def test_torus_family_checks(self, family):
         xs = np.linspace(0, 2 * np.pi, 11, endpoint=False)
         jet = jet_at(family, (xs, 0 * xs, xs[::-1], 0 * xs))
-        for check in family_predictions(family):
-            resid = np.asarray(check.residual(jet))
-            assert resid.max() <= check.tol, check.name
+        t, w = hm.torsion(jet)
+        rhs = hm.gflow_rhs(jet)
+        assert hm.pluriclosed_residual(jet).max() <= 1e-14
+        if family.kind == "torus_pluriclosed":
+            det = np.linalg.det(jet.g).real
+            assert np.abs(det - (1 - family.eps**2)).max() <= 1e-13
+            # T_{1 2 2bar} = -(i eps / 2) e^{i x3} = -(i / 2) g_{1 2bar} and T_{1 2 1bar} = 0
+            dev = np.abs(t[..., 0, 1, 1] + 0.5j * jet.g[..., 0, 1]) + np.abs(t[..., 0, 1, 0])
+            assert dev.max() <= 1e-13
+            return
+        # Kaehler: torsion-free, and the flow is minus the Ricci form (zero on flat)
+        assert max(np.abs(t).max(), np.abs(w).max()) <= 1e-14
+        if family.kind == "flat":
+            assert np.abs(rhs).max() <= 1e-14
+        else:
+            assert np.abs(rhs + hm.kahler_ricci(jet)).max() <= 1e-10
 
     def test_hopf_checks(self):
         rng = np.random.default_rng(0)
@@ -110,8 +125,14 @@ class TestPredictions:
             MetricFamily("hopf"),
             (rho * (z[:, 0] + 1j * z[:, 1]), rho * (z[:, 2] + 1j * z[:, 3])),
         )
-        for check in family_predictions(MetricFamily("hopf")):
-            assert np.asarray(check.residual(jet)).max() <= check.tol, check.name
+        # static: the curvature trace and the torsion quadratic both reproduce g
+        _, ric1, _, _ = hm.chern_curvature(jet)
+        quad1, _, _ = hm.torsion_quadratics(jet)
+        scale = np.abs(jet.g).max(axis=(-1, -2))
+        assert (np.abs(ric1 - jet.g).max(axis=(-1, -2)) / scale).max() <= 1e-10
+        assert (np.abs(quad1 - jet.g).max(axis=(-1, -2)) / scale).max() <= 1e-10
+        assert np.abs(hm.gflow_rhs(jet)).max() <= 1e-10
+        assert hm.pluriclosed_residual(jet).max() <= 1e-12
 
 
 class TestDomain:

@@ -273,6 +273,37 @@ class TestWorkspace:
         assert not np.array_equal(first.d2m, second.d2m)
 
 
+class TestStencilPasses:
+    """One stencil pass per record, whatever the variant, and the
+    ``omega_form`` pluriclosed checks read that pass's jet."""
+
+    @pytest.mark.parametrize("variant", fl.VARIANTS)
+    def test_a_record_takes_one_pass(self, torus_field, monkeypatch, variant):
+        passes = []
+        real = grid._jet_pass
+
+        def spy(*args):
+            passes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(grid, "_jet_pass", spy)
+        fl.diagnostics(fl.FlowState(0.0, 0, torus_field), variant)
+        assert len(passes) == 1
+
+    def test_an_omega_form_run_takes_no_first_derivative_stencil(self, torus_field, monkeypatch):
+        axes = []
+        real = grid.TorusGrid.dx
+
+        def spy(self, u, axis):
+            axes.append(axis)
+            return real(self, u, axis)
+
+        monkeypatch.setattr(grid.TorusGrid, "dx", spy)
+        res = fl.run(torus_field, variant="omega_form", t_end=0.02, cadence=1, dt=0.01)
+        assert res.status == "completed" and res.summary["steps"] == 2
+        assert axes == []
+
+
 class TestTnormAudit:
     def test_family_convention_decomposition(self, torus_field):
         audit = fl.tnorm_evolution_check(fl.FlowState(0.0, 0, torus_field))

@@ -351,7 +351,8 @@ class TestCovariantOps:
         assert np.abs(cov.trace_grad[..., 0, 1] - EPS * e / (4 * (1 - EPS**2))).max() < 1e-15
 
     def test_grad_norms_closed_form(self):
-        n10, n01 = hm.grad_torsion_norms(torus_jet(np.linspace(0, 6, 7)))
+        jet = torus_jet(np.linspace(0, 6, 7))
+        n10, n01 = hm.grad_torsion_norms(jet.g, hm.covariant_torsion_ops(jet))
         assert np.abs(n10 - EPS**2 / (8 * (1 - EPS**2) ** 3)).max() < 1e-14
         assert np.abs(n01 - EPS**2 / (8 * (1 - EPS**2) ** 4)).max() < 1e-14
 
@@ -421,7 +422,7 @@ class TestContract:
         field = generic_fields[0]  # pluriclosed, varies along all four axes
         statics.static_report(field, np.diag([1.0, -1.0]))
         jet, _ = field.jets()
-        hm.grad_torsion_norms(jet)
+        hm.grad_torsion_norms(jet.g, hm.covariant_torsion_ops(jet))
         hm.curvature_norm(jet)
         fl.tnorm_evolution_check(fl.FlowState(0.0, 0, field))
 

@@ -136,3 +136,11 @@ def test_einsum_hodge_kernel_and_full_jets_stay_off_the_static_and_flow_paths():
     assert hodge <= {"hermitian.identity_suite", "hermitian.kahler_ricci"}, hodge
     jets = _package_callers("jets")
     assert jets <= {"flow.tnorm_evolution_check"}, jets
+    # a metric's pluriclosed defect is its surface jet's; the stencil form
+    # serves only general (1,1)-forms
+    defect = _package_callers("pluriclosed_defect")
+    assert defect <= {"statics.buchdahl_check"}, defect
+    # the families are jets only; what they predict is checked in the tests
+    modules, names = _imports(ast.parse((SOURCES[0].parent / "families.py").read_text()))
+    from_hermitian = {name for module, name in names.values() if module == "hermitian"}
+    assert "hermitian" not in modules.values() and from_hermitian == {"HermitianJet"}, from_hermitian
