@@ -76,9 +76,19 @@ class ConfigError(ValueError):
     pass
 
 
-def _number(val) -> bool:
-    """Whether a config value is a JSON number: an int or a float, not a bool."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+def _finite(val, what: str) -> float:
+    """A JSON number (an int or a float, not a bool) as a finite float; a
+    ConfigError names ``what`` otherwise, also for an integer beyond the
+    range of a float."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise ConfigError(f"{what} must be a number")
+    try:
+        val = float(val)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise ConfigError(f"{what} must be a finite number")
+    return val
 
 
 def _require(cfg: dict, key: str, typ, default=None, required=False):
@@ -87,12 +97,10 @@ def _require(cfg: dict, key: str, typ, default=None, required=False):
             raise ConfigError(f"missing required key {key!r}")
         return default
     val = cfg[key]
-    if typ is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+    if typ is float:
+        return _finite(val, f"key {key!r}")
     if not isinstance(val, typ) or isinstance(val, bool) and typ is not bool:
         raise ConfigError(f"key {key!r} must be {typ.__name__}")
-    if typ is float and not math.isfinite(val):
-        raise ConfigError(f"key {key!r} must be a finite number")
     return val
 
 
@@ -171,9 +179,9 @@ def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
         for key, val in extra.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown identity name in tolerances: {key!r}")
-            if not _number(val) or not math.isfinite(val) or val <= 0:
+            tolerances[key] = _finite(val, f"tolerance for {key!r}")
+            if tolerances[key] <= 0:
                 raise ConfigError(f"tolerance for {key!r} must be a positive finite number")
-            tolerances[key] = float(val)
         options = {"count": count, "tolerances": tolerances}
     elif command == "flow":
         allowed = common | {
@@ -220,15 +228,10 @@ def load_scenario(path: str, out_override=None, seed_override=None) -> Scenario:
         if not (
             isinstance(bundle, list)
             and len(bundle) == 2
-            and all(isinstance(row, list) and len(row) == 2 and all(map(_number, row)) for row in bundle)
+            and all(isinstance(row, list) and len(row) == 2 for row in bundle)
         ):
             raise ConfigError("c1_bundle must be a real 2x2 matrix")
-        try:
-            bundle = np.array(bundle, dtype=float)
-        except OverflowError as exc:  # an integer beyond the range of a float
-            raise ConfigError("c1_bundle must be a real 2x2 matrix of finite numbers") from exc
-        if not np.isfinite(bundle).all():
-            raise ConfigError("c1_bundle must be a real 2x2 matrix of finite numbers")
+        bundle = np.array([[_finite(v, "a c1_bundle entry") for v in row] for row in bundle])
         # static_report's test that the class is Hermitian, made before any sampling
         if np.abs(bundle - bundle.T).max() > 1e-12:
             raise ConfigError("c1_bundle must be symmetric")

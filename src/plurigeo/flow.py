@@ -15,17 +15,25 @@ Every velocity comes from one stencil pass
 (:meth:`MetricField.surface_jet`): ``gflow`` and ``normalized`` through
 the fused surface kernel (:func:`plurigeo.hermitian.surface_flow`),
 ``omega_form`` through the static operator of
-:func:`plurigeo.hermitian.surface_hodge`.  A diagnostics record takes one
-pass for its velocity and its diagnostics together.  The pluriclosed
-defect ``omega_form`` checks, on its initial data and at every stage, is
-the same jet's (:meth:`plurigeo.hermitian.SurfaceJet.pluriclosed_residual`),
-the ``pluriclosed_resid`` column's kernel.  ``run`` takes every jet of the
-run, for a stage or a record, in one workspace it allocates once; ``step``
-and ``diagnostics`` called on their own take new arrays.  Stepping is
+:func:`plurigeo.hermitian.surface_hodge`.  An RK4 stage forms only what
+its variant reads: the ``gflow`` velocity alone, and for ``normalized``
+also the Chern scalar curvature and ``|T|^2`` of its volume term.  A
+diagnostics record takes one pass for its velocity and every scalar of
+the diagnostics (``|Omega|^2`` and the pluriclosed residual included);
+each scalar has one formula in the kernel, so a record's velocity has the
+bits of a stage's.  The pluriclosed defect ``omega_form`` checks, on its
+initial data (in the step-0 record) and at every stage, is the same
+jet's (:meth:`plurigeo.hermitian.SurfaceJet.pluriclosed_residual`), the
+``pluriclosed_resid`` column's kernel.  ``run`` takes every jet of the
+run, for a stage or a record, in one workspace it allocates once, with
+the derivative plans of its pass built in the first pass; ``step`` and
+``diagnostics`` called on their own take new arrays.  Stepping is
 classical RK4 with the velocity recomputed at every stage; the output is
-checked for positivity.  Every velocity is exactly Hermitian on exactly
-Hermitian data, so no step projects: ``run`` takes the Hermitian part of
-its initial field once.
+checked for positivity, and the extreme eigenvalues of that test give
+``run`` its next default step size (``cfl_dt``), so each step takes one
+spectrum.  Every velocity is exactly Hermitian on exactly Hermitian data,
+so no step projects: ``run`` takes the Hermitian part of its initial
+field once.
 The run loop records integral diagnostics, reuses the velocity the
 diagnostics evaluated as the first stage of the next step, and applies
 the curvature blow-up stop rule.
@@ -108,6 +116,10 @@ class FlowState:
     t: float
     step: int
     field: MetricField
+    # (smallest, largest) eigenvalue of the field's 2x2 blocks, when the step
+    # that made this state took them for its positivity test: run takes the
+    # next step size from them instead of a second spectrum of the same field
+    _spectrum: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -161,15 +173,18 @@ def cfl_dt(field: MetricField, safety: float = 0.05) -> float:
     if safety <= 0:
         raise ValueError("safety factor must be positive")
     lo, hi = field.eigenvalues()
+    return _step_bound(field, safety, lo.min(), hi.max())
+
+
+def _step_bound(field: MetricField, safety: float, eig_min, eig_max) -> float:
+    """:func:`cfl_dt` from the extreme eigenvalues of ``field``'s blocks."""
     h_min = min(field.grid.spacing)
-    return float(safety * h_min**2 * lo.min() / hi.max())
+    return float(safety * h_min**2 * eig_min / eig_max)
 
 
-def _require_pluriclosed(field: MetricField) -> None:
-    """``omega_form`` needs pluriclosed initial data: an argument error otherwise."""
-    defect = field.surface_jet().pluriclosed_residual().max()
-    if defect > _PLURICLOSED_TOL:
-        raise ValueError(f"omega_form requires pluriclosed data (defect {defect:.3e})")
+# the surface kernel's scalars that a stage of each variant reads besides
+# its velocity: the normalized flow's volume term takes scal and |T|^2
+_STAGE_SCALARS = {"gflow": (), "normalized": ("scal", "tnorm_sq")}
 
 
 def _rhs(
@@ -177,11 +192,14 @@ def _rhs(
     variant: str,
     jet: hm.SurfaceJet | None = None,
     surf: hm.SurfaceFlow | None = None,
+    initial: bool = False,
 ) -> np.ndarray:
     """Velocity of ``variant`` at ``field``; ``jet`` is its surface jet and
     ``surf`` the surface kernel's output on it when the caller already has
-    them.  An ``omega_form`` field whose pluriclosed defect has drifted past
-    1e-6 raises :class:`FlowDegenerateError`."""
+    them, else the kernel forms only what the variant reads.  An
+    ``omega_form`` field whose pluriclosed defect exceeds 1e-6 raises
+    ``ValueError`` if it is ``initial`` data and :class:`FlowDegenerateError`
+    (the defect drifted) otherwise."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if jet is None:
@@ -191,10 +209,12 @@ def _rhs(
         ops = hm.surface_hodge(jet)
         defect = jet.pluriclosed_residual().max()
         if defect > _PLURICLOSED_TOL:
+            if initial:
+                raise ValueError(f"omega_form requires pluriclosed data (defect {defect:.3e})")
             raise FlowDegenerateError(f"omega_form: pluriclosed defect drifted to {defect:.3e}")
         return -ops.static_op
     if surf is None:
-        surf = hm.surface_flow(jet)
+        surf = hm._surface_flow(jet, _STAGE_SCALARS[variant])
     if variant == "gflow":
         return surf.rhs
     det = field.det()
@@ -211,11 +231,16 @@ def step(
     Each velocity is exactly Hermitian on an exactly Hermitian field, so
     the step keeps such a field exactly Hermitian without projecting.
     ``k1`` is the velocity of ``variant`` at ``state`` when the caller has
-    already evaluated it (the run loop takes it from the diagnostics).  A
-    state at step 0 is initial data: for ``omega_form`` it must be
-    pluriclosed (``ValueError`` otherwise); a later drift is a
-    :class:`FlowDegenerateError`.  Overflow in a stage is expected and
-    caught by the finiteness checks, so numpy's warnings are off here.
+    already evaluated it (the run loop takes it from the diagnostics); each
+    other stage forms only the velocity and the scalars its variant reads.
+    A state at step 0 is initial data: for ``omega_form`` it must be
+    pluriclosed, which the first stage checks (``ValueError`` otherwise;
+    a ``k1`` handed over at step 0 comes from :func:`diagnostics`, which
+    checks it there); a later drift is a :class:`FlowDegenerateError`.
+    The returned state carries the extreme eigenvalues of its positivity
+    test, from which :func:`run` takes its next step size.  Overflow in a
+    stage is expected and caught by the finiteness checks, so numpy's
+    warnings are off here.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -223,13 +248,11 @@ def step(
         raise ValueError(f"unknown variant {variant!r}")
     if not np.isfinite(state.field.values).all():
         raise FlowBlowupError("numerical blowup")
-    if variant == "omega_form" and state.step == 0:
-        _require_pluriclosed(state.field)
     grid = state.field.grid
 
-    def f(values: np.ndarray) -> np.ndarray:
+    def f(values: np.ndarray, initial: bool = False) -> np.ndarray:
         try:
-            return _rhs(MetricField(grid, values), variant)
+            return _rhs(MetricField(grid, values), variant, None, None, initial)
         except hm.SingularMetricError as exc:
             # the inverse rejects a non-finite determinant (the stage
             # overflowed) and a vanishing one (the stage lost positivity)
@@ -240,7 +263,7 @@ def step(
     g0 = state.field.values
     with np.errstate(over="ignore", invalid="ignore"):
         if k1 is None:
-            k1 = f(g0)
+            k1 = f(g0, state.step == 0)
         k2 = f(g0 + 0.5 * dt * k1)
         k3 = f(g0 + 0.5 * dt * k2)
         k4 = f(g0 + dt * k3)
@@ -248,9 +271,11 @@ def step(
     if not np.isfinite(g1).all():
         raise FlowBlowupError("numerical blowup")
     field = MetricField(grid, g1)
-    if field.eigenvalues()[0].min() <= 0:
+    lo, hi = field.eigenvalues()
+    eig_min = lo.min()
+    if eig_min <= 0:
         raise FlowDegenerateError("flow degenerate")
-    return FlowState(t=state.t + dt, step=state.step + 1, field=field)
+    return FlowState(t=state.t + dt, step=state.step + 1, field=field, _spectrum=(eig_min, hi.max()))
 
 
 def diagnostics(state: FlowState, variant: str = "gflow") -> DiagnosticsRecord:
@@ -259,13 +284,15 @@ def diagnostics(state: FlowState, variant: str = "gflow") -> DiagnosticsRecord:
     The measured volume rate is the exact chain-rule value
     ``int tr_g(dg/dt) det g dx`` with the active right-hand side; the
     prediction is ``2 E_w - d`` (the unnormalized-flow law).  The record
-    carries that right-hand side as ``velocity``.
+    carries that right-hand side as ``velocity``.  A state at step 0 is
+    initial data: for ``omega_form`` it must be pluriclosed
+    (``ValueError`` otherwise).
     """
     field = state.field
     grid = field.grid
     jet = field.surface_jet()
     surf = hm.surface_flow(jet, curvature=True)
-    rhs = _rhs(field, variant, jet, surf)
+    rhs = _rhs(field, variant, jet, surf, state.step == 0)
     det = field.det()
     vol = float(grid.integrate(det))
     d = degree(field, surf.scal)
@@ -335,8 +362,7 @@ def run(
 
     # every jet of the run, for a stage or a record, in one workspace
     with _jet_workspace(field.grid.dims):
-        if variant == "omega_form":
-            _require_pluriclosed(field)
+        # an omega_form record at step 0 checks that the data are pluriclosed
         k1 = record(diagnostics(state, variant))
         omega0 = records[0].max_omega
         # slack for rounding in the accumulated time; relative below t_end = 1,
@@ -345,7 +371,12 @@ def run(
         status = "completed"
         reason = ""
         while state.t < t_stop and state.step < max_steps:
-            h = cfl_dt(state.field, safety) if dt is None else dt
+            if dt is not None:
+                h = dt
+            elif state._spectrum is None:
+                h = cfl_dt(state.field, safety)
+            else:
+                h = _step_bound(state.field, safety, *state._spectrum)
             h = min(h, t_end - state.t)
             try:
                 state = step(state, h, variant, k1)

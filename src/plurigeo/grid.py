@@ -144,8 +144,9 @@ def _products(shape: tuple, char: str, axis: int) -> tuple | None:
     an array of ``shape`` and dtype ``char`` as matrix products: the shape
     its reals are viewed in, the two matrices and whether they multiply
     from the right; None where it takes slices.  The second matrix is None
-    on four points, where ``S^2 - S^-2`` is zero.  Cached, as the pass on a
-    small grid is bound by calls: the plan of a call is a dict lookup."""
+    on four points, where ``S^2 - S^-2`` is zero.  Cached, as every
+    derivative outside a run's workspace builds its plan (:func:`_diff_plan`)
+    per call: on a small grid that lookup is bound by calls."""
     n = shape[axis]
     run = math.prod(shape[axis + 1 :]) * (2 if char == "D" else 1)
     if char not in "dD" or _sliced(n, run):
@@ -165,7 +166,8 @@ def _periodic_diff(
     pad: np.ndarray | None = None,
 ) -> np.ndarray:
     """4th-order periodic first derivative along ``axis`` (into ``out`` if given),
-    ``(8 (u[i+1] - u[i-1]) - (u[i+2] - u[i-2])) / (12 h)``.
+    ``(8 (u[i+1] - u[i-1]) - (u[i+2] - u[i-2])) / (12 h)``: its plan
+    (:func:`_diff_plan`), built and run once.
 
     On a float64 or complex128 ``u``, along the axes and runs chosen above,
     the two differences are matrix products along the axis (complex
@@ -189,41 +191,65 @@ def _periodic_diff(
     C-contiguous: a product into a strided array's reshaped copy would be
     lost.
     """
+    return _diff_plan(u, axis, h, out, tmp, pad)()
+
+
+def _diff_plan(
+    u: np.ndarray,
+    axis: int,
+    h: float,
+    out: np.ndarray | None,
+    tmp: np.ndarray | None,
+    pad: np.ndarray | None,
+):
+    """The derivative :func:`_periodic_diff` takes, as a call with no
+    arguments that takes it of the values ``u`` holds then, into ``out``,
+    and returns ``out``: every lookup, check and view is made here, once.
+    Missing ``out``, ``tmp`` and ``pad`` are allocated here; a strided
+    ``u`` that takes products is copied here, so its plan reads the copy.
+    A :class:`_StencilWork` keeps the plans of its own buffers for the
+    passes of a run; every other derivative builds its plan per call."""
     for a in (out, tmp):
         if a is not None and not a.flags.c_contiguous:
             raise ValueError("_periodic_diff writes only into C-contiguous arrays")
+    scale = 12.0 * h
     products = _products(u.shape, u.dtype.char, axis)
     if products is not None:
         shape, m1, m2, right = products
         u = np.ascontiguousarray(u)
         out = np.empty_like(u) if out is None else out
         reals, out_r = u.view(float).reshape(shape), out.view(float).reshape(shape)
-        if right:
-            np.matmul(reals, m1, out=out_r)
-        else:
-            np.matmul(m1, reals, out=out_r)
+        first = (reals, m1) if right else (m1, reals)
         if m2 is not None:
             tmp = np.empty_like(u) if tmp is None else tmp
             tmp_r = tmp.view(float).reshape(shape)
-            if right:
-                np.matmul(reals, m2, out=tmp_r)
-            else:
-                np.matmul(m2, reals, out=tmp_r)
-            out_r -= tmp_r
-        out /= 12.0 * h  # in u's dtype: a complex division is not a real one
-        return out
+            second = (reals, m2) if right else (m2, reals)
+
+        def products_plan() -> np.ndarray:
+            np.matmul(*first, out=out_r)
+            if m2 is not None:
+                np.matmul(*second, out=tmp_r)
+                np.subtract(out_r, tmp_r, out=out_r)
+            return np.divide(out, scale, out=out)  # in u's dtype: a complex division is not a real one
+
+        return products_plan
     n = u.shape[axis]
     lead = (slice(None),) * axis
-    pad = np.concatenate((u[lead + (slice(n - 2, n),)], u, u[lead + (slice(0, 2),)]), axis=axis, out=pad)
+    ends = (u[lead + (slice(n - 2, n),)], u, u[lead + (slice(0, 2),)])
+    if pad is None:
+        pad = np.empty(u.shape[:axis] + (n + 4,) + u.shape[axis + 1 :], u.dtype)
+    out = np.empty(u.shape, u.dtype) if out is None else out
+    tmp = np.empty(u.shape, u.dtype) if tmp is None else tmp
+    # u[i + k] for every i, k = 1, -1, 2, -2
+    ahead1, behind1, ahead2, behind2 = (pad[lead + (slice(2 + k, n + 2 + k),)] for k in (1, -1, 2, -2))
 
-    def shifted(k: int) -> np.ndarray:  # u[i + k] for every i
-        return pad[lead + (slice(2 + k, n + 2 + k),)]
+    def sliced_plan() -> np.ndarray:
+        np.concatenate(ends, axis=axis, out=pad)
+        np.multiply(np.subtract(ahead1, behind1, out=out), 8.0, out=out)
+        np.subtract(out, np.subtract(ahead2, behind2, out=tmp), out=out)
+        return np.divide(out, scale, out=out)
 
-    out = np.subtract(shifted(1), shifted(-1), out=out)
-    out *= 8.0
-    out -= np.subtract(shifted(2), shifted(-2), out=tmp)
-    out /= 12.0 * h
-    return out
+    return sliced_plan
 
 
 # The pass takes the metric's four real fields in the order of the
@@ -249,9 +275,11 @@ class _StencilWork:
     """Views of one flat block for every array :func:`_stencil_half` writes
     besides the jet, for ``fields`` real fields: six pieces the size of the
     fields, and a padded copy for :func:`_periodic_diff` along each axis it
-    takes slices on.  Build it in the calling thread, which allocates the
-    block: memory a worker thread allocates goes to that thread's own
-    malloc arena, which keeps it after it is freed."""
+    takes slices on; and the derivative plans (:func:`_diff_plan`) between
+    these buffers, each built on its first use and kept, so a run that
+    holds the workspace builds them once.  Build it in the calling thread,
+    which allocates the block: memory a worker thread allocates goes to
+    that thread's own malloc arena, which keeps it after it is freed."""
 
     def __init__(self, dims: tuple, fields: int):
         shape = (fields,) + dims
@@ -259,13 +287,28 @@ class _StencilWork:
         sliced = [a for a, n in enumerate(dims) if _sliced(n, math.prod(dims[a + 1 :]))]
         block = np.empty(6 * size + max((size // dims[a] * (dims[a] + 4) for a in sliced), default=0))
         self.f = block[:size].reshape(shape)  # the fields
-        self.fx = block[size : 3 * size].reshape((2,) + shape)  # two first derivatives at a time
-        self.terms = block[3 * size : 5 * size].reshape((2,) + shape)  # two terms of a second-order row
+        fx = block[size : 3 * size].reshape((2,) + shape)
+        terms = block[3 * size : 5 * size].reshape((2,) + shape)
+        self.fx = (fx[0], fx[1])  # two first derivatives at a time
+        self.terms = (terms[0], terms[1])  # two terms of a second-order row
         self.tmp = block[5 * size : 6 * size].reshape(shape)  # the outer difference, or _mix_g12's product
         self.pads = [None] * 4
         for a in sliced:
             n = dims[a]
             self.pads[a] = block[6 * size : 6 * size + size // n * (n + 4)].reshape(shape[: a + 1] + (n + 4,) + shape[a + 2 :])
+        self._plans = {}
+
+    def diff(self, u: np.ndarray, a: int, h: tuple, out: np.ndarray) -> np.ndarray:
+        """``del_{x_a}`` of the fields ``u`` (a leading axis before the grid
+        axes) into ``out`` by its plan, built on first use; ``h`` is the
+        grid's spacing.  The plans are keyed by the identity of ``u`` and
+        ``out``, so both must be arrays that live as long as the workspace:
+        the fields of the pass or its own buffers."""
+        key = (id(u), a, id(out))
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _diff_plan(u, a + 1, h[a], out, self.tmp, self.pads[a])
+        return plan()
 
 
 def _stencil_half(f: np.ndarray, h: tuple, rows: np.ndarray, work: _StencilWork) -> None:
@@ -281,7 +324,7 @@ def _stencil_half(f: np.ndarray, h: tuple, rows: np.ndarray, work: _StencilWork)
     ``work.terms``."""
 
     def diff(u, a, out):  # del_{x_a}
-        return _periodic_diff(u, a + 1, h[a], out, work.tmp, work.pads[a])
+        return work.diff(u, a, h, out)
 
     first, (m00, m11, m01), holomorphic = rows[:2], rows[2:5], rows[5:]
     h00, h11, h01 = holomorphic if len(holomorphic) else (None,) * 3

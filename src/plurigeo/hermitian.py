@@ -401,14 +401,19 @@ class SurfaceJet:
 
 @dataclass(frozen=True)
 class SurfaceFlow:
-    """Flow velocity and the pointwise scalars of the diagnostics."""
+    """Flow velocity and the pointwise scalars of the diagnostics; a scalar
+    the caller did not ask for is None (:func:`_surface_flow`)."""
 
-    rhs: np.ndarray           # -ric1 + quad1, (..., 2, 2), Hermitian by construction
-    scal: np.ndarray          # Chern scalar curvature g^{k lbar} ric1_{k lbar}
-    tnorm_sq: np.ndarray      # |T|^2
-    w_sq: np.ndarray          # |w|^2 = g^{i jbar} w_i conj(w_j) = |T|^2 / 2
-    pluriclosed: np.ndarray   # as pluriclosed_residual
+    rhs: np.ndarray                   # -ric1 + quad1, (..., 2, 2), Hermitian by construction
+    scal: np.ndarray | None           # Chern scalar curvature g^{k lbar} ric1_{k lbar}
+    tnorm_sq: np.ndarray | None       # |T|^2
+    w_sq: np.ndarray                  # |w|^2 = g^{i jbar} w_i conj(w_j) = |T|^2 / 2
+    pluriclosed: np.ndarray | None    # as pluriclosed_residual
     curv_sq: np.ndarray | None = None  # |Omega|^2, when requested
+
+
+# the outputs of surface_flow besides rhs and w_sq, which every call forms
+_SCALARS = ("scal", "tnorm_sq", "pluriclosed")
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -416,7 +421,12 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 
 def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
-    """Closed-form ``gflow`` velocity and diagnostics scalars on a surface.
+    """Closed-form ``gflow`` velocity and diagnostics scalars on a surface:
+    every output of :func:`_surface_flow`, ``|Omega|^2`` with ``curvature``.
+    A diagnostics record calls it for all of them; an RK4 stage of the flow
+    calls :func:`_surface_flow` for the velocity and only the scalars its
+    variant reads, through the same formulas, so the velocity has the same
+    bits either way.
 
     The metric is read once into contiguous arrays, ``a = g_{1 1bar}`` and
     ``d = g_{2 2bar}`` real and ``b = g_{1 2bar}`` complex, and ``g^{-1}``
@@ -440,8 +450,8 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
     allowed (``PLURIGEO_THREADS``), the work is split by kind, not by
     slab, between the calling thread and the worker thread of
     :mod:`plurigeo._threads`.  The worker takes the frame, which needs no
-    ``g^{-1}``: ``mu``, ``del g`` in it and the pluriclosed residual
-    (:func:`_frame`).  Once the caller has ``g^{-1}``, it takes the
+    ``g^{-1}``: ``mu``, ``del g`` in it and, when asked, the pluriclosed
+    residual (:func:`_frame`).  Once the caller has ``g^{-1}``, it takes the
     weights and the quadratic term (:func:`_quadratic`) and, with
     ``curvature``, the frame of ``|Omega|^2`` (:func:`_unit_frame`) and the
     terms of its inner entries ``(0, 0)`` and ``(1, 1)``.  The calling
@@ -468,9 +478,20 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
     within ``1e-14 * kappa(g)`` for condition numbers up to 1e6, where the
     einsum oracles themselves lose digits (``tests/test_surface_kernel.py``).
     """
+    return _surface_flow(jet, _SCALARS + ("curv_sq",) if curvature else _SCALARS)
+
+
+def _surface_flow(jet: SurfaceJet, outputs: tuple) -> SurfaceFlow:
+    """:func:`surface_flow` with only the scalars named in ``outputs``
+    (``scal``, ``tnorm_sq``, ``pluriclosed``, ``curv_sq``) besides the
+    velocity and ``|w|^2``, which the velocity needs; the others are None
+    and never formed.  A flow stage asks for the scalars its variant reads,
+    a diagnostics record for all of them.  Each output has one formula,
+    whoever asks for it, so it has the same bits either way."""
     g, d1, r = jet.g, jet.d1, jet.d2m
+    curvature = "curv_sq" in outputs
     with _threads.split(np.size(g) // 4) as split:
-        frame = split.run(_frame, jet)
+        frame = split.run(_frame, jet, "pluriclosed" in outputs)
         gup = inverse_metric(g)
         # contiguous copies: strided views of the (..., 2, 2) arrays slow every
         # operation that reads them
@@ -502,7 +523,7 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
         rhs[..., 1, 1] = n11 + w_sq * d
         rhs[..., 0, 1] = v01 = n01 + w_sq * b
         np.conj(v01, out=rhs[..., 1, 0])
-        scal = -(G00 * n00 + G11 * n11 + 2.0 * (G01 * n01).real)
+        scal = -(G00 * n00 + G11 * n11 + 2.0 * (G01 * n01).real) if "scal" in outputs else None
         curv_sq = None
         if curvature:
             # |Omega|^2 summed over the inner entries (0, 0), (1, 1), (0, 1) in this order
@@ -515,7 +536,7 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
     return SurfaceFlow(
         rhs=rhs,
         scal=scal,
-        tnorm_sq=2.0 * w_sq,
+        tnorm_sq=2.0 * w_sq if "tnorm_sq" in outputs else None,
         w_sq=w_sq,
         pluriclosed=pluriclosed,
         curv_sq=curv_sq,
@@ -628,13 +649,13 @@ def _cholesky(jet: SurfaceJet) -> tuple:
     return d, mu, y
 
 
-def _frame(jet: SurfaceJet) -> dict:
+def _frame(jet: SurfaceJet, pluriclosed: bool) -> dict:
     """The parts of :func:`surface_flow` that read no ``g^{-1}``: the
     contiguous ``d = g_{2 2bar}`` and ``b = g_{1 2bar}``, ``mu``, ``y`` and
-    ``Y`` below, and the pluriclosed residual.  In the worker thread, the
-    parts after it pop the arrays they read last: the thread's malloc
-    arena keeps its high-water mark, so they would add to the peak RSS
-    through every record.  In the calling
+    ``Y`` below, and, if asked, the pluriclosed residual (else None).  In
+    the worker thread, the parts after it pop the arrays they read last:
+    the thread's malloc arena keeps its high-water mark, so they would add
+    to the peak RSS through every record.  In the calling
     thread the arrays stay to the end of the call, as dropping them early
     lets glibc return the top of the heap to the OS and the next stencil
     pass fault it back in (10k instead of 3.3k minor faults in a two-step
@@ -647,8 +668,8 @@ def _frame(jet: SurfaceJet) -> dict:
     b = jet.g[..., 0, 1].copy()
     muc = np.conj(mu)
     Y = ([[y[0][k][q] + muc * y[1][k][q] for q in (0, 1)] for k in (0, 1)], y[1])
-    pluriclosed = jet.pluriclosed_residual()
-    return {"d": d, "b": b, "mu": mu, "y": y, "Y": Y, "pluriclosed": pluriclosed}
+    residual = jet.pluriclosed_residual() if pluriclosed else None
+    return {"d": d, "b": b, "mu": mu, "y": y, "Y": Y, "pluriclosed": residual}
 
 
 def _quadratic(G00: np.ndarray, frame: dict, release: bool) -> tuple:

@@ -206,10 +206,10 @@ def identity_threads(monkeypatch):
 
 @pytest.fixture
 def kernel_jets(monkeypatch):
-    """The jets ``hermitian.surface_flow`` and ``hermitian.surface_hodge``
-    received, in order."""
+    """The jets the surface kernels received, in order: ``hermitian._surface_flow``
+    (a flow stage's, and every ``surface_flow``'s) and ``hermitian.surface_hodge``."""
     jets = []
-    for name in ("surface_flow", "surface_hodge"):
+    for name in ("_surface_flow", "surface_hodge"):
         real = getattr(hm, name)
 
         def spy(jet, *args, real=real, **kwargs):

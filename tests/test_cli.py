@@ -382,6 +382,14 @@ class TestInvalidInputsExitTwo:
          "c1_bundle": [[1, 2], [3, 4]]},
         {"command": "identities", "count": 3, "tolerances": {"bianchi_first": float("inf")}},
         {"command": "hopf", "samples": 3, "tol": float("nan")},
+        # integers beyond the range of a float, for every float key
+        {"command": "flow", "family": TORUS, "t_end": 10**400},
+        {"command": "flow", "family": TORUS, "safety": 10**400},
+        {"command": "flow", "family": TORUS, "dt": 10**400},
+        {"command": "flow", "family": TORUS, "blowup_factor": 10**400},
+        {"command": "flow", "family": {"kind": "kahler_potential", "eps": 10**400}},
+        {"command": "hopf", "samples": 3, "tol": 10**400},
+        {"command": "identities", "count": 3, "tolerances": {"bianchi_first": 10**400}},
     ], ids=lambda p: json.dumps(p, sort_keys=True))
     def test_config(self, tmp_path, payload):
         code, err, out = run_process(tmp_path, payload["command"], payload)

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from plurigeo import _threads
 from plurigeo import flow as fl
 from plurigeo import grid
 from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily
 from plurigeo.grid import MetricField, perturb_with_potential, sample
 
-from conftest import data_blocks, random_trig
+from conftest import data_blocks, random_trig, two_cpus, worker_ran
 
 
 class TestCfl:
@@ -302,6 +303,115 @@ class TestStencilPasses:
         res = fl.run(torus_field, variant="omega_form", t_end=0.02, cadence=1, dt=0.01)
         assert res.status == "completed" and res.summary["steps"] == 2
         assert axes == []
+
+    @pytest.mark.parametrize("variant", fl.VARIANTS)
+    def test_a_one_step_run_takes_five_passes(self, torus_field, monkeypatch, variant):
+        # two records and three stages; the first stage is the velocity of
+        # the step-0 record, which is also omega_form's check of its data
+        passes = []
+        real = grid._jet_pass
+
+        def spy(*args):
+            passes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(grid, "_jet_pass", spy)
+        res = fl.run(torus_field, variant=variant, t_end=0.01, dt=0.01)
+        assert res.status == "completed" and res.summary["steps"] == 1
+        assert len(passes) == 5
+
+    @pytest.mark.parametrize("variant", fl.VARIANTS)
+    def test_a_run_builds_its_derivative_plans_in_its_first_pass(self, torus_field, monkeypatch, variant):
+        events = []
+        real_products, real_pass = grid._products, grid._jet_pass
+
+        def products(*args):
+            events.append("products")
+            return real_products(*args)
+
+        def jet_pass(*args):
+            events.append("pass")
+            return real_pass(*args)
+
+        monkeypatch.setattr(grid, "_products", products)
+        monkeypatch.setattr(grid, "_jet_pass", jet_pass)
+        # on this grid every pass runs in one thread, in the run's workspace
+        fl.run(torus_field, variant=variant, t_end=0.03, cadence=2, dt=0.01)
+        assert events.count("pass") >= 13
+        second = events.index("pass", events.index("pass") + 1)
+        assert "products" in events[:second] and "products" not in events[second:]
+
+
+# all-axis data on a grid below the split threshold and one above it
+LEAN_DIMS = [(4, 4, 16, 4), (16, 8, 16, 8)]
+
+
+@pytest.fixture(scope="module")
+def lean_fields():
+    fields = {}
+    for dims in LEAN_DIMS:
+        base = sample(MetricFamily("torus_pluriclosed", 0.5), dims)
+        fields[dims] = perturb_with_potential(base, 0.05 * random_trig(base.grid, 13))
+    return fields
+
+
+class TestLeanStages:
+    """A stage forms only what its variant reads; records form every scalar,
+    and the step hands its spectrum to the next step size."""
+
+    @pytest.mark.parametrize("variant", ["gflow", "normalized"])
+    def test_a_stage_forms_no_record_scalar(self, torus_field, monkeypatch, variant):
+        residuals, kernels = [], []
+        real_residual, real_kernel = hm.SurfaceJet.pluriclosed_residual, hm._surface_flow
+
+        def residual(self):
+            residuals.append(self)
+            return real_residual(self)
+
+        def kernel(jet, outputs):
+            kernels.append(real_kernel(jet, outputs))
+            return kernels[-1]
+
+        monkeypatch.setattr(hm.SurfaceJet, "pluriclosed_residual", residual)
+        monkeypatch.setattr(hm, "_surface_flow", kernel)
+        state = fl.FlowState(0.0, 0, torus_field)
+        k1 = fl._rhs(torus_field, variant)
+        residuals.clear()
+        kernels.clear()
+        fl.step(state, 1e-2, variant, k1)
+        assert residuals == [] and len(kernels) == 3
+        # normalized reads scal and |T|^2 for its volume term, gflow neither
+        gflow = variant == "gflow"
+        for surf in kernels:
+            assert surf.pluriclosed is None and surf.curv_sq is None
+            assert (surf.scal is None) == gflow and (surf.tnorm_sq is None) == gflow
+
+    def test_a_run_takes_one_spectrum_per_step(self, torus_field, monkeypatch):
+        calls = []
+        real = MetricField.eigenvalues
+
+        def spy(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(MetricField, "eigenvalues", spy)
+        res = fl.run(torus_field, t_end=0.01, cadence=2)
+        steps = res.summary["steps"]
+        assert res.status == "completed" and steps >= 3
+        # the check of the initial field and the first step size, then each
+        # step's positivity test, whose spectrum gives the next step size
+        assert len(calls) == steps + 2
+
+    @pytest.mark.parametrize("threads", ["1", pytest.param("2", marks=two_cpus)])
+    @pytest.mark.parametrize("dims", LEAN_DIMS, ids=["4x4x16x4", "16x8x16x8"])
+    @pytest.mark.parametrize("variant", ["gflow", "normalized"])
+    def test_the_stage_velocity_is_the_records(self, lean_fields, kernel_threads, monkeypatch, variant, dims, threads):
+        monkeypatch.setenv("PLURIGEO_THREADS", threads)
+        field = lean_fields[dims]
+        stage = fl._rhs(field, variant)
+        record = fl.diagnostics(fl.FlowState(0.0, 0, field), variant).velocity
+        assert stage.dtype == record.dtype and stage.tobytes() == record.tobytes()
+        assert worker_ran(kernel_threads) == (threads == "2" and field.grid.nodes >= _threads.SPLIT_NODES)
 
 
 class TestTnormAudit:
