@@ -8,7 +8,7 @@ discretization (:mod:`plurigeo.grid`), flow time integration
 """
 
 from .families import MetricFamily, jet_at
-from .hermitian import HermitianJet, identity_suite, random_jet
+from .hermitian import HermitianJet, identity_suite
 from .grid import MetricField, TorusGrid, sample
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "jet_at",
     "HermitianJet",
     "identity_suite",
-    "random_jet",
     "MetricField",
     "TorusGrid",
     "sample",

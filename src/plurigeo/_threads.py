@@ -2,6 +2,7 @@
 identity suite.
 
 :func:`plurigeo.grid._jet_pass` and :func:`plurigeo.hermitian.surface_flow`
+(an RK4 stage's kernel and a record's, whatever outputs it is asked for)
 split their whole-grid work between the calling thread and this worker
 on grids of at least ``SPLIT_NODES`` nodes, and
 :func:`plurigeo.hermitian.identity_suite` its batches of at least

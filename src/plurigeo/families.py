@@ -140,18 +140,12 @@ def jet_at(family: MetricFamily, point) -> HermitianJet:
     """Exact jet of the family at a point.
 
     ``point`` is four real coordinates for the torus families (arrays
-    broadcast), or a pair of complex numbers / four reals
-    ``(x1, x2, x3, x4) -> (x1 + i x2, x3 + i x4)`` for hopf.
+    broadcast), or a pair of complex numbers ``(z1, z2)`` for hopf.
     """
     if family.kind == "hopf":
-        point = tuple(np.asarray(p) for p in point)
-        if len(point) == 2:
-            z1, z2 = point
-        elif len(point) == 4:
-            z1 = point[0] + 1j * point[1]
-            z2 = point[2] + 1j * point[3]
-        else:
-            raise ValueError("hopf point must be 2 complex or 4 real coordinates")
+        if len(point) != 2:
+            raise ValueError("hopf point must be 2 complex coordinates")
+        z1, z2 = (np.asarray(p) for p in point)
         return _hopf_jet(z1, z2)
     if len(point) != 4:
         raise ValueError("torus point must have 4 real coordinates")

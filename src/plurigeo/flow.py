@@ -15,15 +15,18 @@ Every velocity comes from one stencil pass
 (:meth:`MetricField.surface_jet`): ``gflow`` and ``normalized`` through
 the fused surface kernel (:func:`plurigeo.hermitian.surface_flow`),
 ``omega_form`` through the static operator of
-:func:`plurigeo.hermitian.surface_hodge`.  An RK4 stage forms only what
-its variant reads: the ``gflow`` velocity alone, and for ``normalized``
-also the Chern scalar curvature and ``|T|^2`` of its volume term.  A
-diagnostics record takes one pass for its velocity and every scalar of
-the diagnostics (``|Omega|^2`` and the pluriclosed residual included);
-each scalar has one formula in the kernel, so a record's velocity has the
-bits of a stage's.  The pluriclosed defect ``omega_form`` checks, on its
-initial data (in the step-0 record) and at every stage, is the same
-jet's (:meth:`plurigeo.hermitian.SurfaceJet.pluriclosed_residual`), the
+:func:`plurigeo.hermitian.surface_hodge`.  Each caller of the kernel
+names the scalars it reads.  An RK4 stage names those of its variant
+(``_STAGE_SCALARS``): none for ``gflow``, and for ``normalized`` the
+Chern scalar curvature and ``|T|^2`` of its volume term.  A diagnostics
+record takes one pass for its velocity and names every scalar of the
+diagnostics (``|Omega|^2`` and the pluriclosed residual included); each
+output has one formula in the kernel, so a record's velocity has the
+bits of a stage's.  The volume term, the record's integrals and its
+degree read the ``det g`` the kernel forms.  The pluriclosed defect
+``omega_form`` checks, on its initial data (in the step-0 record) and at
+every stage, is the same jet's
+(:meth:`plurigeo.hermitian.SurfaceJet.pluriclosed_residual`), the
 ``pluriclosed_resid`` column's kernel.  ``run`` takes every jet of the
 run, for a stage or a record, in one workspace it allocates once, with
 the derivative plans of its pass built in the first pass; ``step`` and
@@ -214,12 +217,11 @@ def _rhs(
             raise FlowDegenerateError(f"omega_form: pluriclosed defect drifted to {defect:.3e}")
         return -ops.static_op
     if surf is None:
-        surf = hm._surface_flow(jet, _STAGE_SCALARS[variant])
+        surf = hm.surface_flow(jet, _STAGE_SCALARS[variant])
     if variant == "gflow":
         return surf.rhs
-    det = field.det()
-    vol = field.grid.integrate(det)
-    avg = field.grid.integrate((surf.scal - surf.tnorm_sq) * det) / vol
+    vol = field.grid.integrate(surf.det)
+    avg = field.grid.integrate((surf.scal - surf.tnorm_sq) * surf.det) / vol
     return surf.rhs + 0.5 * avg * field.values
 
 
@@ -291,11 +293,11 @@ def diagnostics(state: FlowState, variant: str = "gflow") -> DiagnosticsRecord:
     field = state.field
     grid = field.grid
     jet = field.surface_jet()
-    surf = hm.surface_flow(jet, curvature=True)
+    surf = hm.surface_flow(jet)
     rhs = _rhs(field, variant, jet, surf, state.step == 0)
-    det = field.det()
+    det = surf.det
     vol = float(grid.integrate(det))
-    d = degree(field, surf.scal)
+    d = degree(field, surf)
     e_w = float(grid.integrate(surf.w_sq * det))
     # tr_g(b) det g is the wedge density of b against the metric
     measured = float(grid.integrate(wedge_pair(rhs, field.values).real))
@@ -503,7 +505,7 @@ def tnorm_evolution_check(state: FlowState, dt: float | None = None) -> TnormAud
     )
 
     def t2_of(st: FlowState) -> np.ndarray:
-        return hm.surface_flow(st.field.surface_jet()).tnorm_sq
+        return hm.surface_flow(st.field.surface_jet(), ("tnorm_sq",)).tnorm_sq
 
     plus = step(state, dt, "gflow")
     minus = step(state, -dt, "gflow")

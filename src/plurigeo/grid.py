@@ -36,7 +36,7 @@ import numpy as np
 
 from ._threads import split, stencil_threads
 from .families import MetricFamily
-from .hermitian import HermitianJet, SurfaceJet, _real_det, surface_flow
+from .hermitian import HermitianJet, SurfaceFlow, SurfaceJet, _real_det, surface_flow
 
 __all__ = [
     "TWO_PI",
@@ -709,18 +709,18 @@ def form_wedge(f1: FormField, f2: FormField) -> np.ndarray:
     return val
 
 
-def degree(field: MetricField, scal: np.ndarray | None = None) -> float:
+def degree(field: MetricField, surf: SurfaceFlow | None = None) -> float:
     """Gauduchon degree ``int (-(i/2) del dbar log det g) ^ omega``.
 
     The first-Chern form traced against the metric is the Chern scalar
-    curvature, so the degree is ``int s_Chern det g dx``.  ``scal`` may be
-    passed when the caller has it; otherwise it comes from the surface
-    kernel, which keeps the degree consistent with the discrete volume
-    evolution of the flow.
+    curvature, so the degree is ``int s_Chern det g dx``, both read from
+    the surface kernel's output ``surf``: the caller's, when it has one
+    with ``scal``, else a kernel call for ``scal`` alone.  The kernel keeps
+    the degree consistent with the discrete volume evolution of the flow.
     """
-    if scal is None:
-        scal = surface_flow(field.surface_jet()).scal
-    return float(field.grid.integrate(scal * field.det()))
+    if surf is None:
+        surf = surface_flow(field.surface_jet(), ("scal",))
+    return float(field.grid.integrate(surf.scal * surf.det))
 
 
 def divisor_area(field: MetricField) -> float:

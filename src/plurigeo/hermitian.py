@@ -45,7 +45,6 @@ __all__ = [
     "torsion_quadratics",
     "hodge_operators",
     "gflow_rhs",
-    "kahler_ricci",
     "pluriclosed_residual",
     "SurfaceJet",
     "SurfaceFlow",
@@ -57,7 +56,6 @@ __all__ = [
     "grad_torsion_norms",
     "curvature_norm",
     "identity_suite",
-    "random_jet",
     "random_jet_batch",
 ]
 
@@ -69,8 +67,6 @@ class SingularMetricError(ValueError):
 def _amax(x: np.ndarray, rank: int) -> np.ndarray:
     """Max absolute value over the trailing `rank` tensor axes (batched)."""
     a = np.abs(np.asarray(x))
-    if rank == 0:
-        return a
     return a.reshape(a.shape[: a.ndim - rank] + (-1,)).max(axis=-1)
 
 
@@ -290,15 +286,24 @@ class HodgeOperators:
     The codifferential of the Kaehler form is tied to the torsion trace by
     ``del_star = -(i/2) conj(w)``, so its pointwise coefficient norm is a
     quarter of ``|w|^2``; all integral energies in this package are
-    standardised through ``|w|^2``.
+    standardised through ``|w|^2``.  ``del_star`` and ``dbar_dbar_star``
+    are derived when read.
     """
 
-    del_star: np.ndarray        # (del* omega)_{kbar}
     dbar_star: np.ndarray       # (dbar* omega)_j
     del_del_star: np.ndarray    # (del del* omega) coefficient matrix
-    dbar_dbar_star: np.ndarray  # (dbar dbar* omega) coefficient matrix, del_del_star^H
     chern_ricci: np.ndarray     # ((i/2) del dbar log det g) coefficient matrix
     static_op: np.ndarray       # -(del del* + dbar dbar*) - chern_ricci, exactly Hermitian
+
+    @property
+    def del_star(self) -> np.ndarray:
+        """``(del* omega)_{kbar}``, the conjugate of ``dbar_star``."""
+        return np.conj(self.dbar_star)
+
+    @property
+    def dbar_dbar_star(self) -> np.ndarray:
+        """``(dbar dbar* omega)`` coefficient matrix, ``del_del_star^H``."""
+        return np.conj(self.del_del_star.swapaxes(-1, -2))
 
 
 def hodge_operators(jet: HermitianJet) -> HodgeOperators:
@@ -311,7 +316,7 @@ def hodge_operators(jet: HermitianJet) -> HodgeOperators:
     ``P_{jk} = b[j, q, p] d1b[q, p, k]``, ``Q_{jk} = b[j, q, p] d1b[k, p, q]``
     (``d1b[k, i, j] = del_{kbar} g_{i jbar}``):
 
-    - ``dbar_star = (i/2)(a1 - a2)``, ``del_star = (i/2) conj(a2 - a1)``;
+    - ``dbar_star = (i/2)(a1 - a2)``, ``del_star`` its conjugate;
     - ``del_del_star = g^{p qbar} d2m[j, q, p, k] - tr - P + Q``;
     - ``dbar_dbar_star = del_del_star^H``, which is
       ``g^{p qbar} d2m[p, k, j, q] - tr - P^H + Q^H`` by the reality of ``d2m``;
@@ -333,10 +338,8 @@ def hodge_operators(jet: HermitianJet) -> HodgeOperators:
     ricci = trace - q
     h = dds + 0.5 * ricci
     return HodgeOperators(
-        del_star=0.5j * np.conj(a2 - a1),
         dbar_star=0.5j * (a1 - a2),
         del_del_star=dds,
-        dbar_dbar_star=np.conj(dds.swapaxes(-1, -2)),
         chern_ricci=ricci,
         static_op=-(h + np.conj(h.swapaxes(-1, -2))),
     )
@@ -347,11 +350,6 @@ def gflow_rhs(jet: HermitianJet) -> np.ndarray:
     _, ric1, _, _ = chern_curvature(jet)
     quad1, _, _ = torsion_quadratics(jet)
     return -ric1 + quad1
-
-
-def kahler_ricci(jet: HermitianJet) -> np.ndarray:
-    """Independent Ricci oracle ``-del_j del_kbar log det g`` (valid as Ricci on Kaehler jets)."""
-    return -hodge_operators(jet).chern_ricci
 
 
 def pluriclosed_residual(jet: HermitianJet) -> np.ndarray:
@@ -402,31 +400,33 @@ class SurfaceJet:
 @dataclass(frozen=True)
 class SurfaceFlow:
     """Flow velocity and the pointwise scalars of the diagnostics; a scalar
-    the caller did not ask for is None (:func:`_surface_flow`)."""
+    the caller did not name is None (:func:`surface_flow`)."""
 
     rhs: np.ndarray                   # -ric1 + quad1, (..., 2, 2), Hermitian by construction
+    det: np.ndarray                   # det g, taken real (_real_det)
+    w_sq: np.ndarray                  # |w|^2 = g^{i jbar} w_i conj(w_j) = |T|^2 / 2
     scal: np.ndarray | None           # Chern scalar curvature g^{k lbar} ric1_{k lbar}
     tnorm_sq: np.ndarray | None       # |T|^2
-    w_sq: np.ndarray                  # |w|^2 = g^{i jbar} w_i conj(w_j) = |T|^2 / 2
     pluriclosed: np.ndarray | None    # as pluriclosed_residual
-    curv_sq: np.ndarray | None = None  # |Omega|^2, when requested
-
-
-# the outputs of surface_flow besides rhs and w_sq, which every call forms
-_SCALARS = ("scal", "tnorm_sq", "pluriclosed")
+    curv_sq: np.ndarray | None        # |Omega|^2
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
-    """Closed-form ``gflow`` velocity and diagnostics scalars on a surface:
-    every output of :func:`_surface_flow`, ``|Omega|^2`` with ``curvature``.
-    A diagnostics record calls it for all of them; an RK4 stage of the flow
-    calls :func:`_surface_flow` for the velocity and only the scalars its
-    variant reads, through the same formulas, so the velocity has the same
-    bits either way.
+def surface_flow(
+    jet: SurfaceJet, outputs: tuple = ("scal", "tnorm_sq", "pluriclosed", "curv_sq")
+) -> SurfaceFlow:
+    """Closed-form ``gflow`` velocity and diagnostics scalars on a surface.
+
+    Every call forms the velocity and ``det g`` and ``|w|^2``, which the
+    velocity needs; of the scalars ``scal``, ``tnorm_sq``, ``pluriclosed``
+    and ``curv_sq`` (``|Omega|^2``) it forms only those named in
+    ``outputs``, and the others are None.  A diagnostics record names all
+    four, an RK4 stage of the flow only those its variant reads, the
+    degree ``scal``.  Each output has one formula, whoever asks for it, so
+    it has the same bits either way.
 
     The metric is read once into contiguous arrays, ``a = g_{1 1bar}`` and
     ``d = g_{2 2bar}`` real and ``b = g_{1 2bar}`` complex, and ``g^{-1}``
@@ -443,8 +443,8 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
       the quadratic term as a weighted sum of squares in the Cholesky frame
       ``g^{-1} = L diag(g^{1 1bar}, 1 / g_{2 2bar}) L^H``,
       ``L = [[1, 0], [mu, 1]]``, ``mu = -g_{2 1bar} / g_{2 2bar}``;
-    - with ``curvature``, ``|Omega|^2`` in the same frame, summed over the
-      inner entries ``(0, 0)``, ``(1, 1)``, ``(0, 1)`` (:func:`_inner_term`).
+    - ``|Omega|^2`` in the same frame, summed over the inner entries
+      ``(0, 0)``, ``(1, 1)``, ``(0, 1)`` (:func:`_inner_term`).
 
     On grids of at least ``_threads.SPLIT_NODES`` nodes, with two threads
     allowed (``PLURIGEO_THREADS``), the work is split by kind, not by
@@ -452,8 +452,8 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
     :mod:`plurigeo._threads`.  The worker takes the frame, which needs no
     ``g^{-1}``: ``mu``, ``del g`` in it and, when asked, the pluriclosed
     residual (:func:`_frame`).  Once the caller has ``g^{-1}``, it takes the
-    weights and the quadratic term (:func:`_quadratic`) and, with
-    ``curvature``, the frame of ``|Omega|^2`` (:func:`_unit_frame`) and the
+    weights and the quadratic term (:func:`_quadratic`) and, for
+    ``curv_sq``, the frame of ``|Omega|^2`` (:func:`_unit_frame`) and the
     terms of its inner entries ``(0, 0)`` and ``(1, 1)``.  The calling
     thread takes :func:`inverse_metric`, ``det g``, ``|w|^2`` and the
     traces while the worker runs, then forms the velocity, ``scal`` and
@@ -472,22 +472,12 @@ def surface_flow(jet: SurfaceJet, curvature: bool = False) -> SurfaceFlow:
     :class:`SingularMetricError`.
 
     Agrees with :func:`gflow_rhs`, :func:`chern_curvature`,
-    :func:`torsion_quadratics`, :func:`torsion` and, with ``curvature``,
-    :func:`curvature_norm` (squared) on jets that satisfy the reality of
-    ``d2m``: within 1e-13 relative (floor 1) for well-conditioned ``g``, and
-    within ``1e-14 * kappa(g)`` for condition numbers up to 1e6, where the
-    einsum oracles themselves lose digits (``tests/test_surface_kernel.py``).
+    :func:`torsion_quadratics`, :func:`torsion` and :func:`curvature_norm`
+    (squared) on jets that satisfy the reality of ``d2m``: within 1e-13
+    relative (floor 1) for well-conditioned ``g``, and within ``1e-14 *
+    kappa(g)`` for condition numbers up to 1e6, where the einsum oracles
+    themselves lose digits (``tests/test_surface_kernel.py``).
     """
-    return _surface_flow(jet, _SCALARS + ("curv_sq",) if curvature else _SCALARS)
-
-
-def _surface_flow(jet: SurfaceJet, outputs: tuple) -> SurfaceFlow:
-    """:func:`surface_flow` with only the scalars named in ``outputs``
-    (``scal``, ``tnorm_sq``, ``pluriclosed``, ``curv_sq``) besides the
-    velocity and ``|w|^2``, which the velocity needs; the others are None
-    and never formed.  A flow stage asks for the scalars its variant reads,
-    a diagnostics record for all of them.  Each output has one formula,
-    whoever asks for it, so it has the same bits either way."""
     g, d1, r = jet.g, jet.d1, jet.d2m
     curvature = "curv_sq" in outputs
     with _threads.split(np.size(g) // 4) as split:
@@ -535,9 +525,10 @@ def _surface_flow(jet: SurfaceJet, outputs: tuple) -> SurfaceFlow:
             curv_sq += term2
     return SurfaceFlow(
         rhs=rhs,
+        det=det,
+        w_sq=w_sq,
         scal=scal,
         tnorm_sq=2.0 * w_sq if "tnorm_sq" in outputs else None,
-        w_sq=w_sq,
         pluriclosed=pluriclosed,
         curv_sq=curv_sq,
     )
@@ -630,10 +621,8 @@ def surface_hodge(jet: SurfaceJet) -> HodgeOperators:
     static_op[..., 0, 1] = s01 = -(h01 + np.conj(h10))
     np.conj(s01, out=static_op[..., 1, 0])
     return HodgeOperators(
-        del_star=np.conj(dbar_star),
         dbar_star=dbar_star,
         del_del_star=dds,
-        dbar_dbar_star=np.conj(dds.swapaxes(-1, -2)),
         chern_ricci=ricci,
         static_op=static_op,
     )
@@ -1074,17 +1063,6 @@ def _leading(jet: HermitianJet, rows: slice) -> HermitianJet:
 # random jets
 
 
-def random_jet(seed: int, pluriclosed: bool = False) -> HermitianJet:
-    """Deterministic random jet: ``g = A A^H + I`` with |A entries| <= 1,
-    derivative components uniform in [-1, 1] per real part, symmetry and
-    reality constraints enforced.  With ``pluriclosed`` the mixed second
-    derivative ``d2m[1, 1, 0, 0]`` is solved so the pluriclosed defect
-    vanishes.  The batch of one of :func:`random_jet_batch`, drawn from
-    ``np.random.default_rng(seed)``."""
-    jet = random_jet_batch(np.random.default_rng(seed), 1, pluriclosed)
-    return HermitianJet(g=jet.g[0], d1=jet.d1[0], d2m=jet.d2m[0], d2h=jet.d2h[0])
-
-
 # per jet, 88 uniform doubles in [-1, 1], in this order: the real, then the
 # imaginary parts of A (2x2), d1 (2x2x2), d2h and d2m (2x2x2x2 each)
 _JET_DRAW = (4, 4, 8, 8, 16, 16, 16, 16)
@@ -1093,10 +1071,14 @@ _JET_DRAW = (4, 4, 8, 8, 16, 16, 16, 16)
 def random_jet_batch(
     rng: np.random.Generator, count: int, pluriclosed: bool = False
 ) -> HermitianJet:
-    """``count`` :func:`random_jet` constructions along a leading batch axis,
-    from one ``rng.uniform(-1, 1, (count, 88))`` draw: jet ``i`` reads row
-    ``i``.  The stream is sequential, so two calls on one generator draw the
-    same jets as one call for their total count.
+    """``count`` deterministic random jets along a leading batch axis, from
+    one ``rng.uniform(-1, 1, (count, 88))`` draw: jet ``i`` reads row ``i``.
+    Each has ``g = A A^H + I`` with |A entries| <= 1 and derivative
+    components uniform in [-1, 1] per real part, with the symmetry and
+    reality constraints enforced; with ``pluriclosed`` the mixed second
+    derivative ``d2m[1, 1, 0, 0]`` is solved so the pluriclosed defect
+    vanishes.  The stream is sequential, so two calls on one generator draw
+    the same jets as one call for their total count.
     """
     draw = rng.uniform(-1, 1, (count, sum(_JET_DRAW)))
     re_a, im_a, re_d1, im_d1, re_h, im_h, re_m, im_m = np.split(

@@ -105,9 +105,9 @@ def static_report(field: MetricField, c1_bundle: np.ndarray) -> StaticReport:
     # one stencil pass and one evaluation of each kernel per report
     jet = field.surface_jet()
     hodge = hm.surface_hodge(jet)
-    surf = hm.surface_flow(jet)
+    surf = hm.surface_flow(jet, ("scal",))
     g = field.values
-    det = field.det()
+    det = surf.det
     vol = float(grid.integrate(det))
     lam, lam_imag = lambda_estimate(field, hodge)
 
@@ -115,7 +115,7 @@ def static_report(field: MetricField, c1_bundle: np.ndarray) -> StaticReport:
     residual_l2 = float(np.sqrt(max(grid.integrate(sq * det), 0.0)))
     residual_max = float(np.sqrt(max(sq.max(), 0.0)))
 
-    d = degree(field, surf.scal)
+    d = degree(field, surf)
     e_w = float(grid.integrate(surf.w_sq * det))
 
     bundle_field = np.broadcast_to(c1_bundle, grid.dims + (2, 2))

@@ -76,6 +76,19 @@ def composed_jets(field):
     return hm.HermitianJet(g=g, d1=d1, d2m=d2m, d2h=d2h)
 
 
+def random_jet(seed: int, pluriclosed: bool = False) -> hm.HermitianJet:
+    """Deterministic random jet: the batch of one of
+    :func:`hm.random_jet_batch`, drawn from ``np.random.default_rng(seed)``."""
+    jet = hm.random_jet_batch(np.random.default_rng(seed), 1, pluriclosed)
+    return hm.HermitianJet(g=jet.g[0], d1=jet.d1[0], d2m=jet.d2m[0], d2h=jet.d2h[0])
+
+
+def kahler_ricci(jet: hm.HermitianJet) -> np.ndarray:
+    """Independent Ricci oracle ``-del_j del_kbar log det g`` (valid as Ricci
+    on Kaehler jets), from the einsum ``hodge_operators``."""
+    return -hm.hodge_operators(jet).chern_ricci
+
+
 def surface_jet_of(jet: hm.HermitianJet) -> hm.SurfaceJet:
     """The surface kernels' input as views of a full jet's components
     (``d2h`` is not needed): how the oracle tests feed full jets to them."""
@@ -206,10 +219,10 @@ def identity_threads(monkeypatch):
 
 @pytest.fixture
 def kernel_jets(monkeypatch):
-    """The jets the surface kernels received, in order: ``hermitian._surface_flow``
-    (a flow stage's, and every ``surface_flow``'s) and ``hermitian.surface_hodge``."""
+    """The jets the surface kernels received, in order: ``hermitian.surface_flow``
+    (a flow stage's and a record's) and ``hermitian.surface_hodge``."""
     jets = []
-    for name in ("_surface_flow", "surface_hodge"):
+    for name in ("surface_flow", "surface_hodge"):
         real = getattr(hm, name)
 
         def spy(jet, *args, real=real, **kwargs):

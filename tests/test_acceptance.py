@@ -22,7 +22,7 @@ from plurigeo.grid import (
     sample,
 )
 
-from conftest import random_trig
+from conftest import kahler_ricci, random_trig
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -107,7 +107,7 @@ def test_criterion_4_kahler_reduction():
 
     def oracle_rhs(values):
         jet, _ = MetricField(grid, values).jets()
-        return -hm.kahler_ricci(jet)
+        return -kahler_ricci(jet)
 
     def oracle_step(g):
         k1 = oracle_rhs(g)

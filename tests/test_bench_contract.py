@@ -14,6 +14,8 @@ attribute their spans across the two threads.
 
 import functools
 import importlib.util
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -88,3 +90,16 @@ def test_wrapped_functions_run_on_the_calling_thread(tracer, kernel_threads, mon
     assert worker_ran(kernel_threads)
     assert calls and all(main for main, _ in calls)
     assert max(count for _, count in calls) <= 2 and threading.active_count() <= 2
+
+
+def test_ab_bodies_runs_a_checkout_against_the_reference():
+    # scripts/ab_bodies.py runs perfbench's workload bodies: a change to
+    # perfbench/workloads.py that breaks the tool fails here
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "scripts/ab_bodies.py", ".", "perfbench/reference/plurigeo_ref",
+         "--workload", "flow-torus", "--pairs", "1"],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "B/A median ratio" in proc.stdout, proc.stdout

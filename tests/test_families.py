@@ -6,6 +6,8 @@ import pytest
 from plurigeo import hermitian as hm
 from plurigeo.families import DomainError, MetricFamily, jet_at
 
+from conftest import kahler_ricci
+
 
 def fd_jet_error(family: MetricFamily, n: int) -> float:
     """Max deviation between analytic jets and 4th-order differences of the
@@ -114,7 +116,7 @@ class TestPredictions:
         if family.kind == "flat":
             assert np.abs(rhs).max() <= 1e-14
         else:
-            assert np.abs(rhs + hm.kahler_ricci(jet)).max() <= 1e-10
+            assert np.abs(rhs + kahler_ricci(jet)).max() <= 1e-10
 
     def test_hopf_checks(self):
         rng = np.random.default_rng(0)
@@ -139,6 +141,11 @@ class TestDomain:
     def test_hopf_origin_rejected(self):
         with pytest.raises(DomainError):
             jet_at(MetricFamily("hopf"), (0.0 + 0j, 0.0 + 0j))
+
+    def test_hopf_point_is_two_complex_coordinates(self):
+        # four real coordinates are not a hopf point
+        with pytest.raises(ValueError, match="2 complex coordinates"):
+            jet_at(MetricFamily("hopf"), (1.0, 0.0, 0.0, 0.0))
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from plurigeo import _threads
 from plurigeo import flow as fl
 from plurigeo import grid
 from plurigeo import hermitian as hm
+from plurigeo import statics
 from plurigeo.families import MetricFamily
 from plurigeo.grid import MetricField, perturb_with_potential, sample
 
@@ -362,7 +363,7 @@ class TestLeanStages:
     @pytest.mark.parametrize("variant", ["gflow", "normalized"])
     def test_a_stage_forms_no_record_scalar(self, torus_field, monkeypatch, variant):
         residuals, kernels = [], []
-        real_residual, real_kernel = hm.SurfaceJet.pluriclosed_residual, hm._surface_flow
+        real_residual, real_kernel = hm.SurfaceJet.pluriclosed_residual, hm.surface_flow
 
         def residual(self):
             residuals.append(self)
@@ -373,7 +374,7 @@ class TestLeanStages:
             return kernels[-1]
 
         monkeypatch.setattr(hm.SurfaceJet, "pluriclosed_residual", residual)
-        monkeypatch.setattr(hm, "_surface_flow", kernel)
+        monkeypatch.setattr(hm, "surface_flow", kernel)
         state = fl.FlowState(0.0, 0, torus_field)
         k1 = fl._rhs(torus_field, variant)
         residuals.clear()
@@ -412,6 +413,41 @@ class TestLeanStages:
         record = fl.diagnostics(fl.FlowState(0.0, 0, field), variant).velocity
         assert stage.dtype == record.dtype and stage.tobytes() == record.tobytes()
         assert worker_ran(kernel_threads) == (threads == "2" and field.grid.nodes >= _threads.SPLIT_NODES)
+
+
+class TestDetCounts:
+    """``det g`` is formed once per kernel call besides ``inverse_metric``'s:
+    a stage, a record and the degree read the surface kernel's."""
+
+    @pytest.fixture
+    def dets(self, monkeypatch):
+        calls = []
+        real = hm._real_det
+
+        def spy(g):
+            calls.append(g)
+            return real(g)
+
+        # grid binds the helper by name for MetricField.det
+        monkeypatch.setattr(hm, "_real_det", spy)
+        monkeypatch.setattr(grid, "_real_det", spy)
+        return calls
+
+    @pytest.mark.parametrize("variant", ["gflow", "normalized"])
+    def test_a_stage_forms_det_twice(self, torus_field, dets, variant):
+        fl._rhs(torus_field, variant)
+        assert len(dets) == 2
+
+    @pytest.mark.parametrize("variant, count", [("gflow", 2), ("normalized", 2), ("omega_form", 3)])
+    def test_a_record_forms_det(self, torus_field, dets, variant, count):
+        fl.diagnostics(fl.FlowState(0.0, 0, torus_field), variant)
+        assert len(dets) == count
+
+    def test_a_static_report_forms_det_five_times(self, torus_field, dets):
+        statics.static_report(torus_field, np.diag([1.0, -1.0]))
+        # surface_hodge's and surface_flow's inverses, surface_flow's det,
+        # lambda_estimate's volume and the residual's hermitian_norm_sq
+        assert len(dets) == 5
 
 
 class TestTnormAudit:

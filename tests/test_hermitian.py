@@ -16,7 +16,7 @@ from plurigeo import statics
 from plurigeo.families import MetricFamily, jet_at
 from plurigeo.grid import perturb_with_potential, sample
 
-from conftest import random_trig
+from conftest import kahler_ricci, random_jet, random_trig
 
 EPS = 0.5
 Q = EPS**2 / (4 * (1 - EPS**2) ** 2)  # half the squared torsion norm of the family
@@ -135,7 +135,7 @@ class TestCurvature:
     def test_kahler_matches_ricci_oracle(self):
         jet = kahler_jet(np.linspace(0, 5, 7), np.linspace(1, 4, 7))
         _, ric1, _, _ = hm.chern_curvature(jet)
-        assert np.abs(ric1 - hm.kahler_ricci(jet)).max() < 1e-14
+        assert np.abs(ric1 - kahler_ricci(jet)).max() < 1e-14
 
     def test_hermiticity_and_real_scalar(self):
         jet = hm.random_jet_batch(np.random.default_rng(0), 32)
@@ -280,7 +280,7 @@ class TestFlowRhs:
 
     def test_kahler_reduces_to_ricci_flow(self):
         jet = kahler_jet(np.linspace(0, 5, 9), np.linspace(0, 5, 9))
-        assert np.abs(hm.gflow_rhs(jet) + hm.kahler_ricci(jet)).max() < 1e-10
+        assert np.abs(hm.gflow_rhs(jet) + kahler_ricci(jet)).max() < 1e-10
 
     def test_flat_fixed_point(self):
         assert np.abs(hm.gflow_rhs(hm.HermitianJet.flat())).max() == 0.0
@@ -288,7 +288,7 @@ class TestFlowRhs:
 
 class TestKahlerRicci:
     def test_flat(self):
-        assert np.abs(hm.kahler_ricci(hm.HermitianJet.flat())).max() == 0.0
+        assert np.abs(kahler_ricci(hm.HermitianJet.flat())).max() == 0.0
 
     def test_kahler_finite_difference_oracle(self):
         eps, x1 = 0.4, 0.0
@@ -299,7 +299,7 @@ class TestKahlerRicci:
 
         d2 = (logdet(x1 + h) - 2 * logdet(x1) + logdet(x1 - h)) / h**2
         expected = -0.25 * d2  # Ric_{0 0bar} = -del_z del_zbar log det g = -(1/4) d^2/dx1^2
-        ric = hm.kahler_ricci(kahler_jet(0.0, 0.0, eps))
+        ric = kahler_ricci(kahler_jet(0.0, 0.0, eps))
         assert abs(ric[0, 0] - expected) < 1e-7
         assert abs(ric[0, 1]) < 1e-15
 
@@ -307,7 +307,7 @@ class TestKahlerRicci:
         # -del dbar log det g = 2 del dbar log rho^2; at (1, 0) this is 2(delta_kl - z zbar/rho^2)/rho^2
         jet = jet_at(MetricFamily("hopf"), (np.array(1.0 + 0j), np.array(0.0 + 0j)))
         expected = 2 * np.array([[0.0, 0.0], [0.0, 1.0]])
-        assert np.abs(hm.kahler_ricci(jet) - expected).max() < 1e-13
+        assert np.abs(kahler_ricci(jet) - expected).max() < 1e-13
 
 
 class TestPluriclosedResidual:
@@ -320,7 +320,7 @@ class TestPluriclosedResidual:
     def test_linear_response(self):
         # perturbing a participating (self-conjugate) mixed second derivative
         # of a pluriclosed jet by delta moves the residual to exactly |delta|
-        jet = hm.random_jet(123, pluriclosed=True)
+        jet = random_jet(123, pluriclosed=True)
         delta = 0.37
         d2m = jet.d2m.copy()
         d2m[1, 1, 0, 0] += delta
@@ -381,7 +381,7 @@ class TestIdentitySuite:
         assert worst < 1e-12
 
     def test_flag_rejected_when_not_pluriclosed(self):
-        jet = hm.random_jet(9, pluriclosed=False)
+        jet = random_jet(9, pluriclosed=False)
         assert hm.pluriclosed_residual(jet) > 1e-3  # generic jets are far from pluriclosed
         with pytest.raises(ValueError, match="pluriclosed flag"):
             hm.identity_suite(jet, pluriclosed=True)
@@ -418,7 +418,7 @@ class TestContract:
         for pluriclosed in (False, True):
             jets = hm.random_jet_batch(np.random.default_rng(0), 40, pluriclosed)
             hm.identity_suite(jets, pluriclosed)
-            hm.identity_suite(hm.random_jet(3, pluriclosed), pluriclosed)
+            hm.identity_suite(random_jet(3, pluriclosed), pluriclosed)
         field = generic_fields[0]  # pluriclosed, varies along all four axes
         statics.static_report(field, np.diag([1.0, -1.0]))
         jet, _ = field.jets()
@@ -520,25 +520,25 @@ class TestRandomJet:
             assert getattr(jet, name).shape == getattr(flat, name).shape, name
 
     def test_single_jet_is_the_batch_of_one(self):
-        jet = hm.random_jet(2**40, pluriclosed=True)
+        jet = random_jet(2**40, pluriclosed=True)
         for name, ref in zip(("g", "d1", "d2m", "d2h"), _random_jet_reference(2**40, True)):
             assert getattr(jet, name).tobytes() == ref.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**200), st.booleans())
     def test_single_jet_matches_reference(self, seed, pluriclosed):
-        jet = hm.random_jet(seed, pluriclosed)
+        jet = random_jet(seed, pluriclosed)
         for name, ref in zip(("g", "d1", "d2m", "d2h"), _random_jet_reference(seed, pluriclosed)):
             assert getattr(jet, name).tobytes() == ref.tobytes(), name
 
     @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0)])
     def test_non_integral_seed_is_a_type_error(self, seed):
         with pytest.raises(TypeError):
-            hm.random_jet(seed)
+            random_jet(seed)
 
     def test_negative_seed_is_a_value_error(self):
         with pytest.raises(ValueError):
-            hm.random_jet(-1)
+            random_jet(-1)
 
     def test_draws_no_generator(self):
         # the batch draws from the generator it is given: one built per jet
@@ -559,8 +559,8 @@ class TestRandomJet:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**63 - 1))
     def test_deterministic_and_valid(self, seed):
-        j1 = hm.random_jet(seed)
-        j2 = hm.random_jet(seed)
+        j1 = random_jet(seed)
+        j2 = random_jet(seed)
         assert np.array_equal(j1.g, j2.g)
         assert np.array_equal(j1.d2m, j2.d2m)
         assert_valid_jet(j1)
@@ -569,7 +569,7 @@ class TestRandomJet:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**63 - 1))
     def test_pluriclosed_constraint(self, seed):
-        jet = hm.random_jet(seed, pluriclosed=True)
+        jet = random_jet(seed, pluriclosed=True)
         assert_valid_jet(jet)
         assert hm.pluriclosed_residual(jet) < 1e-14
 

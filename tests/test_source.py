@@ -130,10 +130,10 @@ def test_einsum_hodge_kernel_and_full_jets_stay_off_the_static_and_flow_paths():
     # the static report, the Hermitian-symplectic extension and the
     # omega_form flow take surface_hodge on surface_jet(); the einsum
     # hodge_operators, its oracle, serves only the identity suite, which
-    # stays independent of the kernels it checks, and kahler_ricci, and the
-    # full jet only the torsion-norm audit
+    # stays independent of the kernels it checks, and the full jet only the
+    # torsion-norm audit
     hodge = _package_callers("hodge_operators")
-    assert hodge <= {"hermitian.identity_suite", "hermitian.kahler_ricci"}, hodge
+    assert hodge <= {"hermitian.identity_suite"}, hodge
     jets = _package_callers("jets")
     assert jets <= {"flow.tnorm_evolution_check"}, jets
     # a metric's pluriclosed defect is its surface jet's; the stencil form

@@ -101,7 +101,7 @@ def _einsum_static_report(field: MetricField, c1_bundle) -> st.StaticReport:
     lam, lam_imag = float(ratio.real), float(abs(ratio.imag))
     resid = hodge.static_op - lam * g
     sq = hm.metric_pairing(g, resid, resid).real
-    d = degree(field, surf.scal)
+    d = degree(field, surf)
     e_w = float(grid.integrate(surf.w_sq * det))
     bundle_field = np.broadcast_to(c1_bundle, grid.dims + (2, 2))
     deg_bundle = float(grid.integrate(wedge_pair(bundle_field, g).real))

@@ -22,7 +22,9 @@ from plurigeo.grid import perturb_with_potential, sample
 
 from conftest import random_trig, surface_jet_of, two_cpus, worker_ran
 
-OUTPUTS = ("rhs", "scal", "tnorm_sq", "w_sq", "pluriclosed", "curv_sq")
+OUTPUTS = ("rhs", "det", "scal", "tnorm_sq", "w_sq", "pluriclosed", "curv_sq")
+# the scalars a record names; without curvature, all but |Omega|^2
+RECORD = ("scal", "tnorm_sq", "pluriclosed", "curv_sq")
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -82,6 +84,7 @@ def frozen_surface_flow(jet, curvature=False):
     pluriclosed = np.abs(r[1, 0, 0] + r[0, 1, 1] - 2.0 * r[2, 1, 0].real)
     return hm.SurfaceFlow(
         rhs=rhs,
+        det=det,
         scal=scal,
         tnorm_sq=2.0 * w_sq,
         w_sq=w_sq,
@@ -154,7 +157,8 @@ def jets(request):
 def test_kernel_is_byte_identical_to_the_frozen_form(jets, curvature, threads, kernel_threads, monkeypatch):
     monkeypatch.setenv("PLURIGEO_THREADS", threads)
     for name, jet in jets.items():
-        expect, got = frozen_surface_flow(jet, curvature), hm.surface_flow(jet, curvature)
+        outputs = RECORD if curvature else RECORD[:3]
+        expect, got = frozen_surface_flow(jet, curvature), hm.surface_flow(jet, outputs)
         for out in OUTPUTS:
             a, b = getattr(expect, out), getattr(got, out)
             assert (a is None) == (b is None), (name, out)

@@ -174,7 +174,7 @@ def test_static_report_byte_identical_across_threads(large_field, halves, tmp_pa
     assert reports["1"] == reports["2"]
 
 
-OUTPUTS = ("rhs", "scal", "tnorm_sq", "w_sq", "pluriclosed", "curv_sq")
+OUTPUTS = ("rhs", "det", "scal", "tnorm_sq", "w_sq", "pluriclosed", "curv_sq")
 
 
 def _same_outputs(a: hm.SurfaceFlow, b: hm.SurfaceFlow) -> bool:
@@ -196,11 +196,11 @@ def kernel_inputs(large_field):
 def test_kernel_runs_partly_in_the_worker(kernel_inputs, kernel_threads, monkeypatch):
     main = threading.current_thread().name
     monkeypatch.setenv("PLURIGEO_THREADS", "1")
-    hm.surface_flow(kernel_inputs["surface_jet"], curvature=True)
+    hm.surface_flow(kernel_inputs["surface_jet"])
     assert kernel_threads == [main]
     kernel_threads.clear()
     monkeypatch.setenv("PLURIGEO_THREADS", "2")
-    hm.surface_flow(kernel_inputs["surface_jet"], curvature=True)
+    hm.surface_flow(kernel_inputs["surface_jet"])
     assert len(kernel_threads) == 1 and worker_ran(kernel_threads)
 
 
@@ -210,7 +210,7 @@ def test_kernel_bit_identical_across_threads(kernel_inputs, kernel_threads, monk
         outputs = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("PLURIGEO_THREADS", threads)
-            outputs[threads] = hm.surface_flow(jet, curvature=True)
+            outputs[threads] = hm.surface_flow(jet)
         assert _same_outputs(outputs["1"], outputs["2"]), name
     assert worker_ran(kernel_threads)
 
@@ -225,10 +225,10 @@ def test_kernel_worker_keeps_the_callers_error_state(kernel_inputs, kernel_threa
     for threads in ("1", "2"):
         monkeypatch.setenv("PLURIGEO_THREADS", threads)
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-            hm.surface_flow(bad, curvature=True)
+            hm.surface_flow(bad)
         with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
             warnings.simplefilter("always")
-            hm.surface_flow(bad, curvature=True)
+            hm.surface_flow(bad)
         assert not caught, threads
     assert worker_ran(kernel_threads)
 
@@ -236,7 +236,7 @@ def test_kernel_worker_keeps_the_callers_error_state(kernel_inputs, kernel_threa
 @two_cpus
 def test_singular_field_raises_and_the_next_call_succeeds(large_field, kernel_inputs, kernel_threads, monkeypatch):
     jet = kernel_inputs["surface_jet"]
-    expect = hm.surface_flow(jet, curvature=True)
+    expect = hm.surface_flow(jet)
     for node in ([[1.0, 1.0], [1.0, 1.0]], 0.0):  # det 0; and g 0, where mu is 0 / 0
         values = large_field.values.copy()
         values[5, 1, 9, 3] = node
@@ -244,8 +244,8 @@ def test_singular_field_raises_and_the_next_call_succeeds(large_field, kernel_in
         for threads in ("1", "2"):
             monkeypatch.setenv("PLURIGEO_THREADS", threads)
             with np.errstate(all="ignore"), pytest.raises(hm.SingularMetricError):
-                hm.surface_flow(singular, curvature=True)
-            assert _same_outputs(hm.surface_flow(jet, curvature=True), expect), threads
+                hm.surface_flow(singular)
+            assert _same_outputs(hm.surface_flow(jet), expect), threads
     assert worker_ran(kernel_threads)
 
 
@@ -265,12 +265,12 @@ def test_kernel_handed_to_the_worker_returns(kernel_inputs, kernel_threads, monk
     # worker there would wait on itself forever, so the child has a deadline
     monkeypatch.setenv("PLURIGEO_THREADS", "2")
     jet = kernel_inputs["surface_jet"]
-    expect = hm.surface_flow(jet, curvature=True)
+    expect = hm.surface_flow(jet)
     kernel_threads.clear()
 
     def check():
         with _threads.split(_threads.SPLIT_NODES) as split:
-            part = split.run(hm.surface_flow, jet, True)
+            part = split.run(hm.surface_flow, jet)
         return _same_outputs(split.get(part), expect) and len(kernel_threads) == 1 and worker_ran(kernel_threads)
 
     _in_forked_child(check)
@@ -435,9 +435,9 @@ def test_forked_child_computes_a_split_jet(large_field, halves, monkeypatch):
 def test_forked_child_computes_the_kernel(kernel_inputs, kernel_threads, monkeypatch):
     monkeypatch.setenv("PLURIGEO_THREADS", "2")
     jet = kernel_inputs["surface_jet"]
-    expect = hm.surface_flow(jet, curvature=True)
+    expect = hm.surface_flow(jet)
     assert worker_ran(kernel_threads)
-    _in_forked_child(lambda: _same_outputs(hm.surface_flow(jet, curvature=True), expect))
+    _in_forked_child(lambda: _same_outputs(hm.surface_flow(jet), expect))
 
 
 _DX_HASHES = (
