@@ -6,7 +6,7 @@ identity suite.
 split their whole-grid work between the calling thread and this worker
 on grids of at least ``SPLIT_NODES`` nodes, and
 :func:`plurigeo.hermitian.identity_suite` its batches of at least
-``hermitian._SPLIT_JETS`` jets, when two threads are allowed; smaller
+``SPLIT_JETS`` jets, when two threads are allowed; smaller
 work runs all of it in the calling thread and starts no thread.  Each
 part keeps its operations, operands and order, so every result is
 bit-identical for every thread count.  The worker runs under the
@@ -36,6 +36,13 @@ import numpy as np
 # records, so the threshold is the first size where the split wins as a
 # stage.
 SPLIT_NODES = 8192
+
+# Jets from which identity_suite splits its batch in two halves.  On a
+# 2-vCPU x86_64 VM (numpy 2.4.6, one BLAS thread), the time of the two
+# halves on two threads over the whole batch's on one was 2.13 at 100
+# jets, 1.54 at 500, 1.15 at 1,000, 0.78 at 2,500 and 0.64 at 4,096: the
+# worker wins from about 1,500 jets on.
+SPLIT_JETS = 1500
 
 _pool = None  # (pid, executor) of the worker thread, made by the first split
 _pool_lock = threading.Lock()

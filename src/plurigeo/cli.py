@@ -18,7 +18,8 @@ Exit codes: 0 success, 1 identity/tolerance failure, 2 usage or config
 error (no output is written; also a request too large for memory or an
 unwritable output), 3 numerical failure (a flow that ended in
 any status but ``completed``: blowup, degenerate, or the step budget
-spent before ``t_end``).
+spent before ``t_end``; a static report with a non-finite entry, which
+is named and not written).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,7 +37,8 @@ from . import flow as fl
 from . import hermitian as hm
 from . import statics as st
 from .families import MetricFamily, jet_at
-from .grid import MetricField, load_field, sample, sampling_grid, stencil_threads
+from ._threads import stencil_threads
+from .grid import MetricField, load_field, sample, sampling_grid
 from .flow import _atomic_write_text
 
 EXIT_OK = 0
@@ -370,6 +372,12 @@ def cmd_static(scenario: Scenario) -> int:
         report = st.static_report(field, opts["c1_bundle"])
     except hm.SingularMetricError as exc:  # positive definite, but det g over- or underflows
         raise ConfigError(f"cannot use field: {exc}") from exc
+    # JSON has no inf or nan: a bundle class near the float range overflows
+    # the pairings, and such a report is no output
+    bad = next((k for k, v in asdict(report).items() if not math.isfinite(v)), None)
+    if bad is not None:
+        print(f"numerical failure: static report entry {bad} is {getattr(report, bad)!r}", file=sys.stderr)
+        return EXIT_NUMERICAL
     st.write_static_report(os.path.join(scenario.out_dir, "static_report.json"), report)
     is_flat = opts["family"] is not None and opts["family"].kind == "flat"
     if is_flat:

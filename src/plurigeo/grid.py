@@ -19,8 +19,8 @@ pairwise tree so results are bit-reproducible.
 
 Forms follow the (i/2)-coefficient convention of :mod:`plurigeo.hermitian`:
 a real (1,1)-form is a Hermitian coefficient matrix per node, the (2,0)
-and (0,2) parts are single complex components (coefficients of
-dz^1 ^ dz^2 and dzbar^1 ^ dzbar^2).
+part a single complex component (the coefficient of dz^1 ^ dz^2) and
+the (0,2) part of a real form its conjugate.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import split, stencil_threads
+from ._threads import split
 from .families import MetricFamily
-from .hermitian import HermitianJet, SurfaceFlow, SurfaceJet, _real_det, surface_flow
+from .hermitian import HermitianJet, SurfaceFlow, SurfaceJet, _real_det
 
 __all__ = [
     "TWO_PI",
@@ -56,7 +56,6 @@ __all__ = [
     "real_components",
     "save_field",
     "load_field",
-    "stencil_threads",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -506,9 +505,6 @@ class TorusGrid:
         """Holomorphic derivative del_{z^k} = (del_x - i del_y) / 2, k in {0, 1}."""
         return 0.5 * (self.dx(u, 2 * k) - 1j * self.dx(u, 2 * k + 1))
 
-    def dzbar(self, u: np.ndarray, k: int) -> np.ndarray:
-        return 0.5 * (self.dx(u, 2 * k) + 1j * self.dx(u, 2 * k + 1))
-
     def integrate(self, values: np.ndarray):
         """Periodic Riemann sum times the cell volume (pairwise reduction)."""
         return pairwise_sum(values) * self.cell
@@ -639,24 +635,24 @@ def perturb_with_potential(field: MetricField, u: np.ndarray) -> MetricField:
 
 @dataclass(frozen=True)
 class FormField:
-    """A 2-form per node, split into (2,0)/(1,1)/(0,2) blocks.
+    """A real 2-form per node, split into (2,0)/(1,1)/(0,2) blocks.
 
-    ``p11[..., i, j]`` is the (i/2)-convention coefficient matrix; ``p20``
-    and ``p02`` are the coefficients of dz^1^dz^2 and dzbar^1^dzbar^2.
+    ``p11[..., i, j]`` is the (i/2)-convention coefficient matrix and
+    ``p20`` the coefficient of dz^1^dz^2 (None for a (1,1)-form).  The
+    coefficient of dzbar^1^dzbar^2 is not stored: a real form's is
+    ``conj(p20)`` (:meth:`block02`), so the form is real by construction
+    outside its (1,1) block.
     """
 
     grid: TorusGrid
     p11: np.ndarray
     p20: np.ndarray | None = None
-    p02: np.ndarray | None = None
 
     def __post_init__(self):
         if self.p11.shape != self.grid.dims + (2, 2):
             raise ValueError("p11 must have shape dims + (2, 2)")
-        for name in ("p20", "p02"):
-            v = getattr(self, name)
-            if v is not None and v.shape != self.grid.dims:
-                raise ValueError(f"{name} must have shape dims")
+        if self.p20 is not None and self.p20.shape != self.grid.dims:
+            raise ValueError("p20 must have shape dims")
 
     @classmethod
     def from_metric(cls, field: MetricField) -> "FormField":
@@ -666,12 +662,12 @@ class FormField:
         return self.p20 if self.p20 is not None else np.zeros(self.grid.dims, complex)
 
     def block02(self) -> np.ndarray:
-        return self.p02 if self.p02 is not None else np.zeros(self.grid.dims, complex)
+        return np.conj(self.block20())
 
     def reality_deviation(self) -> float:
-        herm = np.abs(self.p11 - np.conj(self.p11.swapaxes(-1, -2))).max()
-        conj = np.abs(self.block02() - np.conj(self.block20())).max()
-        return float(max(herm, conj))
+        """Largest deviation of the (1,1) block from Hermitian: the only
+        block whose reality is not built in."""
+        return float(np.abs(self.p11 - np.conj(self.p11.swapaxes(-1, -2))).max())
 
     def pluriclosed_defect(self) -> np.ndarray:
         """|del dbar beta| per node of any (1,1) block, Hermitian or not (only
@@ -709,17 +705,15 @@ def form_wedge(f1: FormField, f2: FormField) -> np.ndarray:
     return val
 
 
-def degree(field: MetricField, surf: SurfaceFlow | None = None) -> float:
+def degree(field: MetricField, surf: SurfaceFlow) -> float:
     """Gauduchon degree ``int (-(i/2) del dbar log det g) ^ omega``.
 
     The first-Chern form traced against the metric is the Chern scalar
     curvature, so the degree is ``int s_Chern det g dx``, both read from
-    the surface kernel's output ``surf``: the caller's, when it has one
-    with ``scal``, else a kernel call for ``scal`` alone.  The kernel keeps
-    the degree consistent with the discrete volume evolution of the flow.
+    ``surf``, the surface kernel's output on ``field`` with ``scal``.  The
+    kernel keeps the degree consistent with the discrete volume evolution
+    of the flow.
     """
-    if surf is None:
-        surf = surface_flow(field.surface_jet(), ("scal",))
     return float(field.grid.integrate(surf.scal * surf.det))
 
 
@@ -736,8 +730,9 @@ def divisor_area(field: MetricField) -> float:
 
 def real_components(form: FormField) -> np.ndarray:
     """Real-coordinate components C_ab of the 2-form, packed along the last
-    axis in the order of :data:`PAIRS` (complex; imaginary parts vanish for
-    real forms up to the input's reality defect)."""
+    axis in the order of :data:`PAIRS` (complex; imaginary parts vanish up
+    to the (1,1) block's reality defect, as the (0,2) term is ``conj(p20)``
+    by construction)."""
     full = np.zeros(form.grid.dims + (4, 4), dtype=complex)
     # (1,1) block: sum_{ij} (i/2) b_ij dz^i ^ dzbar^j
     for i in range(2):
@@ -748,15 +743,11 @@ def real_components(form: FormField) -> np.ndarray:
             full += coeff[..., None, None] * (
                 u[:, None] * v[None, :] - u[None, :] * v[:, None]
             )
-    blocks = []
     if form.p20 is not None:
-        blocks.append((form.p20, _DZ[0], _DZ[1]))
-    if form.p02 is not None:
-        blocks.append((form.p02, _DZ[2], _DZ[3]))
-    for coeff, u, v in blocks:
-        full += coeff[..., None, None] * (
-            u[:, None] * v[None, :] - u[None, :] * v[:, None]
-        )
+        for coeff, u, v in ((form.p20, _DZ[0], _DZ[1]), (form.block02(), _DZ[2], _DZ[3])):
+            full += coeff[..., None, None] * (
+                u[:, None] * v[None, :] - u[None, :] * v[:, None]
+            )
     return np.stack([full[..., a, b] for a, b in PAIRS], axis=-1)
 
 

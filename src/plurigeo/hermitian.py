@@ -762,15 +762,16 @@ def _frame_sq(lsq: tuple, wts: tuple, mu, muc, mu_sq, b00, b11, b01) -> np.ndarr
     return wts[0] * z00 * z00 + wts[2] * b11 * b11 + 2.0 * lsq[0] * lsq[1] * _abs2(z01)
 
 
-def hermitian_norm_sq(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+def hermitian_norm_sq(g: np.ndarray, a: np.ndarray, det: np.ndarray) -> np.ndarray:
     """``|a|^2_g``, equal to ``metric_pairing(g, a, a)``, of a Hermitian (1,1)
     coefficient matrix ``a`` on an exactly Hermitian ``g``, as the weighted
     sum of squares of :func:`surface_flow`'s Cholesky frame
     (:func:`_frame_sq`): ``mu = -g_{2 1bar} / g_{2 2bar}`` and
-    ``lsq = (g_{2 2bar} / det g, 1 / g_{2 2bar})``.  Reads the upper triangle of
-    ``a``; non-negative on positive definite ``g``, which it does not check."""
+    ``lsq = (g_{2 2bar} / det g, 1 / g_{2 2bar})``.  ``det`` is the caller's
+    ``det g`` taken real, as :func:`surface_flow` returns it.  Reads the
+    upper triangle of ``a``; non-negative on positive definite ``g``, which
+    it does not check."""
     d, b = g[..., 1, 1].real.copy(), g[..., 0, 1].copy()
-    det = _real_det(g)
     mu = np.conj(b) / -d
     lsq = (d / det, 1.0 / d)
     wts = (lsq[0] * lsq[0], lsq[0] * lsq[1], lsq[1] * lsq[1])
@@ -885,14 +886,6 @@ def _rel(num: np.ndarray, *scales: np.ndarray) -> np.ndarray:
     return np.asarray(num, dtype=float) / floor
 
 
-# Jets from which identity_suite splits its batch in two halves.  On a
-# 2-vCPU x86_64 VM (numpy 2.4.6, one BLAS thread), the time of the two
-# halves on two threads over the whole batch's on one was 2.13 at 100
-# jets, 1.54 at 500, 1.15 at 1,000, 0.78 at 2,500 and 0.64 at 4,096: the
-# worker wins from about 1,500 jets on.
-_SPLIT_JETS = 1500
-
-
 def identity_suite(jet: HermitianJet, pluriclosed: bool = False) -> dict[str, np.ndarray]:
     """Relative residuals of the pointwise tensor identities of the theory.
 
@@ -901,12 +894,12 @@ def identity_suite(jet: HermitianJet, pluriclosed: bool = False) -> dict[str, np
     hold on pluriclosed jets are included; the flag is rejected if the
     pluriclosed defect exceeds 1e-8.
 
-    A batch of at least ``_SPLIT_JETS`` jets is checked in two halves of
-    its leading axis, at every thread count; with two threads allowed
-    (``PLURIGEO_THREADS``), the worker thread of :mod:`plurigeo._threads`
-    takes the first half.  Each jet's residuals do not depend on the
-    batch it is checked in, and the first half fails first, so results
-    and exceptions are the same for every thread count.
+    A batch of at least ``_threads.SPLIT_JETS`` jets is checked in two
+    halves of its leading axis, at every thread count; with two threads
+    allowed (``PLURIGEO_THREADS``), the worker thread of
+    :mod:`plurigeo._threads` takes the first half.  Each jet's residuals
+    do not depend on the batch it is checked in, and the first half fails
+    first, so results and exceptions are the same for every thread count.
 
     Returns a dict mapping identity names to batch-shaped arrays.
     """
@@ -1045,10 +1038,10 @@ def identity_suite(jet: HermitianJet, pluriclosed: bool = False) -> dict[str, np
 
     batch = jet.g.shape[:-2]
     jets = math.prod(batch)
-    if jets < _SPLIT_JETS or batch[0] < 2:
+    if jets < _threads.SPLIT_JETS or batch[0] < 2:
         return residuals(jet)
     half = batch[0] // 2
-    with _threads.split(jets, _SPLIT_JETS) as split:
+    with _threads.split(jets, _threads.SPLIT_JETS) as split:
         first = split.run(residuals, _leading(jet, slice(half)))
         second = residuals(_leading(jet, slice(half, None)))
         first = split.get(first)

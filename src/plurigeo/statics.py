@@ -8,6 +8,12 @@ the degree pairing against a closed line-bundle class, the quadratic
 intersection inequalities, the reverse Cauchy-Schwarz inequality for
 pluriclosed (1,1)-forms, and the closed two-form extension built from a
 nonzero static constant.
+
+:func:`static_report` takes one stencil pass and one call of each surface
+kernel (:func:`~plurigeo.hermitian.surface_hodge` and
+:func:`~plurigeo.hermitian.surface_flow`), and every quantity of the
+report reads their outputs, ``det g`` included: it forms no kernel output
+a second time.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .grid import (
 
 __all__ = [
     "StaticReport",
-    "lambda_estimate",
     "static_report",
     "write_static_report",
     "buchdahl_check",
@@ -40,35 +45,21 @@ __all__ = [
 ]
 
 
-def lambda_estimate(
-    field: MetricField, hodge: hm.HodgeOperators | None = None
-) -> tuple[float, float]:
-    """L2-projected static constant and the discarded imaginary residue.
-
-    ``lambda* = int <Phi, omega> dV / int <omega, omega> dV`` in the
-    (i/2)-coefficient pairing; the denominator is 2 Vol.  ``<Phi, omega>``
-    is the g-trace ``g^{i jbar} Phi_{i jbar}``, so ``<Phi, omega> dV`` is the
-    wedge density of ``Phi`` and ``omega``.  ``hodge`` is the field's
-    :func:`~plurigeo.hermitian.surface_hodge` when the caller has it.
-    """
-    if hodge is None:
-        hodge = hm.surface_hodge(field.surface_jet())
-    num = field.grid.integrate(wedge_pair(hodge.static_op, field.values))
-    den = 2.0 * field.grid.integrate(field.det())
-    lam = num / den
-    return float(lam.real), float(abs(lam.imag))
-
-
 @dataclass(frozen=True)
 class StaticReport:
     """The static diagnostics of :func:`static_report`.
 
-    ``lambda_imag_residue`` is ``|Im lambda*|``, which :func:`lambda_estimate`
-    discards.  ``<Phi, omega> dV`` is the wedge density of the Hermitian
-    ``Phi`` and ``g``, whose imaginary part cancels exactly on an exactly
-    Hermitian ``g``, so it reads exactly 0.0 there (on every sampled family)
-    and measures only the off-Hermitian part of a loaded field, which
-    ``MetricField.check`` admits up to 1e-12.
+    ``lambda_star`` is the L2-projected static constant
+    ``lambda* = int <Phi, omega> dV / int <omega, omega> dV`` in the
+    (i/2)-coefficient pairing, whose denominator is ``2 vol``.
+    ``<Phi, omega>`` is the g-trace ``g^{i jbar} Phi_{i jbar}``, so
+    ``<Phi, omega> dV`` is the wedge density of ``Phi`` and ``omega``.
+    ``lambda_imag_residue`` is ``|Im lambda*|``, which ``lambda_star``
+    discards.  The wedge density of the Hermitian ``Phi`` and ``g`` has an
+    imaginary part that cancels exactly on an exactly Hermitian ``g``, so
+    it reads exactly 0.0 there (on every sampled family) and measures only
+    the off-Hermitian part of a loaded field, which ``MetricField.check``
+    admits up to 1e-12.
     """
 
     lambda_star: float
@@ -109,9 +100,10 @@ def static_report(field: MetricField, c1_bundle: np.ndarray) -> StaticReport:
     g = field.values
     det = surf.det
     vol = float(grid.integrate(det))
-    lam, lam_imag = lambda_estimate(field, hodge)
+    ratio = grid.integrate(wedge_pair(hodge.static_op, g)) / (2.0 * vol)
+    lam, lam_imag = float(ratio.real), float(abs(ratio.imag))
 
-    sq = hm.hermitian_norm_sq(g, hodge.static_op - lam * g)
+    sq = hm.hermitian_norm_sq(g, hodge.static_op - lam * g, det)
     residual_l2 = float(np.sqrt(max(grid.integrate(sq * det), 0.0)))
     residual_max = float(np.sqrt(max(sq.max(), 0.0)))
 
@@ -214,12 +206,11 @@ def hermitian_symplectic(field: MetricField, lam: float) -> HermitianSymplecticR
     grid = field.grid
     hodge = hm.surface_hodge(field.surface_jet())
 
-    # (2,0) block: -(1/lam) del(dbar* omega); (0,2) block: -(1/lam) dbar(del* omega)
+    # (2,0) block: -(1/lam) del(dbar* omega); the (0,2) block, -(1/lam)
+    # dbar(del* omega), is its conjugate, as FormField takes it
     beta = hodge.dbar_star  # (1,0)-form components
-    alpha = hodge.del_star  # (0,1)-form components
     p20 = -(grid.dz(beta[..., 1], 0) - grid.dz(beta[..., 0], 1)) / lam
-    p02 = -(grid.dzbar(alpha[..., 1], 0) - grid.dzbar(alpha[..., 0], 1)) / lam
-    omega_tilde = FormField(grid, field.values.copy(), p20=p20, p02=p02)
+    omega_tilde = FormField(grid, field.values.copy(), p20=p20)
 
     d_tilde = exterior_derivative(omega_tilde)
     flow_part = FormField(grid, hodge.static_op - lam * field.values)

@@ -60,6 +60,12 @@ def cross_field():
     return cross
 
 
+def dzbar(grid: TorusGrid, u: np.ndarray, k: int) -> np.ndarray:
+    """``del_{zbar^k} = (del_x + i del_y) / 2`` from the grid's ``dx``: the
+    partner of ``TorusGrid.dz`` in the composition oracles."""
+    return 0.5 * (grid.dx(u, 2 * k) + 1j * grid.dx(u, 2 * k + 1))
+
+
 def composed_jets(field):
     """Full jets as ``dz``/``dzbar`` compositions, made symmetric and real by
     averaging: the oracle of the one-pass ``MetricField.jets``."""
@@ -69,7 +75,7 @@ def composed_jets(field):
     d2h = np.zeros(grid.dims + (2, 2, 2, 2), dtype=complex)
     for k in range(2):
         for l in range(2):
-            d2m[..., k, l, :, :] = grid.dzbar(d1[..., k, :, :], l)
+            d2m[..., k, l, :, :] = dzbar(grid, d1[..., k, :, :], l)
             d2h[..., k, l, :, :] = grid.dz(d1[..., k, :, :], l)
     d2h = 0.5 * (d2h + d2h.swapaxes(-4, -3))
     d2m = 0.5 * (d2m + np.conj(d2m.swapaxes(-4, -3).swapaxes(-2, -1)))

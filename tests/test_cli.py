@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plurigeo
-from plurigeo import cli
+from plurigeo import _threads, cli
 from plurigeo.families import MetricFamily
 from plurigeo.grid import MetricField, TorusGrid, sample, save_field
 
@@ -293,6 +293,19 @@ class TestStaticCommand:
         })
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_report_is_a_numerical_failure(self, tmp_path, capsys):
+        # a finite bundle class at the float range overflows its pairings,
+        # and JSON has no inf: the report is named, not written
+        code = run_cli(tmp_path, "static", {
+            "command": "static", "family": {"kind": "torus_pluriclosed", "eps": 0.5},
+            "dims": [4, 4, 8, 4], "c1_bundle": [[1e308, 0], [0, 1e308]],
+        })
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("numerical failure:") and "deg_bundle" in err[-1], err
+        assert not (tmp_path / "out/static_report.json").exists()
+
 
 class TestHopfCommand:
     def test_passes(self, tmp_path):
@@ -310,13 +323,13 @@ class TestDeterminism:
         # batches that split, against the report of whole batches: an odd
         # count just over the threshold, and, at a lowered threshold, a count
         # over three chunks whose probe batch of 28 jets splits too
-        for count, chunk, least in ((cli.hm._SPLIT_JETS + 1, cli.IDENTITY_CHUNK, cli.hm._SPLIT_JETS), (31, 12, 8)):
+        for count, chunk, least in ((_threads.SPLIT_JETS + 1, cli.IDENTITY_CHUNK, _threads.SPLIT_JETS), (31, 12, 8)):
             payload = {"command": "identities", "count": count, "seed": 11}
             monkeypatch.setattr(cli, "IDENTITY_CHUNK", chunk)
-            monkeypatch.setattr(cli.hm, "_SPLIT_JETS", 10**9)
+            monkeypatch.setattr(_threads, "SPLIT_JETS", 10**9)
             assert run_cli(tmp_path, "identities", payload, out=f"whole{count}") == cli.EXIT_OK
             whole = (tmp_path / f"whole{count}/identities_report.json").read_bytes()
-            monkeypatch.setattr(cli.hm, "_SPLIT_JETS", least)
+            monkeypatch.setattr(_threads, "SPLIT_JETS", least)
             for threads in ("1", "8"):
                 identity_threads.clear()
                 monkeypatch.setenv("PLURIGEO_THREADS", threads)

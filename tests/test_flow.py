@@ -443,11 +443,11 @@ class TestDetCounts:
         fl.diagnostics(fl.FlowState(0.0, 0, torus_field), variant)
         assert len(dets) == count
 
-    def test_a_static_report_forms_det_five_times(self, torus_field, dets):
+    def test_a_static_report_forms_det_three_times(self, torus_field, dets):
         statics.static_report(torus_field, np.diag([1.0, -1.0]))
-        # surface_hodge's and surface_flow's inverses, surface_flow's det,
-        # lambda_estimate's volume and the residual's hermitian_norm_sq
-        assert len(dets) == 5
+        # surface_hodge's and surface_flow's inverses and surface_flow's det,
+        # which lambda* and the residual's hermitian_norm_sq read
+        assert len(dets) == 3
 
 
 class TestTnormAudit:

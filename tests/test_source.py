@@ -144,3 +144,12 @@ def test_einsum_hodge_kernel_and_full_jets_stay_off_the_static_and_flow_paths():
     modules, names = _imports(ast.parse((SOURCES[0].parent / "families.py").read_text()))
     from_hermitian = {name for module, name in names.values() if module == "hermitian"}
     assert "hermitian" not in modules.values() and from_hermitian == {"HermitianJet"}, from_hermitian
+
+
+def test_det_g_is_formed_only_where_a_kernel_needs_it():
+    # the inverse, the surface kernel (which returns it) and the field's own
+    # det() form det g; the static side reads the kernel's
+    dets = _package_callers("_real_det")
+    assert dets == {"hermitian.inverse_metric", "hermitian.surface_flow", "grid.MetricField.det"}, dets
+    statics = _callers(ast.parse((SOURCES[0].parent / "statics.py").read_text()), "det")
+    assert not statics, statics

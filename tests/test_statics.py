@@ -14,13 +14,18 @@ from plurigeo.grid import FormField, MetricField, degree, perturb_with_potential
 from conftest import random_trig, surface_jet_of
 
 
+def _lambda(field):
+    rep = st.static_report(field, np.diag([1.0, -1.0]))
+    return rep.lambda_star, rep.lambda_imag_residue
+
+
 class TestLambdaEstimate:
     def test_flat_zero(self, flat_field):
-        lam, imag = st.lambda_estimate(flat_field)
+        lam, imag = _lambda(flat_field)
         assert lam == 0.0 and imag == 0.0
 
     def test_torus_value_and_sign(self, torus_field):
-        lam, imag = st.lambda_estimate(torus_field)
+        lam, imag = _lambda(torus_field)
         q = 0.25 / (4 * 0.75**2)
         assert lam < 0
         assert abs(lam + q) < 2e-3  # stencil-scaled analytic value -q
@@ -29,13 +34,13 @@ class TestLambdaEstimate:
     def test_kahler_near_zero_small_eps(self):
         for eps in (0.05, 0.1):
             field = sample(MetricFamily("kahler_potential", eps), (16, 4, 16, 4))
-            lam, _ = st.lambda_estimate(field)
+            lam, _ = _lambda(field)
             assert abs(lam) <= 1e-10 * max(eps, 1)
 
     def test_scaling_inverse_linearity(self, torus_field):
-        lam1, _ = st.lambda_estimate(torus_field)
+        lam1, _ = _lambda(torus_field)
         doubled = MetricField(torus_field.grid, 2.0 * torus_field.values)
-        lam2, _ = st.lambda_estimate(doubled)
+        lam2, _ = _lambda(doubled)
         assert abs(lam2 - 0.5 * lam1) <= 1e-10
 
 
@@ -240,3 +245,10 @@ class TestHermitianSymplectic:
     def test_real_form(self, torus_field):
         hs = st.hermitian_symplectic(torus_field, 1.3)
         assert hs.omega_tilde.reality_deviation() < 1e-13
+
+    def test_02_block_is_the_conjugate_of_the_20_block(self):
+        # real by construction: the (0,2) block is conj of the (2,0) block
+        # byte for byte, signed zeros included
+        field = sample(MetricFamily("kahler_potential", 0.4), (8, 4, 8, 4))
+        form = st.hermitian_symplectic(field, 1.3).omega_tilde
+        assert form.block02().tobytes() == np.conj(form.block20()).tobytes()

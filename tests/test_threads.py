@@ -6,7 +6,7 @@ The stencil pass takes the metric's four real fields in one
 ``_threads.SPLIT_NODES`` nodes with two threads allowed, in two halves,
 the second in a worker thread; there ``surface_flow`` hands part of its
 work to the same thread.  ``identity_suite`` checks batches of at least
-``hermitian._SPLIT_JETS`` jets in two halves, the first in the same
+``_threads.SPLIT_JETS`` jets in two halves, the first in the same
 worker when two threads are allowed.  Each test that needs the worker
 asserts that it really ran, and skips when this process may run on
 fewer than 2 CPUs, so no test starts more threads than there are cores.
@@ -28,8 +28,9 @@ import plurigeo
 from plurigeo import _threads, cli, grid
 from plurigeo import flow as fl
 from plurigeo import hermitian as hm
+from plurigeo._threads import stencil_threads
 from plurigeo.families import MetricFamily
-from plurigeo.grid import perturb_with_potential, sample, save_field, stencil_threads
+from plurigeo.grid import perturb_with_potential, sample, save_field
 
 from conftest import (
     cpus,
@@ -280,18 +281,18 @@ def _identity_batches(large_field):
     """An odd count of random pluriclosed jets just over the split threshold,
     and a grid's jets, split along its first axis."""
     return {
-        "random": hm.random_jet_batch(np.random.default_rng(5), hm._SPLIT_JETS + 1, pluriclosed=True),
+        "random": hm.random_jet_batch(np.random.default_rng(5), _threads.SPLIT_JETS + 1, pluriclosed=True),
         "grid": large_field.jets()[0],
     }
 
 
 @two_cpus
 def test_identity_suite_bit_identical_across_threads(large_field, identity_threads, monkeypatch):
-    least = hm._SPLIT_JETS
+    least = _threads.SPLIT_JETS
     for name, jets in _identity_batches(large_field).items():
-        monkeypatch.setattr(hm, "_SPLIT_JETS", 10**9)
+        monkeypatch.setattr(_threads, "SPLIT_JETS", 10**9)
         whole = hm.identity_suite(jets, pluriclosed=True)
-        monkeypatch.setattr(hm, "_SPLIT_JETS", least)
+        monkeypatch.setattr(_threads, "SPLIT_JETS", least)
         for threads in ("1", "2"):
             identity_threads.clear()
             monkeypatch.setenv("PLURIGEO_THREADS", threads)
@@ -304,7 +305,7 @@ def test_identity_suite_bit_identical_across_threads(large_field, identity_threa
 
 @two_cpus
 def test_identity_halves_fail_as_on_one_thread(identity_threads, monkeypatch):
-    jets = hm.random_jet_batch(np.random.default_rng(5), hm._SPLIT_JETS + 1)
+    jets = hm.random_jet_batch(np.random.default_rng(5), _threads.SPLIT_JETS + 1)
     for row in (3, -3):  # in the worker's half, in the caller's
         g = jets.g.copy()
         g[row] = 0.0
