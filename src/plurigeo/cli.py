@@ -369,11 +369,13 @@ def cmd_static(scenario: Scenario) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot use field file: {exc}") from exc
     try:
-        report = st.static_report(field, opts["c1_bundle"])
+        # JSON has no inf or nan: a bundle class near the float range
+        # overflows the pairings, which the check below reports, and such
+        # a report is no output
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = st.static_report(field, opts["c1_bundle"])
     except hm.SingularMetricError as exc:  # positive definite, but det g over- or underflows
         raise ConfigError(f"cannot use field: {exc}") from exc
-    # JSON has no inf or nan: a bundle class near the float range overflows
-    # the pairings, and such a report is no output
     bad = next((k for k, v in asdict(report).items() if not math.isfinite(v)), None)
     if bad is not None:
         print(f"numerical failure: static report entry {bad} is {getattr(report, bad)!r}", file=sys.stderr)

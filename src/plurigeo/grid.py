@@ -15,7 +15,9 @@ circulant matrices (BLAS calls that release the GIL; one product on
 4-point axes, where the second difference is zero), otherwise slices of
 a padded copy; both give the same bits on finite input.  Integrals are
 periodic Riemann sums times the cell volume, reduced with a fixed
-pairwise tree so results are bit-reproducible.
+pairwise tree so results are bit-reproducible; values held once along
+an axis they are constant along (a :class:`MetricField` may hold them
+so) are differentiated to +0 there and summed broadcast over the grid.
 
 Forms follow the (i/2)-coefficient convention of :mod:`plurigeo.hermitian`:
 a real (1,1)-form is a Hermitian coefficient matrix per node, the (2,0)
@@ -186,7 +188,10 @@ def _periodic_diff(
     by two wrapped cells at each end of the axis (into ``pad``, the shape
     of ``u`` with 4 more cells along ``axis``, if given).  Either way the
     differences are grouped in pairs, so constants differentiate to exact
-    zero.  ``out`` and ``tmp`` (the shape and dtype of ``u``) must be
+    zero.  Along an axis of length 1, which holds values constant along
+    a grid axis once, the derivative is +0, filled: a field constant along
+    a grid axis differentiates to +0 there, also from negative values and
+    -0.  ``out`` and ``tmp`` (the shape and dtype of ``u``) must be
     C-contiguous: a product into a strided array's reshaped copy would be
     lost.
     """
@@ -211,6 +216,17 @@ def _diff_plan(
     for a in (out, tmp):
         if a is not None and not a.flags.c_contiguous:
             raise ValueError("_periodic_diff writes only into C-contiguous arrays")
+    if u.shape[axis] == 1:
+        # values constant along the axis, held once: the derivative is +0,
+        # filled, not a product whose sign would rest on how BLAS sums
+        # (0 times a negative value is -0)
+        out = np.empty(u.shape, u.dtype) if out is None else out
+
+        def zero_plan() -> np.ndarray:
+            out.fill(0.0)
+            return out
+
+        return zero_plan
     scale = 12.0 * h
     products = _products(u.shape, u.dtype.char, axis)
     if products is not None:
@@ -441,8 +457,9 @@ _RUN_JETS: contextvars.ContextVar = contextvars.ContextVar("plurigeo_run_jets", 
 @contextlib.contextmanager
 def _jet_workspace(dims: tuple):
     """Within the block, in this context, every :meth:`MetricField.surface_jet`
-    takes its jet in one :class:`_JetWork` for a grid of ``dims``: what
-    ``flow.run`` holds for one run, all on one grid."""
+    takes its jet in one :class:`_JetWork` for values of shape ``dims +
+    (2, 2)``: what ``flow.run`` holds for one run, all on the one
+    representative it steps, so the workspace is sized from its values."""
     token = _RUN_JETS.set(_JetWork(dims))
     try:
         yield
@@ -476,9 +493,9 @@ class TorusGrid:
         n = self.dims
         return n[0] * n[1] * n[2] * n[3]
 
-    def coords(self) -> list[np.ndarray]:
+    def coords(self, sparse: bool = False) -> list[np.ndarray]:
         axes = [np.arange(n) * h for n, h in zip(self.dims, self.spacing)]
-        return np.meshgrid(*axes, indexing="ij")
+        return np.meshgrid(*axes, indexing="ij", sparse=sparse)
 
     def dx(self, u: np.ndarray, axis: int) -> np.ndarray:
         """4th-order periodic derivative along a real axis.
@@ -506,8 +523,11 @@ class TorusGrid:
         return 0.5 * (self.dx(u, 2 * k) - 1j * self.dx(u, 2 * k + 1))
 
     def integrate(self, values: np.ndarray):
-        """Periodic Riemann sum times the cell volume (pairwise reduction)."""
-        return pairwise_sum(values) * self.cell
+        """Periodic Riemann sum times the cell volume (pairwise reduction) of
+        ``values`` broadcast over the grid's dims: values held once along
+        an axis they are constant along (length 1 there) sum with the bits
+        of the full array."""
+        return pairwise_sum(np.broadcast_to(values, self.dims)) * self.cell
 
     def complex_hessian(self, u: np.ndarray) -> np.ndarray:
         """Matrix ``h[..., i, j] = del_{z^i} del_{zbar^j} u`` per node of a real
@@ -530,12 +550,14 @@ class MetricField:
     """Hermitian positive 2x2 matrix per node of a :class:`TorusGrid`."""
 
     grid: TorusGrid
-    values: np.ndarray  # shape dims + (2, 2), complex
+    # shape dims + (2, 2), complex; length 1 along an axis means constant
+    # along it (the representative a flow run steps)
+    values: np.ndarray
 
     def __post_init__(self):
-        expect = self.grid.dims + (2, 2)
-        if self.values.shape != expect:
-            raise ValueError(f"values must have shape {expect}")
+        shape, dims = self.values.shape, self.grid.dims
+        if len(shape) != 6 or shape[4:] != (2, 2) or any(n not in (1, d) for n, d in zip(shape, dims)):
+            raise ValueError(f"values must have shape {dims + (2, 2)}, or length 1 along an axis")
 
     def check(self) -> None:
         if not np.isfinite(self.values).all():
@@ -564,7 +586,8 @@ class MetricField:
         The ``(k, l) = (1, 0)`` rows are copied from ``(0, 1)``, so ``d2h``
         is symmetric and ``d2m`` real by construction and both reported
         deviations are 0."""
-        g, dims = self.values, self.grid.dims
+        g = self.values
+        dims = g.shape[:-2]
         # the pass's many writes straight into the node-interleaved jet
         # took twice as long as these writes plus one copy at 16x8x16x8
         z = np.empty((8, 2, 2) + dims, complex)
@@ -588,7 +611,7 @@ class MetricField:
         Each call returns new arrays, except within a flow run
         (``flow.run``), which takes every jet in one workspace
         (:func:`_jet_workspace`): each jet there is overwritten by the next."""
-        work = _RUN_JETS.get() or _JetWork(self.grid.dims)
+        work = _RUN_JETS.get() or _JetWork(self.values.shape[:-2])
         return work.surface_jet(self)
 
 
@@ -612,9 +635,10 @@ def sample(family: MetricFamily, dims: tuple[int, int, int, int]) -> MetricField
     grid = sampling_grid(family, dims)
     from .families import jet_at
 
-    x = grid.coords()
-    jet = jet_at(family, tuple(x))
-    g = np.ascontiguousarray(np.broadcast_to(jet.g, grid.dims + (2, 2)))
+    # allocated first, so a grid too large for memory fails before any evaluation
+    g = np.empty(grid.dims + (2, 2), complex)
+    # the jet on the axes' coordinates alone, broadcast: a family varies along at most two
+    np.copyto(g, jet_at(family, tuple(grid.coords(sparse=True))).g)
     field = MetricField(grid, g)
     field.check()
     return field
@@ -720,7 +744,7 @@ def degree(field: MetricField, surf: SurfaceFlow) -> float:
 def divisor_area(field: MetricField) -> float:
     """Area of the divisor slice {z^2 = const} (indices x3 = x4 = 0)."""
     h = field.grid.spacing
-    slice_vals = field.values[:, :, 0, 0, 0, 0].real
+    slice_vals = np.broadcast_to(field.values[:, :, 0, 0, 0, 0].real, field.grid.dims[:2])
     return float(pairwise_sum(slice_vals) * h[0] * h[1])
 
 

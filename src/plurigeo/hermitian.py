@@ -286,8 +286,8 @@ class HodgeOperators:
     The codifferential of the Kaehler form is tied to the torsion trace by
     ``del_star = -(i/2) conj(w)``, so its pointwise coefficient norm is a
     quarter of ``|w|^2``; all integral energies in this package are
-    standardised through ``|w|^2``.  ``del_star`` and ``dbar_dbar_star``
-    are derived when read.
+    standardised through ``|w|^2``.  ``del_star`` is derived when read;
+    ``dbar dbar* omega`` is ``del_del_star^H``.
     """
 
     dbar_star: np.ndarray       # (dbar* omega)_j
@@ -299,11 +299,6 @@ class HodgeOperators:
     def del_star(self) -> np.ndarray:
         """``(del* omega)_{kbar}``, the conjugate of ``dbar_star``."""
         return np.conj(self.dbar_star)
-
-    @property
-    def dbar_dbar_star(self) -> np.ndarray:
-        """``(dbar dbar* omega)`` coefficient matrix, ``del_del_star^H``."""
-        return np.conj(self.del_del_star.swapaxes(-1, -2))
 
 
 def hodge_operators(jet: HermitianJet) -> HodgeOperators:
@@ -318,7 +313,7 @@ def hodge_operators(jet: HermitianJet) -> HodgeOperators:
 
     - ``dbar_star = (i/2)(a1 - a2)``, ``del_star`` its conjugate;
     - ``del_del_star = g^{p qbar} d2m[j, q, p, k] - tr - P + Q``;
-    - ``dbar_dbar_star = del_del_star^H``, which is
+    - ``dbar dbar* omega = del_del_star^H``, which is
       ``g^{p qbar} d2m[p, k, j, q] - tr - P^H + Q^H`` by the reality of ``d2m``;
     - ``chern_ricci = tr - Q``;
     - ``static_op = -(H + H^H)`` with ``H = del_del_star + chern_ricci / 2``,

@@ -89,6 +89,12 @@ def random_jet(seed: int, pluriclosed: bool = False) -> hm.HermitianJet:
     return hm.HermitianJet(g=jet.g[0], d1=jet.d1[0], d2m=jet.d2m[0], d2h=jet.d2h[0])
 
 
+def dbar_dbar_star(ops: hm.HodgeOperators) -> np.ndarray:
+    """The ``(dbar dbar* omega)`` coefficient matrix of ``ops``,
+    ``del_del_star^H``: the block no code of the package reads."""
+    return np.conj(ops.del_del_star.swapaxes(-1, -2))
+
+
 def kahler_ricci(jet: hm.HermitianJet) -> np.ndarray:
     """Independent Ricci oracle ``-del_j del_kbar log det g`` (valid as Ricci
     on Kaehler jets), from the einsum ``hodge_operators``."""

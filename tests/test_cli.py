@@ -293,7 +293,6 @@ class TestStaticCommand:
         })
         assert code == cli.EXIT_CONFIG
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_report_is_a_numerical_failure(self, tmp_path, capsys):
         # a finite bundle class at the float range overflows its pairings,
         # and JSON has no inf: the report is named, not written
@@ -305,6 +304,16 @@ class TestStaticCommand:
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("numerical failure:") and "deg_bundle" in err[-1], err
         assert not (tmp_path / "out/static_report.json").exists()
+
+    def test_non_finite_report_prints_only_the_failure(self, tmp_path):
+        # the overflow is the failure the CLI reports: numpy warns of nothing
+        code, err, out = run_process(tmp_path, "static", {
+            "command": "static", "family": TORUS, "dims": [4, 4, 16, 4],
+            "c1_bundle": [[1e308, 0], [0, 1e308]],
+        })
+        assert code == cli.EXIT_NUMERICAL
+        assert err.splitlines() == ["numerical failure: static report entry deg_bundle is inf"], err
+        assert not (out / "static_report.json").exists()
 
 
 class TestHopfCommand:

@@ -1,5 +1,7 @@
 """Flow engine tests: stepping, variants, diagnostics, stop rules, audit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,69 @@ class TestWorkspace:
             assert not np.shares_memory(a, b)
         assert np.array_equal(first.d1, kept[0]) and np.array_equal(first.d2m, kept[1])
         assert not np.array_equal(first.d2m, second.d2m)
+
+
+SYMMETRY_FAMILIES = [
+    MetricFamily("flat"), MetricFamily("kahler_potential", 0.4), MetricFamily("torus_pluriclosed", 0.5)
+]
+SYMMETRY_DIMS = [(4, 4, 16, 4), (16, 4, 16, 4), (8, 8, 16, 8)]
+
+
+def _run_bytes(res: fl.RunResult) -> tuple:
+    """Everything a run returns, as exact text and bytes."""
+    records = [
+        [repr(getattr(rec, f.name)) for f in dataclasses.fields(rec) if f.name != "velocity"]
+        for rec in res.records
+    ]
+    final = res.final_state
+    return res.status, records, repr(sorted(res.summary.items())), final.t, final.step, final.field.values.tobytes()
+
+
+class TestTranslationSymmetry:
+    """A run steps one representative of its data's translation symmetry:
+    the values held once along each axis they are exactly constant along.
+    The stencils and kernels keep such data exactly constant along those
+    axes, so the run has the bits of one on the whole grid."""
+
+    @pytest.mark.parametrize("variant", fl.VARIANTS)
+    @pytest.mark.parametrize(
+        "family, dims",
+        # every family on every grid it can be sampled on
+        [(f, d) for f in SYMMETRY_FAMILIES for d in SYMMETRY_DIMS if all(d[a] >= 8 for a in f.active_axes)],
+        ids=lambda x: x.kind if isinstance(x, MetricFamily) else "x".join(map(str, x)),
+    )
+    def test_run_has_the_bits_of_the_full_grid(self, monkeypatch, family, dims, variant):
+        field = sample(family, dims)
+        kwargs = {"variant": variant, "t_end": 0.01, "cadence": 2}
+        if (family.kind, dims, variant) == ("torus_pluriclosed", (4, 4, 16, 4), "gflow"):
+            kwargs.update(t_end=1.0, max_steps=3)
+        reduced = fl.run(field, **kwargs)
+        monkeypatch.setattr(fl, "_constant_axes", lambda values: ())
+        full = fl.run(field, **kwargs)
+        assert _run_bytes(reduced) == _run_bytes(full)
+        assert reduced.final_state.field.values.flags.writeable and full.final_state.field.values.flags.writeable
+        assert reduced.summary["steps"] >= 2
+        assert reduced.status == ("max_steps_reached" if "max_steps" in kwargs else "completed")
+
+    @pytest.mark.parametrize("family", SYMMETRY_FAMILIES, ids=lambda f: f.kind)
+    def test_constant_axes_of_a_family_are_its_inactive_axes(self, family):
+        field = sample(family, (8, 4, 16, 8))
+        assert fl._constant_axes(field.values) == tuple(a for a in range(4) if a not in family.active_axes)
+
+    def test_constant_axes_compare_every_slab_and_every_bit(self, flat_field, generic_fields):
+        assert fl._constant_axes(generic_fields[0].values) == ()
+        values = flat_field.values.copy()
+        values[-1, ..., 0, 1] = 1e-300  # past the first two slabs of axis 0
+        assert fl._constant_axes(values) == (1, 2, 3)
+        values = flat_field.values.copy()
+        values[:, :, :, -1, 0, 1] = -0.0  # equal to +0, not the same bits
+        assert fl._constant_axes(values) == (0, 1, 2)
+
+    def test_a_run_on_family_data_takes_its_jets_on_one_line(self, torus_field, kernel_jets):
+        res = fl.run(torus_field, t_end=0.02, cadence=1, dt=0.01)
+        assert kernel_jets and all(jet.g.shape == (1, 1, 16, 1, 2, 2) for jet in kernel_jets)
+        assert res.final_state.field.values.shape == torus_field.values.shape
+        assert res.final_state.field.values.flags.c_contiguous
 
 
 class TestStencilPasses:

@@ -33,10 +33,30 @@ from conftest import composed_jets, cross_field, dzbar, random_trig, surface_jet
 
 class TestDerivatives:
     def test_constant_exact_zero(self):
-        grid = TorusGrid((8, 4, 8, 4))
-        u = np.full(grid.dims, 3.7)
-        assert np.abs(grid.dx(u, 0)).max() == 0.0
-        assert np.abs(grid.dx(grid.dx(u, 2), 2)).max() == 0.0
+        # +0 with no sign bit, first and second derivatives along every
+        # axis: a flow run steps data constant along an axis once (flow.run)
+        for dims in ((4, 4, 4, 4), (8, 4, 16, 4), (32, 8, 4, 16), (16, 32, 8, 4)):
+            grid = TorusGrid(dims)
+            for c in (3.7, -3.7, -0.0):
+                u = np.full(grid.dims, c)
+                for a in range(4):
+                    first = grid.dx(u, a)
+                    assert not (first.any() or np.signbit(first).any()), (dims, c, a)
+                    for b in range(4):
+                        second = grid.dx(first, b)
+                        assert not (second.any() or np.signbit(second).any()), (dims, c, a, b)
+
+    @pytest.mark.parametrize("c", [3.7, -3.7, -0.0])
+    def test_one_point_axis_is_filled_plus_zero(self, c):
+        # values held once along an axis differentiate to +0 along it
+        grid = TorusGrid((8, 4, 16, 4))
+        u = np.full((1, 4, 16, 1), c) + random_trig(TorusGrid((4, 4, 16, 4)), seed=2)[:1, :, :, :1]
+        for a in (0, 3):
+            d = grid.dx(u, a)
+            assert d.shape == u.shape and not (d.any() or np.signbit(d).any())
+        full = np.broadcast_to(u, grid.dims)
+        for a in (1, 2):
+            assert np.array_equal(np.broadcast_to(grid.dx(u, a), grid.dims), grid.dx(full, a))
 
     def test_sine_accuracy_and_order(self):
         errs = {}
@@ -110,6 +130,13 @@ class TestSpectrum:
             assert (np.abs(hi - oracle[..., 1]) <= bound).all()
             assert np.array_equal(np.sign(lo), np.sign(oracle[..., 0]))
 
+    def test_values_may_be_held_once_along_an_axis(self, flat_field):
+        grid = flat_field.grid
+        MetricField(grid, flat_field.values[:1, :, :1, :1]).check()
+        for shape in ((2,) + grid.dims[1:], grid.dims[:3], grid.dims + (2,)):
+            with pytest.raises(ValueError, match="must have shape"):
+                MetricField(grid, np.zeros(shape + (2, 2), complex))
+
     @pytest.mark.parametrize("block", [[[1, 0], [0, -1]], [[1, 1], [1, 1]]], ids=["indefinite", "semidefinite"])
     def test_check_rejects_non_positive_node(self, flat_field, block):
         values = flat_field.values.copy()
@@ -136,6 +163,11 @@ class TestIntegration:
         torus = sample(MetricFamily("torus_pluriclosed", 0.5), (4, 4, 16, 4))
         assert abs(torus.grid.integrate(torus.det()) - 0.75 * (2 * np.pi) ** 4) < 1e-9
 
+    def test_values_held_once_along_an_axis_integrate_with_the_full_bits(self):
+        grid = TorusGrid((8, 4, 16, 4))
+        rep = random_trig(TorusGrid((8, 4, 16, 4)), seed=3)[:, :1, :, :1]
+        assert grid.integrate(rep) == grid.integrate(np.broadcast_to(rep, grid.dims).copy())
+
     def test_wedge_volume_consistency(self, torus_field):
         v = torus_field.grid.integrate(
             wedge_pair(torus_field.values, torus_field.values).real
@@ -159,6 +191,14 @@ class TestSampling:
         x1 = field.grid.coords()[0]
         assert np.abs(field.values[..., 0, 0] - (1 - 0.1 * np.cos(x1))).max() < 1e-15
         assert np.abs(field.values[..., 0, 1]).max() == 0.0
+
+    @pytest.mark.parametrize("family", [MetricFamily("flat"), MetricFamily("kahler_potential", 0.4),
+                                        MetricFamily("torus_pluriclosed", 0.5)], ids=lambda f: f.kind)
+    def test_jet_on_the_dense_mesh_has_the_same_bits(self, family):
+        # sample evaluates the family on the axes' coordinates and broadcasts
+        grid = TorusGrid((16, 8, 16, 8))
+        dense = jet_at(family, tuple(grid.coords())).g
+        assert sample(family, grid.dims).values.tobytes() == np.ascontiguousarray(dense).tobytes()
 
     def test_active_axis_size_enforced(self):
         with pytest.raises(ValueError, match="active"):
@@ -211,6 +251,11 @@ class TestWedge:
 
     def test_divisor_area(self, torus_field):
         assert abs(divisor_area(torus_field) - (2 * np.pi) ** 2) < 1e-10
+
+    def test_divisor_area_of_values_held_once(self, kahler_field):
+        # kahler_potential varies along axes 0 and 2 only
+        rep = MetricField(kahler_field.grid, np.ascontiguousarray(kahler_field.values[:, :1, :, :1]))
+        assert divisor_area(rep) == divisor_area(kahler_field)
 
 
 class TestExteriorDerivative:

@@ -16,7 +16,7 @@ from plurigeo import statics
 from plurigeo.families import MetricFamily, jet_at
 from plurigeo.grid import perturb_with_potential, sample
 
-from conftest import kahler_ricci, random_jet, random_trig
+from conftest import dbar_dbar_star, kahler_ricci, random_jet, random_trig
 
 EPS = 0.5
 Q = EPS**2 / (4 * (1 - EPS**2) ** 2)  # half the squared torsion norm of the family
@@ -237,7 +237,7 @@ class TestHodge:
         jet = HODGE_JETS[name]
         hod = hm.hodge_operators(jet)
         for block, oracle in _hodge_oracle(jet).items():
-            value = getattr(hod, block)
+            value = dbar_dbar_star(hod) if block == "dbar_dbar_star" else getattr(hod, block)
             rel = np.abs(value - oracle) / np.maximum(1.0, np.abs(oracle))
             assert rel.max() <= 1e-13, block
         assert np.array_equal(hod.static_op, np.conj(hod.static_op.swapaxes(-1, -2)))
