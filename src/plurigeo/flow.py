@@ -52,14 +52,11 @@ constant along 2 to 4 axes): stages, RK4 sums, positivity tests and
 records run on it, every integral sums it broadcast over the grid, the
 step size keeps the grid's spacing, and ``final_state`` is broadcast
 back to the whole grid.  Data that vary along every axis take the same
-path with the whole field as its representative.  On grids of fewer than
-16,384 nodes the records, the summary and the final state have the bits
-of a run over every node.  On larger grids numpy evaluates some products
-of arrays of 256 KiB or more in place, in another operand order, so
-outputs may move by rounding: on ``torus_pluriclosed(0.5)`` at
-16x8x32x8 the final state kept its bits, the degree and the normalized
-flow's measured ``dvol/dt`` (both rounding noise around 0) moved by at
-most 7.1e-14, and the predicted ``dvol/dt`` by one ulp.
+path with the whole field as its representative.  The records, the
+summary and the final state have the bits of a run over every node, on
+every grid: the kernels fix the operand order of every complex product,
+so no node's bits depend on the size of the arrays it is computed in
+(:func:`plurigeo.hermitian.surface_flow`).
 
 The per-step volume-law prediction is ``2 E_w - d`` with
 ``E_w = int |w|^2 dV``; this is the unique torsion-trace scaling that
@@ -212,6 +209,14 @@ def _constant_axes(values: np.ndarray) -> tuple:
         if np.array_equal(first, bits[lead + (slice(1, 2),)]) and (bits == first).all():
             axes.append(a)
     return tuple(axes)
+
+
+def _representative(values: np.ndarray) -> np.ndarray:
+    """``values`` held once along every axis they are constant along bit for
+    bit (:func:`_constant_axes`), contiguous: what ``run`` steps and the
+    torsion-norm audit checks."""
+    constant = _constant_axes(values)
+    return np.ascontiguousarray(values[tuple(slice(0, 1) if a in constant else slice(None) for a in range(4))])
 
 
 def _step_bound(field: MetricField, safety: float, eig_min, eig_max) -> float:
@@ -393,9 +398,8 @@ def run(
     # the run steps one representative of the data's translation symmetry:
     # the values held once along every axis they are exactly constant along
     grid = field.grid
-    constant = _constant_axes(herm)
-    rep = herm[tuple(slice(0, 1) if a in constant else slice(None) for a in range(4))]
-    state = FlowState(t=0.0, step=0, field=MetricField(grid, np.ascontiguousarray(rep)))
+    rep = _representative(herm)
+    state = FlowState(t=0.0, step=0, field=MetricField(grid, rep))
     records: list[DiagnosticsRecord] = []
 
     def record(rec: DiagnosticsRecord) -> np.ndarray:
@@ -517,9 +521,13 @@ class TnormAudit:
 
 def tnorm_evolution_check(state: FlowState, dt: float | None = None) -> TnormAudit:
     """Compare the measured time derivative of |T|^2 (centered RK4 pair)
-    against the assembled evolution identity, per node."""
-    field = state.field
-    grid = field.grid
+    against the assembled evolution identity, per node.  Like :func:`run`,
+    the audit works on the field held once along every axis it is constant
+    along, where every node has the bits it has on the whole grid, and
+    returns its arrays on the whole grid, each in a new array."""
+    grid = state.field.grid
+    field = MetricField(grid, _representative(state.field.values))
+    state = dataclasses.replace(state, field=field)
     if dt is None:
         dt = cfl_dt(field)
     jet, _ = field.jets()
@@ -559,12 +567,16 @@ def tnorm_evolution_check(state: FlowState, dt: float | None = None) -> TnormAud
     residual_raw = measured - assembled
     convention = 2.0 * n01 + 2.0 * hm.metric_pairing(g, ric1, quad2 - quad1).real
     residual_att = residual_raw - convention
+
+    def whole(a: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(np.broadcast_to(a, grid.dims))
+
     return TnormAudit(
-        measured=measured,
-        assembled=assembled,
-        residual_raw=residual_raw,
-        convention_term=convention,
-        residual_attributed=residual_att,
+        measured=whole(measured),
+        assembled=whole(assembled),
+        residual_raw=whole(residual_raw),
+        convention_term=whole(convention),
+        residual_attributed=whole(residual_att),
         max_raw=float(np.abs(residual_raw).max()),
         max_attributed=float(np.abs(residual_att).max()),
         imag_defect=imag_defect,

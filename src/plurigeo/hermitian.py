@@ -410,6 +410,13 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
+def _diag(a: np.ndarray) -> np.ndarray:
+    """The entries ``(0, 0)`` and ``(1, 1)`` of the 2x2 blocks of a
+    batch-trailing ``a``, component-leading (shape ``(2,) + batch``): a view
+    where each block is contiguous, as in every array the kernels allocate."""
+    return a.reshape(-1, 4)[:, ::3].T.reshape((2,) + a.shape[:-2])
+
+
 def surface_flow(
     jet: SurfaceJet, outputs: tuple = ("scal", "tnorm_sq", "pluriclosed", "curv_sq")
 ) -> SurfaceFlow:
@@ -423,13 +430,13 @@ def surface_flow(
     degree ``scal``.  Each output has one formula, whoever asks for it, so
     it has the same bits either way.
 
-    The metric is read once into contiguous arrays, ``a = g_{1 1bar}`` and
-    ``d = g_{2 2bar}`` real and ``b = g_{1 2bar}`` complex, and ``g^{-1}``
-    (with the singularity check) comes from :func:`inverse_metric` as its
-    real diagonal and ``g^{1 2bar}``; ``g^{2 1bar}`` is read as the
+    The metric is read once into contiguous arrays, its real diagonal
+    ``(g_{1 1bar}, g_{2 2bar})`` and ``b = g_{1 2bar}``, and ``g^{-1}`` (with
+    the singularity check) comes from :func:`inverse_metric` as its real
+    diagonal ``G`` and ``g^{1 2bar}``; ``g^{2 1bar}`` is read as the
     conjugate of ``g^{1 2bar}``, which it is exactly on exactly Hermitian
-    ``g``.  Component by component, with the torsion reduced to its two
-    components ``tau_k = T_{1 2 kbar}``:
+    ``g``.  With the torsion reduced to its two components ``tau_k =
+    T_{1 2 kbar}``:
 
     - ``|T|^2 = (2 / det g) g^{m nbar} tau_n conj(tau_m)``, ``|w|^2 = |T|^2 / 2``
       and ``quad1 = (1/2) |T|^2 g`` (the surface torsion algebra);
@@ -440,6 +447,21 @@ def surface_flow(
       ``L = [[1, 0], [mu, 1]]``, ``mu = -g_{2 1bar} / g_{2 2bar}``;
     - ``|Omega|^2`` in the same frame, summed over the inner entries
       ``(0, 0)``, ``(1, 1)``, ``(0, 1)`` (:func:`_inner_term`).
+
+    Each family of components is one stacked block: the frame ``y`` and
+    ``Y`` as ``(2, 2, 2) + batch`` arrays, ``tau`` as one ``(2,) + batch``
+    block, and both diagonal entries of ``g^{i jbar} d2m``, of the quadratic
+    term, of the velocity and of the terms of ``|Omega|^2`` in one
+    expression each, so one ufunc call serves every component it can.  Each
+    element keeps the operations and the association of its sums of the
+    component-by-component form.  **Every complex x complex product is an
+    explicit** ``np.multiply`` **with its operands in the written order**:
+    numpy computes ``x * t`` with a temporary ``t`` of 256 KiB or more in
+    place as ``t *= x``, and its complex multiply does not commute bit for
+    bit, so an operator product would take its bits from the size of its
+    arrays.  Sums and products with a real factor commute exactly.  So no
+    output depends on the size of the batch: a node has the same bits in a
+    grid and in any slab of it (``tests/test_surface_kernel.py``).
 
     On grids of at least ``_threads.SPLIT_NODES`` nodes, with two threads
     allowed (``PLURIGEO_THREADS``), the work is split by kind, not by
@@ -454,17 +476,12 @@ def surface_flow(
     traces while the worker runs, then forms the velocity, ``scal`` and
     the term of ``(0, 1)``, and sums ``|Omega|^2`` in the order above.
     Below the threshold the calling thread runs every part when it is
-    handed over.  Each part computes its expressions on the whole grid
-    with their operands, order and temporaries unchanged: numpy computes
-    ``x * f(y)`` of arrays of 256 KiB and more in place as ``f(y) *= x``,
-    and its complex multiply does not commute bitwise, so an operand that
-    stopped being a temporary would move bits.  So every output, and every
-    exception, is the same for every thread count
-    (``tests/test_surface_split.py`` pins the bytes against the kernel
-    before the split).  The frame reads ``g`` before :func:`inverse_metric`
-    checks it, so a node where ``g_{2 2bar}`` and ``g_{1 2bar}`` are 0
-    meets numpy's invalid-value handling in ``mu`` before the
-    :class:`SingularMetricError`.
+    handed over.  Each part computes the same expressions either way, so
+    every output, and every exception, is the same for every thread count
+    (``tests/test_surface_split.py``).  The frame reads ``g`` before
+    :func:`inverse_metric` checks it, so a node where ``g_{2 2bar}`` and
+    ``g_{1 2bar}`` are 0 meets numpy's invalid-value handling in ``mu``
+    before the :class:`SingularMetricError`.
 
     Agrees with :func:`gflow_rhs`, :func:`chern_curvature`,
     :func:`torsion_quadratics`, :func:`torsion` and :func:`curvature_norm`
@@ -476,47 +493,62 @@ def surface_flow(
     g, d1, r = jet.g, jet.d1, jet.d2m
     curvature = "curv_sq" in outputs
     with _threads.split(np.size(g) // 4) as split:
-        frame = split.run(_frame, jet, "pluriclosed" in outputs)
+        # the frame's block is allocated here: memory the worker thread
+        # allocates stays in its own malloc arena after it is freed
+        frame = split.run(_frame, jet, "pluriclosed" in outputs, np.empty((3,) + np.shape(d1)[1:], complex))
         gup = inverse_metric(g)
         # contiguous copies: strided views of the (..., 2, 2) arrays slow every
         # operation that reads them
-        G00, G11, G01 = gup[..., 0, 0].real.copy(), gup[..., 1, 1].real.copy(), gup[..., 0, 1].copy()
-        quadratic = split.run(_quadratic, G00, frame, split.threaded)
+        G, G01 = _diag(gup).real.copy(), gup[..., 0, 1].copy()
+        # each large intermediate of the calling thread is dropped once read,
+        # so the next ones reuse its pages and the peak stays low
+        del gup
+        quadratic = split.run(_quadratic, G[0], frame, split.threaded)
         if curvature:
             unit = split.run(_unit_frame, quadratic, frame, split.threaded)
-            term0 = split.run(_inner_term, 0, quadratic, frame, unit, r)
-            term1 = split.run(_inner_term, 1, quadratic, frame, unit, r)
-        a = g[..., 0, 0].real.copy()
+            diagonal = split.run(_inner_term, True, quadratic, frame, unit, r)
         det = _real_det(g)
 
-        tau0 = d1[0, 1, 0] - d1[1, 0, 0]
-        tau1 = d1[0, 1, 1] - d1[1, 0, 1]
-        w_sq = (G00 * _abs2(tau0) + G11 * _abs2(tau1) + 2.0 * (G01 * tau1 * np.conj(tau0)).real) / det
+        tau = d1[0, 1] - d1[1, 0]
+        w_sq = G * _abs2(tau)
+        w_sq = w_sq[0] + w_sq[1]
+        cross = np.multiply(G01, tau[1])
+        w_sq += 2.0 * np.multiply(cross, np.conj(tau[0]), out=cross).real
+        w_sq /= det
+        del tau, cross
 
-        # -ric1 = g^{i jbar} d2m[i, j] - quad; its diagonal is real
-        n00 = G00 * r[0, 0, 0].real + G11 * r[1, 0, 0].real + 2.0 * (G01 * r[2, 0, 0]).real
-        n11 = G00 * r[0, 1, 1].real + G11 * r[1, 1, 1].real + 2.0 * (G01 * r[2, 1, 1]).real
-        n01 = G00 * r[0, 0, 1] + G11 * r[1, 0, 1] + G01 * r[2, 0, 1] + np.conj(G01 * r[2, 1, 0])
-        lsq, _, quad = split.get(quadratic)
-        n00 -= quad[0]
-        n11 -= quad[1]
-        n01 -= quad[2]
+        # -ric1 = g^{i jbar} d2m[i, j] - quad; its diagonal (k, k), k = 0, 1, is real
+        rd = r.reshape((3, 4) + r.shape[3:])[:, ::3]  # d2m[i, k, k]
+        G01r = np.multiply(G01, r[2])
+        n = G[:, None] * rd[:2].real
+        n = n[0] + n[1]
+        n += 2.0 * G01r.reshape((4,) + G01r.shape[2:])[::3].real
+        n01 = G * r[:2, 0, 1]
+        n01 = n01[0] + n01[1]
+        n01 += G01r[0, 1]
+        n01 += np.conj(G01r[1, 0])
+        del G01r
+        _, _, quad = split.get(quadratic)
+        n -= quad[0]
+        n01 -= quad[1]
         frame = split.get(frame)
-        d, b, pluriclosed = frame["d"], frame["b"], frame["pluriclosed"]
-        rhs = np.empty(np.shape(g), dtype=complex)
-        rhs[..., 0, 0] = n00 + w_sq * a
-        rhs[..., 1, 1] = n11 + w_sq * d
-        rhs[..., 0, 1] = v01 = n01 + w_sq * b
+        rhs = np.zeros(np.shape(g), dtype=complex)  # the diagonal's imaginary part is +0
+        np.add(n, w_sq * frame["gd"], out=_diag(rhs.real))
+        rhs[..., 0, 1] = v01 = n01 + w_sq * frame["b"]
         np.conj(v01, out=rhs[..., 1, 0])
-        scal = -(G00 * n00 + G11 * n11 + 2.0 * (G01 * n01).real) if "scal" in outputs else None
+        scal = None
+        if "scal" in outputs:
+            scal = G * n
+            scal = scal[0] + scal[1]
+            scal += 2.0 * np.multiply(G01, n01).real
+            np.negative(scal, out=scal)
         curv_sq = None
         if curvature:
-            # |Omega|^2 summed over the inner entries (0, 0), (1, 1), (0, 1) in this order
-            curv_sq = np.zeros_like(lsq[1])
-            quadratic, unit = split.get(quadratic), split.get(unit)
-            term2 = _inner_term(2, quadratic, frame, unit, r)
-            curv_sq += split.get(term0)
-            curv_sq += split.get(term1)
+            # |Omega|^2 summed over the inner entries (0, 0), (1, 1), (0, 1) in this
+            # order; the terms are >= +0, so the sum has the bits of one from +0
+            term2 = _inner_term(False, split.get(quadratic), frame, split.get(unit), r)
+            curv_sq = split.get(diagonal)
+            curv_sq = curv_sq[0] + curv_sq[1]
             curv_sq += term2
     return SurfaceFlow(
         rhs=rhs,
@@ -524,7 +556,7 @@ def surface_flow(
         w_sq=w_sq,
         scal=scal,
         tnorm_sq=2.0 * w_sq if "tnorm_sq" in outputs else None,
-        pluriclosed=pluriclosed,
+        pluriclosed=frame["pluriclosed"],
         curv_sq=curv_sq,
     )
 
@@ -567,22 +599,25 @@ def surface_hodge(jet: SurfaceJet) -> HodgeOperators:
     # the difference mostly page faults
     del gup
     G10 = np.conj(G01)
-    d, mu, y = _cholesky(jet)
-    muc = np.conj(mu)
+    y = np.empty(np.shape(d1), complex)
+    gd, mu = _cholesky(jet, y)
 
-    # Q_{jk} as _quadratic's products of Y[p][j][q] = (L^H del_j g L)[p, q],
-    # with (del_j g L)[k, q] = y[j][k][q]
-    Y = ([[y[j][0][q] + muc * y[j][1][q] for q in (0, 1)] for j in (0, 1)], [y[j][1] for j in (0, 1)])
-    _, _, q = _quadratic(G00, {"Y": Y, "d": d}, False)
+    # Q_{jk} as _quadratic's products of Y[p, q, j] = (L^H del_j g L)[p, q],
+    # with (del_j g L)[k, q] = y[j, q, k]
+    Y, ys = np.empty_like(y), y.swapaxes(0, 1)  # ys[q, j, k]
+    np.multiply(np.conj(mu), ys[:, :, 1], out=Y[0])
+    Y[0] += ys[:, :, 0]
+    Y[1] = ys[:, :, 1]
+    _, _, (q, q01) = _quadratic(G00, {"Y": Y, "gd": gd}, False)
     del Y, y
 
     shape = np.shape(g)
     ricci = np.empty(shape, dtype=complex)
     ricci[..., 0, 0] = G00 * r[0, 0, 0].real + G11 * r[0, 1, 1].real + 2.0 * (G01 * r[0, 0, 1]).real - q[0]
     ricci[..., 1, 1] = G00 * r[1, 0, 0].real + G11 * r[1, 1, 1].real + 2.0 * (G01 * r[1, 0, 1]).real - q[1]
-    ricci[..., 0, 1] = r01 = G00 * r[2, 0, 0] + G11 * r[2, 1, 1] + G01 * r[2, 0, 1] + G10 * r[2, 1, 0] - q[2]
+    ricci[..., 0, 1] = r01 = G00 * r[2, 0, 0] + G11 * r[2, 1, 1] + G01 * r[2, 0, 1] + G10 * r[2, 1, 0] - q01
     np.conj(r01, out=ricci[..., 1, 0])
-    del q, r01
+    del q, q01, r01
 
     tau0 = d1[0, 1, 0] - d1[1, 0, 0]
     tau1 = d1[0, 1, 1] - d1[1, 0, 1]
@@ -623,61 +658,75 @@ def surface_hodge(jet: SurfaceJet) -> HodgeOperators:
     )
 
 
-def _cholesky(jet: SurfaceJet) -> tuple:
+def _cholesky(jet: SurfaceJet, y: np.ndarray) -> tuple:
     """The first stage of :func:`_frame`, which :func:`surface_hodge` shares:
-    the contiguous ``d = g_{2 2bar}``, ``mu`` and ``y``."""
+    returns the contiguous diagonal ``(g_{1 1bar}, g_{2 2bar})`` and ``mu``,
+    and writes ``y[i, q, k]`` (the shape of ``jet.d1``)."""
     g, d1 = jet.g, jet.d1
-    d = g[..., 1, 1].real.copy()
-    mu = np.conj(g[..., 0, 1]) / -d
-    y = [[(d1[i, k, 0] + mu * d1[i, k, 1], d1[i, k, 1]) for k in (0, 1)] for i in (0, 1)]
-    return d, mu, y
+    gd = _diag(g).real.copy()
+    mu = np.conj(g[..., 0, 1]) / -gd[1]
+    np.multiply(mu, d1[:, :, 1], out=y[:, 0])
+    y[:, 0] += d1[:, :, 0]
+    y[:, 1] = d1[:, :, 1]
+    return gd, mu
 
 
-def _frame(jet: SurfaceJet, pluriclosed: bool) -> dict:
+def _frame(jet: SurfaceJet, pluriclosed: bool, block: np.ndarray) -> dict:
     """The parts of :func:`surface_flow` that read no ``g^{-1}``: the
-    contiguous ``d = g_{2 2bar}`` and ``b = g_{1 2bar}``, ``mu``, ``y`` and
-    ``Y`` below, and, if asked, the pluriclosed residual (else None).  In
-    the worker thread, the parts after it pop the arrays they read last:
-    the thread's malloc arena keeps its high-water mark, so they would add
-    to the peak RSS through every record.  In the calling
-    thread the arrays stay to the end of the call, as dropping them early
-    lets glibc return the top of the heap to the OS and the next stencil
-    pass fault it back in (10k instead of 3.3k minor faults in a two-step
-    16x8x16x8 run with a record per step on one thread).
+    contiguous diagonal ``gd = (g_{1 1bar}, g_{2 2bar})`` and ``b = g_{1
+    2bar}``, ``mu``, ``y`` and ``Y`` below, and, if asked, the pluriclosed
+    residual (else None).  In the worker thread, the parts after it pop the
+    arrays they read last: the thread's malloc arena keeps its high-water
+    mark, so they would add to the peak RSS through every record.  In the
+    calling thread the arrays stay to the end of the call, as dropping them
+    early lets glibc return the top of the heap to the OS and the next
+    stencil pass fault it back in (10k instead of 3.3k minor faults in a
+    two-step 16x8x16x8 run with a record per step on one thread).
 
     In the Cholesky frame ``g^{-1} = L diag(lsq) L^H``, ``L = [[1, 0], [mu, 1]]``,
-    of the quadratic term and of ``|Omega|^2``, ``y[i][k][q] = sum_n L[n, q]
-    del_i g_{k nbar}`` and ``Y[p][k][q] = sum_i conj(L[i, p]) y[i][k][q]``."""
-    d, mu, y = _cholesky(jet)
-    b = jet.g[..., 0, 1].copy()
-    muc = np.conj(mu)
-    Y = ([[y[0][k][q] + muc * y[1][k][q] for q in (0, 1)] for k in (0, 1)], y[1])
+    of the quadratic term and of ``|Omega|^2``, ``y[i, q, k] = sum_n L[n, q]
+    del_i g_{k nbar}`` and ``Y[p, q, k] = sum_i conj(L[i, p]) y[i, q, k]``, the
+    index ``k`` of ``g`` last, so that each ``(p, q)`` is one block.  ``Y[1]``
+    is ``y[1]``, so both live in ``block`` (shape ``(3,) + jet.d1.shape[1:]``),
+    ``y`` reversed in it."""
+    y = block[:0:-1]
+    gd, mu = _cholesky(jet, y)
+    np.multiply(np.conj(mu), y[1], out=block[0])
+    block[0] += y[0]
     residual = jet.pluriclosed_residual() if pluriclosed else None
-    return {"d": d, "b": b, "mu": mu, "y": y, "Y": Y, "pluriclosed": residual}
+    return {"gd": gd, "b": jet.g[..., 0, 1].copy(), "mu": mu, "y": y, "Y": block[:2], "pluriclosed": residual}
 
 
 def _quadratic(G00: np.ndarray, frame: dict, release: bool) -> tuple:
-    """``lsq``, the weights ``(lsq[0]^2, lsq[0] lsq[1], lsq[1]^2)`` and the
-    quadratic term ``g^{i jbar} g^{m nbar} del_i g_{k nbar} conj(del_j
-    g_{l mbar})`` of ``-ric1`` for ``(k, l) = (0, 0), (1, 1), (0, 1)``, as
-    weighted sums of squares of ``Y`` (:func:`_frame`); ``release``: pop
-    ``Y`` from the frame."""
+    """``lsq``, the weights ``wts = (lsq[0]^2, lsq[0] lsq[1], lsq[1]^2)``, each
+    stacked, and the quadratic term ``g^{i jbar} g^{m nbar} del_i g_{k nbar}
+    conj(del_j g_{l mbar})`` of ``-ric1`` as weighted sums of squares of ``Y``
+    (:func:`_frame`): its real diagonal ``(k, l) = (0, 0), (1, 1)``, stacked,
+    and ``(0, 1)``; ``release``: pop ``Y`` from the frame."""
     Y = (frame.pop if release else frame.get)("Y")
-    lsq = (G00, 1.0 / frame["d"])
-    wts = (lsq[0] * lsq[0], lsq[0] * lsq[1], lsq[1] * lsq[1])
-
-    def quad(k: int, l: int) -> np.ndarray:
-        if k == l:
-            q = wts[0] * _abs2(Y[0][k][0])
-            q += wts[1] * (_abs2(Y[0][k][1]) + _abs2(Y[1][k][0]))
-            q += wts[2] * _abs2(Y[1][k][1])
-            return q
-        q = wts[0] * (Y[0][k][0] * np.conj(Y[0][l][0]))
-        q += wts[1] * (Y[0][k][1] * np.conj(Y[0][l][1]) + Y[1][k][0] * np.conj(Y[1][l][0]))
-        q += wts[2] * (Y[1][k][1] * np.conj(Y[1][l][1]))
-        return q
-
-    return lsq, wts, (quad(0, 0), quad(1, 1), quad(0, 1))
+    lsq = np.empty((2,) + G00.shape)
+    lsq[0] = G00
+    np.divide(1.0, frame["gd"][1], out=lsq[1])
+    wts = np.empty((3,) + G00.shape)
+    np.multiply(lsq, lsq, out=wts[::2])
+    np.multiply(lsq[0], lsq[1], out=wts[1])
+    sq = _abs2(Y)  # |Y[p, q, k]|^2
+    diagonal = wts[0] * sq[0, 0]
+    pair = sq[0, 1] + sq[1, 0]
+    pair *= wts[1]
+    diagonal += pair
+    diagonal += wts[2] * sq[1, 1]
+    del sq, pair
+    prod = np.conj(Y[:, :, 1])
+    np.multiply(Y[:, :, 0], prod, out=prod)  # Y[p, q, 0] conj(Y[p, q, 1])
+    # the weights cast once, as numpy casts them for a complex product
+    cwts = wts.astype(complex)
+    cross = cwts[0] * prod[0, 0]
+    pair = prod[0, 1] + prod[1, 0]
+    pair *= cwts[1]
+    cross += pair
+    cross += cwts[2] * prod[1, 1]
+    return lsq, wts, (diagonal, cross)
 
 
 def _unit_frame(quadratic: tuple, frame: dict, release: bool) -> tuple:
@@ -686,19 +735,16 @@ def _unit_frame(quadratic: tuple, frame: dict, release: bool) -> tuple:
     pop ``y`` from the frame."""
     lsq, mu, y = quadratic[0], frame["mu"], (frame.pop if release else frame.get)("y")
     muc = np.conj(mu)
-    l00, l11 = np.sqrt(lsq[0]), np.sqrt(lsq[1])
-    # x[i][s][n] = sum_k conj(L[k, s]) v[i][k][n], v[i][k][n] = l_n y[i][k][n]
-    x = []
-    for i in (0, 1):
-        v0 = [l00 * y[i][k][0] for k in (0, 1)]
-        v1 = [l11 * y[i][k][1] for k in (0, 1)]
-        x.append(((v0[0] + muc * v0[1], v1[0] + muc * v1[1]), (v0[1], v1[1])))
+    # x[i, n, s] = sum_k conj(L[k, s]) v[i, n, k], v[i, n, k] = l_n y[i, n, k]
+    x = np.sqrt(lsq)[:, None] * y
+    del y  # the frame's block, in the worker thread
+    x[:, :, 0] += np.multiply(muc, x[:, :, 1])
     return muc, _abs2(mu), x
 
 
-def _inner_term(e: int, quadratic: tuple, frame: dict, unit: tuple, r: np.ndarray) -> np.ndarray:
-    """The terms of ``|Omega|^2`` of the inner entry ``(0, 0)``, ``(1, 1)`` or,
-    counted twice for ``(1, 0)``, ``(0, 1)``, for ``e`` = 0, 1, 2.
+def _inner_term(diagonal: bool, quadratic: tuple, frame: dict, unit: tuple, r: np.ndarray) -> np.ndarray:
+    """The terms of ``|Omega|^2`` of the inner entries ``(0, 0)`` and ``(1, 1)``,
+    stacked, if ``diagonal``; else of ``(0, 1)``, counted twice for ``(1, 0)``.
 
     ``|Omega|^2`` is the Frobenius norm of the curvature in a Cholesky frame.
     ``g^{-1} = l l^H`` with ``l00 = sqrt(g^{1 1bar})``, ``l10 = -g21 / sqrt(g22 det)``,
@@ -711,49 +757,67 @@ def _inner_term(e: int, quadratic: tuple, frame: dict, unit: tuple, r: np.ndarra
     outer pair ``(i, j)``, and the diagonal enters as the weight
     ``l_p^2 l_q^2 l_s^2 l_t^2`` of ``|Zhat|^2``.  The inner stage is applied to the
     factors of ``Omega = sum_n v_n conj(v_n) - del del-bar g``
-    (``v[i][k][n] = sum_m l[m, n] del_i g_{k mbar} = l_n y[i][k][n]``,
-    :func:`_unit_frame`) and to ``d2m``.  By the
-    Hermitian symmetry ``Z[q, p, t, s] = conj Z[p, q, s, t]``, each inner entry
-    ``(s, s)`` needs only the outer blocks ``(0, 0), (1, 1), (0, 1)``, and the
-    inner entry ``(1, 0)`` is the conjugate of ``(0, 1)``.
+    (``v[i, n, k] = sum_m l[m, n] del_i g_{k mbar} = l_n y[i, n, k]``,
+    :func:`_unit_frame`) and to ``d2m``: the entry ``(s, t)`` of the outer
+    block ``(i, j)`` is ``sum_n x[i, n, s] conj(x[j, n, t]) - (L^H d2m_{i jbar}
+    L)[s, t]``.  By the Hermitian symmetry ``Z[q, p, t, s] = conj Z[p, q, s, t]``,
+    each inner entry ``(s, s)`` needs only the outer blocks ``(0, 0), (1, 1),
+    (0, 1)``, the rows of ``d2m`` in their order, and the inner entry
+    ``(1, 0)`` is the conjugate of ``(0, 1)``.
     """
     lsq, wts, _ = quadratic  # wts: lsq[0]^2, lsq[0] lsq[1], lsq[1]^2
     mu = frame["mu"]
     muc, mu_sq, x = unit
-
-    def d2m(i: int, j: int, k: int, l: int) -> np.ndarray:  # del_i del_jbar g_{k lbar}
-        if i == j:
-            return r[i, k, l]
-        return r[2, k, l] if i == 0 else np.conj(r[2, l, k])
-
-    def inner(i: int, j: int, s: int, t: int) -> np.ndarray:  # (L^H Omega_{i jbar} L)[s, t]
-        def right(k):  # (d2m L)[k, t]
-            return d2m(i, j, k, 0) + mu * d2m(i, j, k, 1) if t == 0 else d2m(i, j, k, 1)
-
-        out = x[i][s][0] * np.conj(x[j][t][0])
-        out += x[i][s][1] * np.conj(x[j][t][1])
-        out -= right(0) + muc * right(1) if s == 0 else right(1)
-        return out
-
-    if e < 2:  # inner entry (s, s): outer block (1, 0) = conj (0, 1), diagonal ones real
-        s = e
-        b00, b11, b01 = inner(0, 0, s, s).real, inner(1, 1, s, s).real, inner(0, 1, s, s)
-        return wts[2 * s] * _frame_sq(lsq, wts, mu, muc, mu_sq, b00, b11, b01)
-    b00, b11, b01, b10 = inner(0, 0, 0, 1), inner(1, 1, 0, 1), inner(0, 1, 0, 1), inner(1, 0, 0, 1)
-    z10 = b10 + mu * b11
-    z01 = b01 + muc * b11
-    z00 = b00 + mu * b01 + muc * z10
+    batch = np.shape(mu)
+    if diagonal:
+        # sum_n x[i, n, s] conj(x[j, n, s]) for the outer blocks (0, 0), (1, 1), (0, 1):
+        # the terms of n = 0, then those of n = 1 added
+        b = np.empty((3,) + x.shape[2:], complex)  # (block, s)
+        np.multiply(x[:, 0], np.conj(x[:, 0], out=b[:2]), out=b[:2])
+        np.multiply(x[0, 0], np.conj(x[1, 0], out=b[2]), out=b[2])
+        c1 = np.conj(x[:, 1])
+        b[2] += np.multiply(x[0, 1], c1[1])
+        b[:2] += np.multiply(x[:, 1], c1, out=c1)
+        del c1
+        # minus (L^H d2m L)[s, s]: (d2m L)[k, 0] = d2m[k, 0] + mu d2m[k, 1]
+        right = np.multiply(mu, r[:, :, 1])
+        right += r[:, :, 0]
+        right[:, 0] += np.multiply(muc, right[:, 1])
+        b[:, 0] -= right[:, 0]
+        b[:, 1] -= r[:, 1, 1]
+        return wts[::2] * _frame_sq(lsq, wts, mu, muc, mu_sq, b[0].real, b[1].real, b[2])
+    # sum_n x[i, n, 0] conj(x[j, n, 1]) for the four outer blocks (i, j): the
+    # terms of n = 0, then those of n = 1 added, a row i at a time
+    b = np.empty((2, 2) + batch, complex)
+    np.multiply(x[:, None, 0, 0], np.conj(x[None, :, 0, 1], out=b), out=b)
+    c1 = np.conj(x[:, 1, 1])
+    for i in (0, 1):
+        b[i] += np.multiply(x[i, 1, 0], c1)
+    del c1
+    # minus (L^H d2m_{i jbar} L)[0, 1] = d2m_{i jbar}[0, 1] + conj(mu) d2m_{i jbar}[1, 1],
+    # with d2m_{2 1bar}[k, l] = conj(d2m[2, l, k])
+    right = np.multiply(muc, r[:, 1, 1])
+    right += r[:, 0, 1]
+    b.reshape((4,) + batch)[::3] -= right[:2]
+    b[0, 1] -= right[2]
+    b[1, 0] -= np.conj(r[2, 1, 0]) + np.multiply(muc, np.conj(r[2, 1, 1]))
+    b00, b11, b01, b10 = b[0, 0], b[1, 1], b[0, 1], b[1, 0]
+    z10 = b10 + np.multiply(mu, b11)
+    z01 = b01 + np.multiply(muc, b11)
+    z00 = b00 + np.multiply(mu, b01)
+    z00 += np.multiply(muc, z10)
     return (2.0 * lsq[0] * lsq[1]) * (wts[0] * _abs2(z00) + wts[2] * _abs2(b11) + wts[1] * (_abs2(z01) + _abs2(z10)))
 
 
-def _frame_sq(lsq: tuple, wts: tuple, mu, muc, mu_sq, b00, b11, b01) -> np.ndarray:
+def _frame_sq(lsq, wts, mu, muc, mu_sq, b00, b11, b01) -> np.ndarray:
     """``|b|^2_g`` of a Hermitian 2x2 ``b`` (real ``b00``, ``b11`` and ``b01``) in
     the Cholesky frame ``g^{-1} = L diag(lsq) L^H``, ``L = [[1, 0], [mu, 1]]``:
     ``sum_{p, q} lsq_p lsq_q |z[p, q]|^2`` over ``z = L^H b L``, whose entries
     ``z00`` and ``z11 = b11`` are real and ``z10 = conj z01``; ``wts`` is
-    ``(lsq[0]^2, lsq[0] lsq[1], lsq[1]^2)``."""
+    ``(lsq[0]^2, lsq[0] lsq[1], lsq[1]^2)``.  The ``b`` may stack several
+    matrices on a leading axis."""
     z01 = b01 + muc * b11
-    z00 = b00 + 2.0 * (mu * b01).real + mu_sq * b11
+    z00 = b00 + 2.0 * np.multiply(mu, b01).real + mu_sq * b11
     return wts[0] * z00 * z00 + wts[2] * b11 * b11 + 2.0 * lsq[0] * lsq[1] * _abs2(z01)
 
 

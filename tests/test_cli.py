@@ -325,6 +325,40 @@ class TestHopfCommand:
                        {"command": "hopf", "samples": 50, "tol": 1e-18})
         assert code == cli.EXIT_TOLERANCE
 
+    def test_samples_over_budget(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a point was drawn")
+
+        monkeypatch.setattr(cli.np.random, "default_rng", no_draw)
+        payload = {"command": "hopf", "samples": cli.MAX_HOPF_SAMPLES + 1}
+        assert run_cli(tmp_path, "hopf", payload) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hopf.json"]
+        # the budget itself is a valid count
+        payload["samples"] = cli.MAX_HOPF_SAMPLES
+        scenario = cli.load_scenario(write_config(tmp_path / "max.json", payload))
+        assert scenario.options["samples"] == cli.MAX_HOPF_SAMPLES
+
+    def test_chunks_check_every_point(self, tmp_path, capsys, monkeypatch):
+        # the points are checked IDENTITY_CHUNK at a time; the worst error is
+        # the worst over every chunk, the last partial one included
+        seen = []
+        real = cli.jet_at
+
+        def spy(family, pts):
+            seen.append(len(pts[0]))
+            return real(family, pts)
+
+        monkeypatch.setattr(cli, "jet_at", spy)
+        monkeypatch.setattr(cli, "IDENTITY_CHUNK", 64)
+        assert run_cli(tmp_path, "hopf", {"command": "hopf", "samples": 150}) == cli.EXIT_OK
+        assert seen == [64, 64, 22]
+        chunked = capsys.readouterr().out
+        monkeypatch.setattr(cli, "IDENTITY_CHUNK", 4096)
+        assert run_cli(tmp_path, "hopf", {"command": "hopf", "samples": 150}) == cli.EXIT_OK
+        assert capsys.readouterr().out == chunked
+
 
 class TestDeterminism:
     @two_cpus

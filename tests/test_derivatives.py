@@ -239,3 +239,45 @@ def test_matmul_calls_per_derivative(n, monkeypatch):
             calls.clear()
             grid._periodic_diff(rng.standard_normal(shape).astype(dtype), axis, 0.1)
             assert len(calls) == (1 if n == 4 else 2), (dtype, shape, axis)
+
+
+def _symbol(n: int, h: float) -> np.ndarray:
+    """The Fourier symbol of the 4th-order stencil on ``n`` points of spacing
+    ``h``: ``(8 (S - S^-1) - (S^2 - S^-2)) / (12 h)`` on ``exp(i theta j)`` is
+    ``i (8 sin theta - sin 2 theta) / (6 h)``, ``theta = 2 pi k / n``, in the
+    order of ``numpy.fft``'s frequencies."""
+    theta = 2.0 * np.pi * np.fft.fftfreq(n)
+    return 1j * (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * h)
+
+
+# one shape per route, the grid axis of length n marked None: a lone axis
+# and short runs after it (products from the right up to 32 reals, else
+# slices), runs of 8 to 511 reals (products from the left on axes of at
+# most 16 points) and runs of 512 reals (slices beyond 8 points)
+SYMBOL_SHAPES = ((None,), (None, 3), (2, None, 5), (None, 4, 8), (3, None, 512))
+
+
+@pytest.mark.parametrize("n", range(4, 33, 2))
+def test_is_its_fourier_symbol(n):
+    rng = np.random.default_rng(n)
+    h = 2.0 * np.pi / n
+    routes = set()
+    for template in SYMBOL_SHAPES:
+        shape = tuple(n if m is None else m for m in template)
+        axis = template.index(None)
+        for dtype in (float, complex):
+            u = rng.standard_normal(shape)
+            if dtype is complex:
+                u = u + 1j * rng.standard_normal(shape)
+            routes.add(grid._products(u.shape, u.dtype.char, axis) is not None)
+            symbol = _symbol(n, h).reshape((n,) + (1,) * (len(shape) - axis - 1))
+            expect = np.fft.ifft(symbol * np.fft.fft(u, axis=axis), axis=axis)
+            if dtype is float:
+                assert np.abs(expect.imag).max() <= 1e-14 * np.abs(expect).max()
+                expect = expect.real
+            got = grid._periodic_diff(u, axis, h)
+            assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max(), (shape, dtype)
+    # both forms of the stencil are pinned: products on axes of up to 16
+    # points, slices on longer ones and on short runs after 6 to 16 points
+    # (4 points always take products)
+    assert routes == ({True} if n == 4 else {True, False} if n <= 16 else {False})

@@ -319,6 +319,18 @@ class TestTranslationSymmetry:
         assert reduced.summary["steps"] >= 2
         assert reduced.status == ("max_steps_reached" if "max_steps" in kwargs else "completed")
 
+    @pytest.mark.parametrize("variant", ["gflow", "normalized"])
+    def test_run_has_the_bits_of_the_full_grid_above_16384_nodes(self, monkeypatch, variant):
+        # 32,768 nodes: numpy evaluates operator products of temporaries of
+        # 256 KiB or more in place, so only the kernel's fixed operand order
+        # keeps the whole grid's bits equal to the representative's
+        field = sample(MetricFamily("torus_pluriclosed", 0.5), (16, 8, 32, 8))
+        kwargs = {"variant": variant, "t_end": 1.0, "cadence": 1, "max_steps": 8}
+        reduced = fl.run(field, **kwargs)
+        monkeypatch.setattr(fl, "_constant_axes", lambda values: ())
+        assert _run_bytes(reduced) == _run_bytes(fl.run(field, **kwargs))
+        assert reduced.summary["steps"] == 8
+
     @pytest.mark.parametrize("family", SYMMETRY_FAMILIES, ids=lambda f: f.kind)
     def test_constant_axes_of_a_family_are_its_inactive_axes(self, family):
         field = sample(family, (8, 4, 16, 8))
@@ -531,6 +543,19 @@ class TestTnormAudit:
     def test_kahler_trivial(self, kahler_field):
         audit = fl.tnorm_evolution_check(fl.FlowState(0.0, 0, kahler_field))
         assert audit.max_raw < 1e-10
+
+    @pytest.mark.parametrize("field", ["torus_field", "kahler_field"])
+    def test_the_audit_on_the_representative_has_the_bits_of_the_whole_grid(self, request, monkeypatch, field):
+        state = fl.FlowState(0.0, 0, request.getfixturevalue(field))
+        reduced = fl.tnorm_evolution_check(state)
+        monkeypatch.setattr(fl, "_constant_axes", lambda values: ())
+        full = fl.tnorm_evolution_check(state)
+        for name in ("measured", "assembled", "residual_raw", "convention_term", "residual_attributed"):
+            a, b = getattr(reduced, name), getattr(full, name)
+            assert a.shape == state.field.grid.dims and a.flags.c_contiguous and a.flags.writeable, name
+            assert a.tobytes() == b.tobytes(), name
+        for name in ("max_raw", "max_attributed", "imag_defect"):
+            assert getattr(reduced, name) == getattr(full, name), name
 
 
 class TestWriters:

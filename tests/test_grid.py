@@ -383,6 +383,18 @@ class TestOnePass:
         with pytest.raises(TypeError):  # real input only
             grid.complex_hessian(u + 1j * random_trig(grid, 4))
 
+    def test_complex_hessian_of_values_held_once(self):
+        # a function constant along axes 0 and 3, held once along them, has
+        # the Hessian of the whole grid's values at its nodes
+        grid = TorusGrid((8, 4, 8, 4))
+        x = grid.coords()
+        u = np.sin(x[1]) * np.cos(2.0 * x[2]) + np.cos(x[1] - x[2])
+        held = np.ascontiguousarray(u[:1, :, :, :1])
+        whole = grid.complex_hessian(u)
+        assert grid.complex_hessian(held).tobytes() == np.ascontiguousarray(whole[:1, :, :, :1]).tobytes()
+        with pytest.raises(ValueError):
+            grid.complex_hessian(u[:2])
+
     def test_pluriclosed_defect_matches_composition(self, generic_fields):
         field = generic_fields[1]
         rng = np.random.default_rng(6)

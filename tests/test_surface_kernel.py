@@ -17,9 +17,9 @@ import pytest
 
 from plurigeo import hermitian as hm
 from plurigeo.families import MetricFamily, jet_at
-from plurigeo.grid import degree, wedge_pair
+from plurigeo.grid import degree, perturb_with_potential, sample, wedge_pair
 
-from conftest import composed_jets, cross_field, dbar_dbar_star, surface_jet_of
+from conftest import composed_jets, cross_field, dbar_dbar_star, random_trig, surface_jet_of, two_cpus
 
 TOL = 1e-13
 
@@ -287,3 +287,23 @@ def test_hermitian_norm_sq_is_the_metric_pairing():
         norm = hm.hermitian_norm_sq(g, a, np.linalg.det(g).real)
         assert _rel(norm, hm.metric_pairing(g, a, a).real) <= TOL, name
         assert (norm >= 0).all()
+
+
+@pytest.mark.parametrize("threads", ["1", pytest.param("2", marks=two_cpus)])
+def test_kernel_bits_do_not_depend_on_the_array_size(threads, monkeypatch):
+    # numpy computes x * t with a temporary t of 256 KiB or more (16,384
+    # complex entries) in place as t *= x, and its complex multiply does not
+    # commute bit for bit; the kernel pins the operand order of every complex
+    # product, so a node has the same bits in a grid of 16,384 nodes and in
+    # its half, below that size, on one thread and split over two
+    monkeypatch.setenv("PLURIGEO_THREADS", threads)
+    base = sample(MetricFamily("torus_pluriclosed", 0.5), (16, 8, 16, 8))
+    jet = perturb_with_potential(base, 0.05 * random_trig(base.grid, 7)).surface_jet()
+    half = hm.SurfaceJet(
+        g=jet.g[:8].copy(),
+        d1=np.ascontiguousarray(jet.d1[:, :, :, :8]),
+        d2m=np.ascontiguousarray(jet.d2m[:, :, :, :8]),
+    )
+    whole, part = hm.surface_flow(jet), hm.surface_flow(half)
+    for out in ("rhs", "det", "w_sq", "scal", "tnorm_sq", "pluriclosed", "curv_sq"):
+        assert getattr(whole, out)[:8].tobytes() == getattr(part, out).tobytes(), out
